@@ -39,10 +39,9 @@ from .simulate import (
     ExperimentSummary,
     RandomPlan,
     RunOutcome,
-    run_dqsv_round,
+    rounds_until_accepted,
     run_experiment,
     run_rounds,
-    run_sqsv_round,
     scaling_experiment,
     summarize,
 )
@@ -54,19 +53,16 @@ from .sources import (
     mixture_from_spec,
     rho1,
     rho2,
-    sample_sequence,
     unconditional_fidelity,
     werner_state,
     worst_case_state,
 )
 from .strategy import (
     HomogeneousStrategy,
-    TestResult,
     build_homogeneous_strategy,
     build_singlet_strategy,
     fidelity_from_pass_rate,
     pass_probability,
-    sample_test,
     sample_tests,
 )
 
@@ -88,7 +84,6 @@ __all__ = [
     "PureState",
     "RandomPlan",
     "RunOutcome",
-    "TestResult",
     "binom_tail",
     "build_homogeneous_strategy",
     "build_singlet_strategy",
@@ -109,12 +104,9 @@ __all__ = [
     "projector",
     "rho1",
     "rho2",
-    "run_dqsv_round",
+    "rounds_until_accepted",
     "run_experiment",
     "run_rounds",
-    "run_sqsv_round",
-    "sample_sequence",
-    "sample_test",
     "sample_tests",
     "scaling_experiment",
     "solve_J",

@@ -27,10 +27,9 @@ from .certificates import (
     CertificateQuery,
     NumericalConsistencyError,
     binom_tail,
-    dqsv_certificate,
+    certificate,
     dqsv_intermediates,
     solve_J,
-    sqsv_certificate,
 )
 from .exact import (
     dqsv_soundness_sweep,
@@ -40,6 +39,7 @@ from .exact import (
 )
 from .reproduce import (
     FIG3_COLUMNS,
+    FIG3_N,
     FIG3_SCHEMA,
     FIG4_COLUMNS,
     FIG4_SCHEMA,
@@ -53,7 +53,7 @@ from .reproduce import (
 )
 from .simulate import (
     RandomPlan,
-    run_experiment,
+    rounds_until_accepted,
     run_rounds,
     summarize,
     summary_to_json,
@@ -87,14 +87,26 @@ class ConfigError(Exception):
 def parse_lambda(text) -> float:
     """Parse lambda given as a decimal or a fraction token like ``1/3``."""
     if isinstance(text, (int, float)):
-        value = float(text)
-    else:
-        s = str(text).strip()
-        if "/" in s:
-            num, _, den = s.partition("/")
-            value = float(num) / float(den)
-        else:
-            value = float(s)
+        return float(text)
+    num, slash, den = str(text).strip().partition("/")
+    try:
+        return float(num) / float(den) if slash else float(num)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(
+            f"lambda: expected a decimal or a fraction like 1/3, got {text!r}"
+        ) from exc
+
+
+def _int_at_least(errors: list, field: str, raw, minimum: int) -> int | None:
+    """``int(raw)`` if it is at least ``minimum``; otherwise record why under ``field``."""
+    try:
+        value = int(raw)
+    except (TypeError, ValueError):
+        errors.append(f"{field}: expected an integer, got {raw!r}")
+        return None
+    if value < minimum:
+        errors.append(f"{field}: must be >= {minimum}, got {value}")
+        return None
     return value
 
 
@@ -187,24 +199,19 @@ def _validate_simulate_config(cfg: dict) -> dict:
         if rounds is None:
             errors.append("rounds: required for fixed stopping")
         else:
-            try:
-                out["rounds"] = int(rounds)
-                if out["rounds"] < 1:
-                    errors.append("rounds: must be >= 1")
-            except (TypeError, ValueError):
-                errors.append(f"rounds: expected an integer, got {rounds!r}")
+            out["rounds"] = _int_at_least(errors, "rounds", rounds, 1)
     else:
         target = stopping.get("target_acceptances")
         if target is None:
             errors.append("stopping.target_acceptances: required for acceptances stopping")
         else:
-            out["target_acceptances"] = int(target)
-            if out["target_acceptances"] < 1:
-                errors.append("stopping.target_acceptances: must be >= 1")
-        out["max_rounds"] = int(stopping.get("max_rounds", 0)) or None
-    out["threads"] = int(cfg.get("threads", 1))
-    if out["threads"] < 1:
-        errors.append("threads: must be >= 1")
+            out["target_acceptances"] = _int_at_least(
+                errors, "stopping.target_acceptances", target, 1
+            )
+        cap = stopping.get("max_rounds")
+        out["max_rounds"] = None if cap is None else _int_at_least(
+            errors, "stopping.max_rounds", cap, 1
+        )
     out["format"] = cfg.get("format", "json")
     if out["format"] not in ("json", "csv"):
         errors.append(f"format: expected json|csv, got {out['format']!r}")
@@ -226,7 +233,7 @@ def _cmd_certify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        cert = sqsv_certificate(query) if args.protocol == "sqsv" else dqsv_certificate(query)
+        cert = certificate(query)
         payload = {
             "protocol": query.protocol,
             "n": query.n,
@@ -258,7 +265,7 @@ def _cmd_certify(args) -> int:
 def _cmd_simulate(args) -> int:
     try:
         cfg = _load_config(args.config)
-        for key in ("protocol", "n", "k", "rounds", "seed", "threads", "format"):
+        for key in ("protocol", "n", "k", "rounds", "seed", "format"):
             value = getattr(args, key, None)
             if value is not None:
                 cfg[key] = value
@@ -280,17 +287,14 @@ def _cmd_simulate(args) -> int:
     try:
         if conf["stopping_mode"] == "fixed":
             outcomes = run_rounds(
-                source, conf["n"], strat, conf["rounds"], conf["protocol"], plan,
-                threads=conf["threads"],
+                source, conf["n"], strat, conf["rounds"], conf["protocol"], plan
             )
-            summary = summarize(outcomes, conf["k"], strat, conf["protocol"], meta=meta)
         else:
-            summary = run_experiment(
-                source, conf["n"], conf["k"], strat, None, conf["protocol"], plan,
-                target_acceptances=conf["target_acceptances"],
-                max_rounds=conf["max_rounds"], threads=conf["threads"], meta=meta,
+            outcomes = rounds_until_accepted(
+                source, conf["n"], conf["k"], strat, conf["target_acceptances"],
+                conf["protocol"], plan, conf["max_rounds"],
             )
-            outcomes = None
+        summary = summarize(outcomes, conf["k"], strat, conf["protocol"], meta=meta)
     except (TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -301,12 +305,6 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(conf["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").write_text(summary_to_json(summary) + "\n", encoding="utf-8")
-    if outcomes is None:
-        # Acceptance-stopping re-runs the recorded rounds for the CSV.
-        outcomes = run_rounds(
-            source, conf["n"], strat, summary.rounds, conf["protocol"], plan,
-            threads=conf["threads"],
-        )
     write_rounds_csv(out_dir / "rounds.csv", outcomes, conf["k"], strat)
     if conf["format"] == "json":
         print(summary_to_json(summary))
@@ -318,18 +316,40 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _reproduce_errors(args) -> list[str]:
+    """One 'field: message' line per out-of-range reproduce flag."""
+    errors = []
+    for field, value in (("--rounds", args.rounds), ("--avg-rounds", args.avg_rounds)):
+        if value is not None:
+            _int_at_least(errors, field, value, 1)
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        errors.append(f"--seed: must fit in 64 bits, got {args.seed}")
+    if not 0 <= args.k_max < FIG3_N:
+        errors.append(f"--k-max: must lie in [0, {FIG3_N - 1}], got {args.k_max}")
+    # Below 1/4 a depolarized copy is no longer a state.
+    if args.fidelity is not None and not 0.25 <= args.fidelity <= 1.0:
+        errors.append(f"--fidelity: must lie in [0.25, 1], got {args.fidelity}")
+    if not 0.0 < args.delta <= 1.0:
+        errors.append(f"--delta: must lie in (0, 1], got {args.delta}")
+    return errors
+
+
 def _cmd_reproduce(args) -> int:
+    errors = _reproduce_errors(args)
+    for err in errors:
+        print(f"error: {err}", file=sys.stderr)
+    if errors:
+        return EXIT_INVALID
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else 42
     config = {"figure": args.figure, "seed": seed}
     try:
         if args.figure == "fig3":
-            rounds = args.rounds or 200
+            rounds = args.rounds if args.rounds is not None else 200
             fidelity = args.fidelity if args.fidelity is not None else 1.0
             rows = fig3_rows(
-                seed=seed, rounds=rounds, k_max=args.k_max,
-                prep_fidelity=fidelity, threads=args.threads or 1,
+                seed=seed, rounds=rounds, k_max=args.k_max, prep_fidelity=fidelity
             )
             config.update({"rounds": rounds, "prep_fidelity": fidelity, "k_max": args.k_max})
             write_csv(out_dir / "fig3.csv", FIG3_SCHEMA, FIG3_COLUMNS, rows)
@@ -342,7 +362,7 @@ def _cmd_reproduce(args) -> int:
             files = ["fig4.csv"]
         else:
             fidelity = args.fidelity if args.fidelity is not None else 0.99
-            avg_rounds = args.avg_rounds or 80
+            avg_rounds = args.avg_rounds if args.avg_rounds is not None else 80
             rows = fig5_rows(
                 seed=seed, fidelity=fidelity, delta=args.delta, avg_rounds=avg_rounds,
             )
@@ -467,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="master seed (64-bit unsigned)")
     common.add_argument("--out-dir", default=None, help="output directory")
     common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--threads", type=int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="qsverify",

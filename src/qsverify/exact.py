@@ -29,7 +29,6 @@ from .certificates import (
     PROTOCOL_DQSV,
     binom_tail,
     dqsv_certificate,
-    sqsv_certificate,
 )
 from .linalg import overlap, phased_singlet
 from .sources import (
@@ -274,10 +273,3 @@ def dqsv_soundness_sweep(
         "argmin": argmin,
         "violations": violations,
     }
-
-
-def sqsv_reference_bound(n: int, k: int, delta: float, lam: float) -> float:
-    """Convenience: the SQSV fidelity bound for ad-hoc comparisons."""
-    return sqsv_certificate(
-        CertificateQuery("sqsv", n, k, delta, lam)
-    ).fidelity_bound

@@ -8,7 +8,7 @@ is ``<i1 i0| M |j1 j0>``.  Matrix entries are stored dense in row-major
 (C-contiguous) order: ``m.data[row, col]``.
 
 All values are immutable after construction (the wrapped arrays are marked
-read-only), so they can be shared freely across threads.
+read-only), so they can be shared freely.
 """
 
 from __future__ import annotations

@@ -42,6 +42,8 @@ FIG3_SCHEMA = "qsverify.fig3/1"
 FIG4_SCHEMA = "qsverify.fig4/1"
 FIG5_SCHEMA = "qsverify.fig5/1"
 
+FIG3_N = 100
+
 FIG3_COLUMNS = [
     "k",
     "sqsv_p_hat", "sqsv_p_lo95",
@@ -69,22 +71,19 @@ FIG5_COLUMNS = [
 def fig3_rows(
     seed: int = 42,
     rounds: int = 200,
-    n: int = 100,
+    n: int = FIG3_N,
     k_max: int = 10,
     prep_fidelity: float = 1.0,
-    threads: int = 1,
 ) -> list[dict]:
     """Per-k comparison of both protocols on the two-branch correlated source."""
     strat = build_singlet_strategy()
     lam = strat.lam
     source = rho1(n, NoiseSpec(prep_fidelity))
     sq = run_rounds(
-        source, n, strat, rounds, "sqsv",
-        RandomPlan.for_experiment(seed, "fig3-sqsv"), threads=threads,
+        source, n, strat, rounds, "sqsv", RandomPlan.for_experiment(seed, "fig3-sqsv")
     )
     dq = run_rounds(
-        source, n, strat, rounds, "dqsv",
-        RandomPlan.for_experiment(seed, "fig3-dqsv"), threads=threads,
+        source, n, strat, rounds, "dqsv", RandomPlan.for_experiment(seed, "fig3-dqsv")
     )
     rows = []
     for k in range(k_max + 1):

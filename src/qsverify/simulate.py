@@ -10,10 +10,11 @@ conditional-fidelity estimator.
 
 Reproducibility: the stream for round ``i`` is derived as
 ``PCG64(SeedSequence([master_seed, experiment_id, i]))``, so results are
-bit-identical for a fixed master seed and independent of how rounds are
-scheduled across workers.  Within a round the draw order is: branch, leftover
-(DQSV), settings, outcomes, probe (DQSV).  Aggregation uses only sums and
-counts, so it is insensitive to completion order.
+bit-identical for a fixed master seed, and round ``i`` is the same whether a
+run stops after a fixed count or at a target number of acceptances.  Within a
+round the draw order is: branch, leftover (DQSV), settings, outcomes, probe
+(DQSV).  The source is compiled to per-branch tables once per run, and each
+round draws its stream once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import hashlib
 import json
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,47 +214,15 @@ def _run_round(
     )
 
 
-def run_sqsv_round(
+def _round_runner(
     m: ProductSequenceMixture,
     n: int,
     strat: HomogeneousStrategy,
-    rng: np.random.Generator,
-) -> RunOutcome:
-    """Test the first n systems of a freshly drawn sequence."""
-    if m.num_systems < n:
-        raise ValueError(f"mixture has {m.num_systems} systems, need at least {n}")
-    probs, fids, cw = _compile_source(m, strat)
-    csw = np.cumsum(strat.weights)
-    return _run_round(probs, fids, cw, csw, n, "sqsv", rng, probe_tests=0)
-
-
-def run_dqsv_round(
-    m: ProductSequenceMixture,
-    n: int,
-    strat: HomogeneousStrategy,
-    rng: np.random.Generator,
-    probe_tests: int = 1,
-) -> RunOutcome:
-    """Leave one uniformly chosen system untested and test the other n."""
-    if m.num_systems != n + 1:
-        raise ValueError(f"mixture has {m.num_systems} systems, need exactly {n + 1}")
-    probs, fids, cw = _compile_source(m, strat)
-    csw = np.cumsum(strat.weights)
-    return _run_round(probs, fids, cw, csw, n, "dqsv", rng, probe_tests=probe_tests)
-
-
-def run_rounds(
-    m: ProductSequenceMixture,
-    n: int,
-    strat: HomogeneousStrategy,
-    rounds: int,
     protocol: str,
-    plan: RandomPlan,
-    threads: int = 1,
-    probe_tests: int = 1,
-    first_round: int = 0,
-) -> list[RunOutcome]:
-    """Run a fixed number of independent rounds, optionally across threads."""
+    probe_tests: int,
+):
+    """Check the protocol's preconditions, compile the source once, and return
+    a function that simulates one round from its random stream."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "dqsv" and m.num_systems != n + 1:
@@ -265,14 +233,54 @@ def run_rounds(
     csw = np.cumsum(strat.weights)
     probe = probe_tests if protocol == "dqsv" else 0
 
-    def one(i: int) -> RunOutcome:
-        return _run_round(probs, fids, cw, csw, n, protocol, plan.round_rng(i), probe)
+    def one(rng: np.random.Generator) -> RunOutcome:
+        return _run_round(probs, fids, cw, csw, n, protocol, rng, probe)
 
-    indices = range(first_round, first_round + rounds)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, indices))
-    return [one(i) for i in indices]
+    return one
+
+
+def run_rounds(
+    m: ProductSequenceMixture,
+    n: int,
+    strat: HomogeneousStrategy,
+    rounds: int,
+    protocol: str,
+    plan: RandomPlan,
+    probe_tests: int = 1,
+) -> list[RunOutcome]:
+    """Rounds 0 .. rounds-1, round i drawn from ``plan.round_rng(i)``.
+
+    SQSV tests the first n systems of each drawn sequence and needs at least
+    n; DQSV leaves one uniformly chosen system of exactly n + 1 untested.
+    """
+    one = _round_runner(m, n, strat, protocol, probe_tests)
+    return [one(plan.round_rng(i)) for i in range(rounds)]
+
+
+def rounds_until_accepted(
+    m: ProductSequenceMixture,
+    n: int,
+    k: int,
+    strat: HomogeneousStrategy,
+    target_acceptances: int,
+    protocol: str,
+    plan: RandomPlan,
+    max_rounds: int | None = None,
+    probe_tests: int = 1,
+) -> list[RunOutcome]:
+    """Rounds 0, 1, ... up to the one that brings the number accepted at
+    threshold k to ``target_acceptances``, or ``max_rounds`` rounds (default
+    1000 * target) if that comes first.  Round i is the same as in
+    ``run_rounds``."""
+    one = _round_runner(m, n, strat, protocol, probe_tests)
+    cap = max_rounds if max_rounds is not None else 1000 * target_acceptances
+    outcomes = []
+    accepted = 0
+    while accepted < target_acceptances and len(outcomes) < cap:
+        o = one(plan.round_rng(len(outcomes)))
+        outcomes.append(o)
+        accepted += o.failures <= k
+    return outcomes
 
 
 def summarize(
@@ -351,7 +359,6 @@ def run_experiment(
     rng,
     target_acceptances: int | None = None,
     max_rounds: int | None = None,
-    threads: int = 1,
     probe_tests: int = 1,
     meta: dict | None = None,
 ) -> ExperimentSummary:
@@ -369,28 +376,11 @@ def run_experiment(
     if rounds is not None:
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
-        outcomes = run_rounds(
-            m, n, strat, rounds, protocol, plan, threads=threads, probe_tests=probe_tests
-        )
+        outcomes = run_rounds(m, n, strat, rounds, protocol, plan, probe_tests)
     else:
-        cap = max_rounds if max_rounds is not None else 1000 * target_acceptances
-        outcomes = []
-        accepted = 0
-        index = 0
-        chunk = max(16, target_acceptances)
-        while accepted < target_acceptances and index < cap:
-            take = min(chunk, cap - index)
-            batch = run_rounds(
-                m, n, strat, take, protocol, plan,
-                threads=threads, probe_tests=probe_tests, first_round=index,
-            )
-            for o in batch:
-                outcomes.append(o)
-                index += 1
-                if o.failures <= k:
-                    accepted += 1
-                if accepted >= target_acceptances:
-                    break
+        outcomes = rounds_until_accepted(
+            m, n, k, strat, target_acceptances, protocol, plan, max_rounds, probe_tests
+        )
     return summarize(outcomes, k, strat, protocol, meta=meta)
 
 

@@ -199,19 +199,6 @@ def unconditional_fidelity(m: ProductSequenceMixture, target: PureState) -> floa
     return float(total)
 
 
-def sample_sequence(
-    m: ProductSequenceMixture, rng: np.random.Generator
-) -> tuple[int, ProductSequence]:
-    """Draw one branch according to the mixture weights."""
-    u = rng.random()
-    acc = 0.0
-    for i, (w, seq) in enumerate(m.branches):
-        acc += w
-        if u < acc:
-            return i, seq
-    return len(m.branches) - 1, m.branches[-1][1]
-
-
 # --- declarative state descriptors (used by config files) -------------------
 
 _DESCRIPTOR_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([^)]*)\s*\))?\s*$")

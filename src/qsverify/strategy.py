@@ -14,8 +14,8 @@ each test passes on the -1 outcome, i.e. projects onto the negative eigenspace
 of the corresponding Pauli product.  Since W (x) W is an involution, that
 projector is (1 - W(x)W)/2 exactly, which avoids any eigensolver.
 
-Strategy objects are immutable and shareable across threads; sampling
-functions take a caller-owned ``numpy.random.Generator``.
+Strategy objects are immutable; sampling functions take a caller-owned
+``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -65,12 +65,6 @@ class StrategyTest:
         sq = self.proj.data @ self.proj.data
         if np.max(np.abs(sq - self.proj.data)) > 1e-10:
             raise ValueError(f"test projector {self.label!r} is not idempotent")
-
-
-@dataclass(frozen=True)
-class TestResult:
-    setting_label: str
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -178,14 +172,6 @@ def sample_tests(
     settings = rng.choice(len(strat.tests), size=size, p=strat.weights)
     passed = rng.random(size) < probs[settings]
     return settings, passed
-
-
-def sample_test(
-    strat: HomogeneousStrategy, s: DensityMatrix, rng: np.random.Generator
-) -> TestResult:
-    """Draw a single test on state ``s``."""
-    settings, passed = sample_tests(strat, s, 1, rng)
-    return TestResult(strat.tests[int(settings[0])].label, bool(passed[0]))
 
 
 def fidelity_from_pass_rate(rate: float, lam: float) -> float:

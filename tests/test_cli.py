@@ -153,10 +153,62 @@ def test_simulate_flag_overrides(tmp_path, capsys):
 
 def test_simulate_invalid_config_diagnostics(tmp_path, capsys):
     config = tmp_path / "bad.yaml"
-    config.write_text("protocol: dqsv\nn: 3\nk: 7\nrounds: 10\nsource:\n  model: honest\n")
-    code, _, err = run_cli(capsys, "simulate", "--config", str(config))
+    head = "protocol: dqsv\nn: 3\nk: 1\nsource:\n  model: honest\n"
+    accept = "stopping:\n  mode: acceptances\n"
+    cases = [
+        ("protocol: dqsv\nn: 3\nk: 7\nrounds: 10\nsource:\n  model: honest\n",
+         "n: must be >= k + 1"),
+        (head + "rounds: 0\n", "rounds: must be >= 1"),
+        (head + "rounds: ten\n", "rounds: expected an integer"),
+        (head + accept + "  target_acceptances: abc\n",
+         "stopping.target_acceptances: expected an integer"),
+        (head + accept + "  target_acceptances: 0\n",
+         "stopping.target_acceptances: must be >= 1"),
+        (head + accept + "  target_acceptances: 5\n  max_rounds: 1.5x\n",
+         "stopping.max_rounds: expected an integer"),
+        (head + accept + "  target_acceptances: 5\n  max_rounds: 0\n",
+         "stopping.max_rounds: must be >= 1"),
+    ]
+    for text, message in cases:
+        config.write_text(text)
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(config), "--out-dir", str(tmp_path / "o")
+        )
+        assert code == 2, text
+        assert message in err, (text, err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_threads_flag_is_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--threads", "2", "--n", "5", "--rounds", "10"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("reproduce", "fig3", "--rounds", "-5"), "--rounds"),
+        (("reproduce", "fig3", "--rounds", "0"), "--rounds"),
+        (("reproduce", "fig5", "--avg-rounds", "0"), "--avg-rounds"),
+        (("reproduce", "fig5", "--delta", "0"), "--delta"),
+        (("reproduce", "fig3", "--k-max", "100"), "--k-max"),
+        (("reproduce", "fig3", "--fidelity", "1.5"), "--fidelity"),
+        (("reproduce", "fig5", "--fidelity", "0.1"), "--fidelity"),
+        (("reproduce", "fig3", "--seed", "-1"), "--seed"),
+        (("certify", "--protocol", "sqsv", "--n", "10", "--k", "0",
+          "--delta", "0.05", "--lambda", "1/0"), "lambda"),
+        (("certify", "--protocol", "dqsv", "--n", "10", "--k", "0",
+          "--delta", "0.05", "--lambda", "abc"), "lambda"),
+    ],
+)
+def test_bad_arguments_exit_2_naming_the_field(tmp_path, capsys, argv, field):
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, *argv, "--out-dir", str(out_dir))
     assert code == 2
-    assert "n: must be >= k + 1" in err
+    assert field in err
+    assert out == ""
+    assert not out_dir.exists()
 
 
 def test_simulate_custom_source(tmp_path, capsys):
@@ -209,10 +261,55 @@ def test_simulate_acceptance_stopping(tmp_path, capsys):
     )
     assert code == 0
     summary = json.loads(out)
-    assert summary["accepted"] >= 120
-    lines = (out_dir / "rounds.csv").read_text().splitlines()
-    accepted_rows = [ln for ln in lines[2:] if ln.split(",")[3] == "1"]
-    assert len(accepted_rows) >= 120
+    assert summary["accepted"] == 120
+    rows = (out_dir / "rounds.csv").read_text().splitlines()[2:]
+    assert len(rows) == summary["rounds"]
+    assert sum(row.split(",")[3] == "1" for row in rows) == 120
+    assert rows[-1].split(",")[3] == "1"
+    # The same rounds as a fixed-count run on the same seed, cut at the stop.
+    fixed = tmp_path / "fixed.yaml"
+    fixed.write_text(
+        f"protocol: dqsv\nn: 5\nk: 1\nseed: 2\nrounds: {summary['rounds'] + 20}\n"
+        "source:\n  model: rho2\n  phi: pi\n"
+    )
+    code, _, _ = run_cli(
+        capsys, "simulate", "--config", str(fixed), "--out-dir", str(tmp_path / "f")
+    )
+    assert code == 0
+    fixed_rows = (tmp_path / "f" / "rounds.csv").read_text().splitlines()[2:]
+    assert rows == fixed_rows[: summary["rounds"]]
+
+
+def test_simulate_acceptance_mode_single_pass(tmp_path, capsys, monkeypatch):
+    from qsverify import simulate
+
+    compiles, streams = [], []
+    compile_source = simulate._compile_source
+    round_rng = simulate.RandomPlan.round_rng
+
+    def counting_compile(*args):
+        compiles.append(args)
+        return compile_source(*args)
+
+    def counting_rng(self, round_index):
+        streams.append(round_index)
+        return round_rng(self, round_index)
+
+    monkeypatch.setattr(simulate, "_compile_source", counting_compile)
+    monkeypatch.setattr(simulate.RandomPlan, "round_rng", counting_rng)
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        "protocol: dqsv\nn: 8\nk: 0\nseed: 4\n"
+        "stopping:\n  mode: acceptances\n  target_acceptances: 50\n"
+        "source:\n  model: rho2\n  phi: 3pi/4\n"
+    )
+    code, out, _ = run_cli(
+        capsys, "simulate", "--config", str(config), "--out-dir", str(tmp_path / "out")
+    )
+    assert code == 0
+    summary = json.loads(out)
+    assert len(compiles) == 1
+    assert streams == list(range(summary["rounds"]))
 
 
 def test_reproduce_fig4_columns(tmp_path, capsys):

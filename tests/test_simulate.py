@@ -10,10 +10,9 @@ from qsverify.simulate import (
     RandomPlan,
     RunOutcome,
     clopper_pearson,
-    run_dqsv_round,
+    rounds_until_accepted,
     run_experiment,
     run_rounds,
-    run_sqsv_round,
     scaling_experiment,
     summarize,
     write_rounds_csv,
@@ -29,9 +28,7 @@ def strat():
 
 def test_honest_ideal_sqsv_never_fails(strat):
     m = honest_iid(10, NoiseSpec(1.0))
-    rng = RandomPlan(0).round_rng(0)
-    for _ in range(30):
-        out = run_sqsv_round(m, 10, strat, rng)
+    for out in run_rounds(m, 10, strat, 30, "sqsv", RandomPlan(0)):
         assert out.failures == 0
         assert out.leftover_index is None
         assert out.leftover_truth_fidelity is None
@@ -39,12 +36,35 @@ def test_honest_ideal_sqsv_never_fails(strat):
 
 def test_honest_ideal_dqsv_perfect_leftover(strat):
     m = honest_iid(11, NoiseSpec(1.0))
-    rng = RandomPlan(1).round_rng(0)
-    for _ in range(30):
-        out = run_dqsv_round(m, 10, strat, rng)
+    for out in run_rounds(m, 10, strat, 30, "dqsv", RandomPlan(1)):
         assert out.failures == 0
         assert 0 <= out.leftover_index <= 10
         assert out.leftover_truth_fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def test_branch_index_single_branch(strat):
+    outcomes = run_rounds(honest_iid(4), 4, strat, 10, "sqsv", RandomPlan(18))
+    assert all(o.branch_index == 0 for o in outcomes)
+
+
+def test_branch_index_rho1_frequency(strat):
+    # rho1 draws its all-singlet branch with weight 2/3
+    rounds = 50_000
+    outcomes = run_rounds(rho1(2), 2, strat, rounds, "sqsv", RandomPlan(19))
+    hits = sum(o.branch_index == 0 for o in outcomes)
+    p = 2 / 3
+    sigma = math.sqrt(p * (1 - p) / rounds)
+    assert abs(hits / rounds - p) < 4 * sigma
+
+
+def test_branch_index_rho2_uniform(strat):
+    rounds = 50_000
+    outcomes = run_rounds(rho2(5, math.pi), 5, strat, rounds, "sqsv", RandomPlan(20))
+    counts = np.bincount([o.branch_index for o in outcomes], minlength=6)
+    assert len(counts) == 6
+    p = 1 / 6
+    sigma = math.sqrt(p * (1 - p) / rounds)
+    assert np.max(np.abs(counts / rounds - p)) < 4 * sigma
 
 
 def test_maximally_mixed_failure_counts_binomial(strat):
@@ -208,15 +228,8 @@ def test_sqsv_violation_reproduction(strat):
 
 def test_determinism_bit_identical(strat):
     m = rho1(20, NoiseSpec(0.97))
-    a = run_experiment(m, 20, 1, strat, 500, "dqsv", RandomPlan(7), threads=1)
-    b = run_experiment(m, 20, 1, strat, 500, "dqsv", RandomPlan(7), threads=1)
-    assert a == b
-
-
-def test_determinism_across_thread_counts(strat):
-    m = rho1(20, NoiseSpec(0.97))
-    a = run_experiment(m, 20, 1, strat, 400, "dqsv", RandomPlan(8), threads=1)
-    b = run_experiment(m, 20, 1, strat, 400, "dqsv", RandomPlan(8), threads=4)
+    a = run_experiment(m, 20, 1, strat, 500, "dqsv", RandomPlan(7))
+    b = run_experiment(m, 20, 1, strat, 500, "dqsv", RandomPlan(7))
     assert a == b
 
 
@@ -234,6 +247,25 @@ def test_stopping_rule_acceptances(strat):
         target_acceptances=10_000_000, max_rounds=200,
     )
     assert capped.rounds == 200
+
+
+def test_rounds_until_accepted_stops_at_target(strat):
+    # Round i is the same under both stopping rules, and the run ends on the
+    # round that reaches the target.
+    m = rho2(6, math.pi, NoiseSpec(0.95))
+    plan = RandomPlan(21)
+    until = rounds_until_accepted(m, 6, 0, strat, 40, "dqsv", plan)
+    assert sum(o.failures <= 0 for o in until) == 40
+    assert until[-1].failures <= 0
+    fixed = run_rounds(m, 6, strat, len(until) + 5, "dqsv", plan)
+    for a, b in zip(until, fixed):
+        assert np.array_equal(a.passes, b.passes)
+        assert np.array_equal(a.settings, b.settings)
+        assert (a.branch_index, a.leftover_index, a.probe_passed) == (
+            b.branch_index, b.leftover_index, b.probe_passed
+        )
+    capped = rounds_until_accepted(m, 6, 0, strat, 40, "dqsv", plan, max_rounds=7)
+    assert len(capped) == 7
 
 
 def test_zero_accepted_reports_absent_estimators(strat):
@@ -306,10 +338,12 @@ def test_rounds_csv_format(tmp_path, strat):
 
 def test_protocol_preconditions(strat):
     m = honest_iid(5)
-    rng = RandomPlan(16).round_rng(0)
+    plan = RandomPlan(16)
     with pytest.raises(ValueError):
-        run_dqsv_round(m, 5, strat, rng)  # needs exactly n+1 = 6 systems
+        run_rounds(m, 5, strat, 1, "dqsv", plan)  # needs exactly n+1 = 6 systems
     with pytest.raises(ValueError):
-        run_sqsv_round(m, 6, strat, rng)  # needs at least 6 systems
+        run_rounds(m, 6, strat, 1, "sqsv", plan)  # needs at least 6 systems
     with pytest.raises(ValueError):
         run_rounds(m, 4, strat, 10, "other", RandomPlan(17))
+    with pytest.raises(ValueError):
+        rounds_until_accepted(m, 5, 0, strat, 1, "dqsv", plan)

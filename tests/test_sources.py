@@ -16,7 +16,6 @@ from qsverify.sources import (
     parse_state,
     rho1,
     rho2,
-    sample_sequence,
     unconditional_fidelity,
     werner_state,
     worst_case_state,
@@ -131,37 +130,6 @@ def test_mixture_validation():
     long_seq = ProductSequence((maximally_mixed(),) * 3)
     with pytest.raises(ValueError):
         ProductSequenceMixture(((0.5, seq), (0.5, long_seq)))  # unequal lengths
-
-
-def test_sample_sequence_single_branch():
-    m = honest_iid(4)
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        idx, seq = sample_sequence(m, rng)
-        assert idx == 0
-        assert seq is m.branches[0][1]
-
-
-def test_sample_sequence_rho1_frequency():
-    m = rho1(2)
-    rng = np.random.default_rng(2)
-    draws = 100_000
-    hits = sum(sample_sequence(m, rng)[0] == 0 for _ in range(draws))
-    p = 2 / 3
-    sigma = math.sqrt(p * (1 - p) / draws)
-    assert abs(hits / draws - p) < 4 * sigma
-
-
-def test_sample_sequence_rho2_uniform():
-    m = rho2(5, math.pi)
-    rng = np.random.default_rng(3)
-    draws = 100_000
-    counts = np.zeros(6)
-    for _ in range(draws):
-        counts[sample_sequence(m, rng)[0]] += 1
-    p = 1 / 6
-    sigma = math.sqrt(p * (1 - p) / draws)
-    assert np.max(np.abs(counts / draws - p)) < 4 * sigma
 
 
 def test_ideal_singlet_branches_pass_surely(strat):

@@ -18,7 +18,6 @@ from qsverify.strategy import (
     build_singlet_strategy,
     fidelity_from_pass_rate,
     pass_probability,
-    sample_test,
     sample_tests,
 )
 
@@ -95,10 +94,9 @@ def test_pass_probability_werner(strat):
 def test_sample_test_target_always_passes(strat):
     rng = np.random.default_rng(12)
     target = projector(strat.target)
-    for _ in range(200):
-        res = sample_test(strat, target, rng)
-        assert res.passed
-        assert res.setting_label in strat.labels
+    settings, passed = sample_tests(strat, target, 200, rng)
+    assert passed.all()
+    assert set(settings) <= set(range(len(strat.tests)))
 
 
 def test_sample_test_orthogonal_support_is_deterministic_per_setting(strat):
@@ -114,9 +112,9 @@ def test_sample_test_orthogonal_support_is_deterministic_per_setting(strat):
     assert probs["YY"] == pytest.approx(0.0, abs=1e-12)
     assert probs["ZZ"] == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(13)
-    for _ in range(300):
-        res = sample_test(strat, triplet, rng)
-        assert res.passed == (res.setting_label == "ZZ")
+    settings, passed = sample_tests(strat, triplet, 300, rng)
+    labels = np.array(strat.labels)[settings]
+    assert np.array_equal(passed, labels == "ZZ")
 
 
 def test_sample_tests_empirical_rate_mixed(strat):
