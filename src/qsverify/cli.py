@@ -32,6 +32,7 @@ from .certificates import (
     solve_J,
 )
 from .exact import (
+    MAX_ENUM_TESTS,
     dqsv_soundness_sweep,
     exact_stats,
     exact_stats_bruteforce,
@@ -459,9 +460,26 @@ def _check_factorization_suite(n_max: int) -> dict:
     return {"suite": "factorization", "checks": checks, "violations": failures}
 
 
+def _oracle_check_errors(args) -> list[str]:
+    """One 'field: message' line per out-of-range oracle-check flag."""
+    errors = []
+    _int_at_least(errors, "--grid-size", args.grid_size, 1000)
+    _int_at_least(errors, "--trials", args.trials, 1)
+    if not 2 <= args.budget <= MAX_ENUM_TESTS:
+        errors.append(f"--budget: must lie in [2, {MAX_ENUM_TESTS}], got {args.budget}")
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        errors.append(f"--seed: must fit in 64 bits, got {args.seed}")
+    return errors
+
+
 def _cmd_oracle_check(args) -> int:
     import numpy as np
 
+    errors = _oracle_check_errors(args)
+    for err in errors:
+        print(f"error: {err}", file=sys.stderr)
+    if errors:
+        return EXIT_INVALID
     try:
         if args.suite == "binom":
             report = _check_binom_suite()
@@ -483,10 +501,10 @@ def _cmd_oracle_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed (64-bit unsigned)")
-    common.add_argument("--out-dir", default=None, help="output directory")
-    common.add_argument("--format", choices=("json", "csv"), default=None)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="master seed (64-bit unsigned)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-dir", default=None, help="output directory")
 
     parser = argparse.ArgumentParser(
         prog="qsverify",
@@ -494,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cert = sub.add_parser("certify", parents=[common], help="print a fidelity certificate")
+    cert = sub.add_parser("certify", help="print a fidelity certificate")
     cert.add_argument("--protocol", choices=("sqsv", "dqsv"), required=True)
     cert.add_argument("--n", type=int, required=True)
     cert.add_argument("--k", type=int, required=True)
@@ -503,15 +521,16 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--intermediates", action="store_true")
     cert.set_defaults(func=_cmd_certify)
 
-    sim = sub.add_parser("simulate", parents=[common], help="run a Monte Carlo experiment")
+    sim = sub.add_parser("simulate", parents=[seed, out], help="run a Monte Carlo experiment")
     sim.add_argument("--config", default=None, help="YAML config file")
     sim.add_argument("--protocol", choices=("sqsv", "dqsv"), default=None)
     sim.add_argument("--n", type=int, default=None)
     sim.add_argument("--k", type=int, default=None)
     sim.add_argument("--rounds", type=int, default=None)
+    sim.add_argument("--format", choices=("json", "csv"), default=None)
     sim.set_defaults(func=_cmd_simulate)
 
-    rep = sub.add_parser("reproduce", parents=[common], help="regenerate a packaged dataset")
+    rep = sub.add_parser("reproduce", parents=[seed, out], help="regenerate a packaged dataset")
     rep.add_argument("figure", choices=("fig3", "fig4", "fig5"))
     rep.add_argument("--rounds", type=int, default=None)
     rep.add_argument("--fidelity", type=float, default=None, help="per-copy preparation fidelity")
@@ -520,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--avg-rounds", type=int, default=None)
     rep.set_defaults(func=_cmd_reproduce)
 
-    orc = sub.add_parser("oracle-check", parents=[common], help="run a verification suite")
+    orc = sub.add_parser("oracle-check", parents=[seed], help="run a verification suite")
     orc.add_argument("suite", choices=("binom", "sqsv", "dqsv-sweep", "factorization"))
     orc.add_argument("--n", type=int, default=6)
     orc.add_argument("--k", type=int, default=1)

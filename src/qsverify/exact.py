@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -93,18 +94,6 @@ def _branch_stats(
     return p_tot / length, f_tot / length
 
 
-def _mixture_tables(
-    m: ProductSequenceMixture, strat: HomogeneousStrategy
-) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    target = strat.target
-    tables = []
-    for w, seq in m.branches:
-        a = np.array([pass_probability(strat, s) for s in seq.states])
-        fid = np.array([overlap(target, s) for s in seq.states])
-        tables.append((w, a, fid))
-    return tables
-
-
 def exact_pk(m: ProductSequenceMixture, k: int, strat: HomogeneousStrategy) -> float:
     """Exact probability of observing at most k failures among the N tests."""
     return exact_stats(m, k, strat).p_k
@@ -127,7 +116,9 @@ def exact_stats(
         raise ValueError(f"k = {k} outside [0, N - 1] for N = {m.num_systems - 1}")
     p_tot = 0.0
     f_tot = 0.0
-    for w, a, fid in _mixture_tables(m, strat):
+    a_table = m.tabulate(partial(pass_probability, strat))
+    fid_table = m.tabulate(partial(overlap, strat.target))
+    for (w, _), a, fid in zip(m.branches, a_table, fid_table):
         p_b, f_b = _branch_stats(a, fid, k)
         p_tot += w * p_b
         f_tot += w * f_b
@@ -150,7 +141,9 @@ def exact_stats_bruteforce(
         raise ValueError(f"k = {k} outside [0, N - 1]")
     p_tot = 0.0
     f_tot = 0.0
-    for w, a, fid in _mixture_tables(m, strat):
+    a_table = m.tabulate(partial(pass_probability, strat))
+    fid_table = m.tabulate(partial(overlap, strat.target))
+    for (w, _), a, fid in zip(m.branches, a_table, fid_table):
         for leftover in range(n + 1):
             tested = [a[i] for i in range(n + 1) if i != leftover]
             for pattern in itertools.product((True, False), repeat=n):

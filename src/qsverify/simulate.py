@@ -13,8 +13,8 @@ Reproducibility: the stream for round ``i`` is derived as
 bit-identical for a fixed master seed, and round ``i`` is the same whether a
 run stops after a fixed count or at a target number of acceptances.  Within a
 round the draw order is: branch, leftover (DQSV), settings, outcomes, probe
-(DQSV).  The source is compiled to per-branch tables once per run, and each
-round draws its stream once.
+(DQSV).  The source is tabulated once per run, one evaluation per distinct
+state, and each round draws its stream once.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -31,7 +32,7 @@ from scipy import stats as _scipy_stats
 from .certificates import CertificateQuery, dqsv_certificate, sqsv_certificate
 from .linalg import overlap
 from .sources import NoiseSpec, ProductSequenceMixture, honest_iid
-from .strategy import HomogeneousStrategy, fidelity_from_pass_rate
+from .strategy import HomogeneousStrategy, fidelity_from_pass_rate, test_pass_probabilities
 
 PROTOCOLS = ("sqsv", "dqsv")
 ROUNDS_CSV_SCHEMA = "qsverify.rounds/1"
@@ -150,19 +151,6 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95):
     return lo, hi
 
 
-def _compile_source(m: ProductSequenceMixture, strat: HomogeneousStrategy):
-    """Per-branch tables: (L, T) per-test pass probabilities and (L,) fidelities."""
-    from .strategy import test_pass_probabilities
-
-    probs = []
-    fids = []
-    for _, seq in m.branches:
-        probs.append(np.array([test_pass_probabilities(strat, s) for s in seq.states]))
-        fids.append(np.array([overlap(strat.target, s) for s in seq.states]))
-    cum_weights = np.cumsum(m.weights)
-    return probs, fids, cum_weights
-
-
 def _sample_branch(cum_weights: np.ndarray, rng: np.random.Generator) -> int:
     idx = int(np.searchsorted(cum_weights, rng.random(), side="right"))
     return min(idx, len(cum_weights) - 1)
@@ -221,15 +209,17 @@ def _round_runner(
     protocol: str,
     probe_tests: int,
 ):
-    """Check the protocol's preconditions, compile the source once, and return
-    a function that simulates one round from its random stream."""
+    """Check the protocol's preconditions, tabulate the source once, and
+    return a function that simulates one round from its random stream."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "dqsv" and m.num_systems != n + 1:
         raise ValueError(f"mixture has {m.num_systems} systems, need exactly {n + 1}")
     if protocol == "sqsv" and m.num_systems < n:
         raise ValueError(f"mixture has {m.num_systems} systems, need at least {n}")
-    probs, fids, cw = _compile_source(m, strat)
+    probs = m.tabulate(partial(test_pass_probabilities, strat))
+    fids = m.tabulate(partial(overlap, strat.target))
+    cw = np.cumsum(m.weights)
     csw = np.cumsum(strat.weights)
     probe = probe_tests if protocol == "dqsv" else 0
 
@@ -405,9 +395,8 @@ def scaling_experiment(
     plan = _as_plan(rng)
     max_n = n_grid[-1]
     source = honest_iid(max(max_n, 2), noise)
-    probs, _, cw = _compile_source(source, strat)
+    table = source.tabulate(partial(test_pass_probabilities, strat))[0]
     csw = np.cumsum(strat.weights)
-    table = probs[0]
 
     ks = np.zeros((rounds, len(n_grid)), dtype=int)
     eps_s = np.zeros((rounds, len(n_grid)))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -106,6 +107,22 @@ class ProductSequenceMixture:
         w = np.array([wb for wb, _ in self.branches])
         w.setflags(write=False)
         return w
+
+    def tabulate(self, fn) -> np.ndarray:
+        """``fn(state)`` for every system of every branch, as a (B, L, ...) array.
+
+        ``fn`` runs once per distinct state, keyed by the matrix entries, so
+        ``rho2(n)`` costs two calls however large n is.
+        """
+        values = {}
+
+        def value(s: DensityMatrix):
+            key = s.mat.data.tobytes()
+            if key not in values:
+                values[key] = fn(s)
+            return values[key]
+
+        return np.array([[value(s) for s in seq.states] for _, seq in self.branches])
 
 
 def maximally_mixed() -> DensityMatrix:
@@ -194,8 +211,8 @@ def worst_case_state(epsilon: float, strat: HomogeneousStrategy) -> DensityMatri
 def unconditional_fidelity(m: ProductSequenceMixture, target: PureState) -> float:
     """Fidelity of the single-system reduced state, averaged over systems."""
     total = 0.0
-    for w, seq in m.branches:
-        total += w * np.mean([overlap(target, s) for s in seq.states])
+    for (w, _), fid in zip(m.branches, m.tabulate(partial(overlap, target))):
+        total += w * np.mean(fid)
     return float(total)
 
 

@@ -200,15 +200,46 @@ def test_threads_flag_is_rejected():
           "--delta", "0.05", "--lambda", "1/0"), "lambda"),
         (("certify", "--protocol", "dqsv", "--n", "10", "--k", "0",
           "--delta", "0.05", "--lambda", "abc"), "lambda"),
+        (("oracle-check", "sqsv", "--grid-size", "1"), "--grid-size"),
+        (("oracle-check", "sqsv", "--grid-size", "999"), "--grid-size"),
+        (("oracle-check", "dqsv-sweep", "--trials", "-3"), "--trials"),
+        (("oracle-check", "dqsv-sweep", "--trials", "0"), "--trials"),
+        (("oracle-check", "factorization", "--budget", "1"), "--budget"),
+        (("oracle-check", "factorization", "--budget", "13"), "--budget"),
+        (("oracle-check", "dqsv-sweep", "--seed", "-1"), "--seed"),
+        (("oracle-check", "dqsv-sweep", "--seed", str(2**64)), "--seed"),
     ],
 )
 def test_bad_arguments_exit_2_naming_the_field(tmp_path, capsys, argv, field):
     out_dir = tmp_path / "o"
-    code, out, err = run_cli(capsys, *argv, "--out-dir", str(out_dir))
+    if argv[0] in ("simulate", "reproduce"):
+        argv += ("--out-dir", str(out_dir))
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert field in err
+    assert "Traceback" not in err
     assert out == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "--protocol", "sqsv", "--n", "10", "--k", "0",
+         "--delta", "0.05", "--lambda", "1/3", "--seed", "1"),
+        ("certify", "--protocol", "sqsv", "--n", "10", "--k", "0",
+         "--delta", "0.05", "--lambda", "1/3", "--out-dir", "x"),
+        ("certify", "--protocol", "sqsv", "--n", "10", "--k", "0",
+         "--delta", "0.05", "--lambda", "1/3", "--format", "csv"),
+        ("oracle-check", "binom", "--out-dir", "x"),
+        ("oracle-check", "binom", "--format", "json"),
+        ("reproduce", "fig4", "--format", "csv"),
+    ],
+)
+def test_unread_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
 
 
 def test_simulate_custom_source(tmp_path, capsys):
@@ -282,20 +313,21 @@ def test_simulate_acceptance_stopping(tmp_path, capsys):
 
 def test_simulate_acceptance_mode_single_pass(tmp_path, capsys, monkeypatch):
     from qsverify import simulate
+    from qsverify.sources import ProductSequenceMixture
 
-    compiles, streams = [], []
-    compile_source = simulate._compile_source
+    tables, streams = [], []
+    tabulate = ProductSequenceMixture.tabulate
     round_rng = simulate.RandomPlan.round_rng
 
-    def counting_compile(*args):
-        compiles.append(args)
-        return compile_source(*args)
+    def counting_tabulate(self, fn):
+        tables.append(fn.func.__name__)
+        return tabulate(self, fn)
 
     def counting_rng(self, round_index):
         streams.append(round_index)
         return round_rng(self, round_index)
 
-    monkeypatch.setattr(simulate, "_compile_source", counting_compile)
+    monkeypatch.setattr(ProductSequenceMixture, "tabulate", counting_tabulate)
     monkeypatch.setattr(simulate.RandomPlan, "round_rng", counting_rng)
     config = tmp_path / "run.yaml"
     config.write_text(
@@ -308,7 +340,7 @@ def test_simulate_acceptance_mode_single_pass(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     summary = json.loads(out)
-    assert len(compiles) == 1
+    assert sorted(tables) == ["overlap", "test_pass_probabilities"]
     assert streams == list(range(summary["rounds"]))
 
 

@@ -42,6 +42,22 @@ def test_honest_ideal_dqsv_perfect_leftover(strat):
         assert out.leftover_truth_fidelity == pytest.approx(1.0, abs=1e-12)
 
 
+def test_rho2_tabulates_two_distinct_states(strat, monkeypatch):
+    """rho2(100) has 101 x 101 system slots but only two distinct states."""
+    from qsverify import simulate
+
+    calls = []
+    original = simulate.test_pass_probabilities
+
+    def counting(strat_, s):
+        calls.append(s)
+        return original(strat_, s)
+
+    monkeypatch.setattr(simulate, "test_pass_probabilities", counting)
+    run_rounds(rho2(100, 3 * math.pi / 4), 100, strat, 1, "dqsv", RandomPlan(0))
+    assert len(calls) == 2
+
+
 def test_branch_index_single_branch(strat):
     outcomes = run_rounds(honest_iid(4), 4, strat, 10, "sqsv", RandomPlan(18))
     assert all(o.branch_index == 0 for o in outcomes)

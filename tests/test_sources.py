@@ -1,8 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from qsverify import strategy
+from qsverify.exact import _random_mixture
 from qsverify.linalg import overlap, phased_singlet, projector
 from qsverify.sources import (
     NoiseSpec,
@@ -195,3 +198,42 @@ def test_mixture_from_spec(strat):
         mixture_from_spec({"branches": []})
     with pytest.raises(ValueError):
         mixture_from_spec({"branches": [{"weight": 1.0}]})
+
+
+def test_tabulate_calls_fn_once_per_distinct_state():
+    calls = []
+
+    def fn(s):
+        calls.append(s)
+        return len(calls)
+
+    table = rho2(50, math.pi / 3).tabulate(fn)
+    assert table.shape == (51, 51)
+    assert len(calls) == 2
+    assert np.array_equal(np.diag(table), np.full(51, table[0, 0]))
+
+    # parse_state builds a new object for every descriptor it reads; keying by
+    # content still evaluates each distinct descriptor once.
+    spec = {
+        "branches": [
+            {"weight": 0.5, "states": ["singlet", "werner(0.9)", "singlet", "mixed"]},
+            {"weight": 0.5, "states": ["mixed", "singlet_phi(pi/2)", "werner(0.9)", "singlet"]},
+        ]
+    }
+    calls.clear()
+    mixture_from_spec(spec).tabulate(fn)
+    assert len(calls) == len({d for b in spec["branches"] for d in b["states"]}) == 4
+
+
+def test_tabulate_matches_per_state_evaluation(strat):
+    m = _random_mixture(6, np.random.default_rng(11))
+    probs = m.tabulate(partial(strategy.test_pass_probabilities, strat))
+    a = m.tabulate(partial(pass_probability, strat))
+    fid = m.tabulate(partial(overlap, strat.target))
+    assert probs.shape == (len(m.branches), 7, len(strat.tests))
+    assert a.shape == fid.shape == (len(m.branches), 7)
+    for b, (_, seq) in enumerate(m.branches):
+        for i, s in enumerate(seq.states):
+            assert np.array_equal(probs[b, i], strategy.test_pass_probabilities(strat, s))
+            assert a[b, i] == pass_probability(strat, s)
+            assert fid[b, i] == overlap(strat.target, s)
