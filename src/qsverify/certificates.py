@@ -41,11 +41,19 @@ recurrence.  The anchored scheme keeps the absolute error within a few
 machine epsilons even where a log-gamma formulation would lose ~1e-12 to
 cancellation; see the tests for the measured bounds.
 
-All functions here are pure and reentrant.
+Memoization: ``solve_J`` is memoized on (n, k, delta), and the knot tails
+B_{z,k}(nu) behind h, g and the degenerate test delta <= B_{N,k}(nu) on
+(z, k, nu), so the repeated (N, k) pairs of a scaling run are solved once.
+Both memos are bounded, thread-safe, per-process ``functools.lru_cache``
+tables (sizes SOLVE_J_CACHE_SIZE and KNOT_TAIL_CACHE_SIZE) keyed with their
+argument types; errors are never cached, so a hit returns the bit-identical
+float of the first evaluation and a bad argument raises on every call.
+``solve_J.cache_clear()`` and ``_knot_tail.cache_clear()`` empty them.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import operator
@@ -60,6 +68,9 @@ BOUND_CLAMP_TOL = 1e-12    # certificate outside [0,1] by more than this is a bu
 
 _DIRECT_Z_MAX = 100        # direct summation below, anchored scheme above
 _TERM_CUTOFF = 1e-22       # relative cutoff for the ratio recurrences
+
+SOLVE_J_CACHE_SIZE = 4096      # memoized (n, k, delta) roots
+KNOT_TAIL_CACHE_SIZE = 16384   # memoized (z, k, nu) knot tails
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -253,13 +264,14 @@ def _anchored_window_sum(z: int, lo: int, hi: int, p: float) -> float:
     return math.fsum(terms)
 
 
+@functools.lru_cache(maxsize=SOLVE_J_CACHE_SIZE, typed=True)
 def solve_J(n: int, k: int, delta: float) -> float:
     """The unique x in [0, 1] with B_{n,k}(x) = delta, for n >= k + 1.
 
     B_{n,k} is continuous and strictly decreasing in x with B(0) = 1 and
     B(1) = 0, so plain bisection always converges; it is run to floating-point
     interval exhaustion (well under the iteration cap) and the residual is
-    verified afterwards.
+    verified afterwards.  Memoized on (n, k, delta); errors are not cached.
     """
     if k < 0 or n < k + 1:
         raise ValueError(f"need n >= k + 1 >= 1, got n = {n}, k = {k}")
@@ -294,16 +306,22 @@ def sqsv_certificate(q: CertificateQuery) -> Certificate:
     return Certificate(q, fidelity, 1.0 - fidelity)
 
 
+@functools.lru_cache(maxsize=KNOT_TAIL_CACHE_SIZE, typed=True)
+def _knot_tail(z: int, k: int, nu: float) -> float:
+    """B_{z,k}(nu), memoized for the DQSV knots; shared by every n and delta."""
+    return binom_tail(z, k, nu)
+
+
 def _h(z: int, k: int, n: int, nu: float) -> float:
     if z <= k:
         return 1.0
-    return ((n - z + 1) * binom_tail(z, k, nu) + z * binom_tail(z - 1, k, nu)) / (n + 1)
+    return ((n - z + 1) * _knot_tail(z, k, nu) + z * _knot_tail(z - 1, k, nu)) / (n + 1)
 
 
 def _g(z: int, k: int, n: int, nu: float) -> float:
     if z <= k:
         return (n - z + 1) / (n + 1)
-    return (n - z + 1) * binom_tail(z, k, nu) / (n + 1)
+    return (n - z + 1) * _knot_tail(z, k, nu) / (n + 1)
 
 
 def _zhat(k: int, n: int, nu: float, delta: float) -> int:
@@ -356,7 +374,7 @@ def dqsv_intermediates(q: CertificateQuery) -> DqsvIntermediates:
     """
     if q.protocol != PROTOCOL_DQSV:
         raise ValueError(f"expected a DQSV query, got {q.protocol!r}")
-    tail = binom_tail(q.n, q.k, q.nu)
+    tail = _knot_tail(q.n, q.k, q.nu)
     if q.delta <= tail:
         raise ValueError(
             f"delta = {q.delta} <= B_{{{q.n},{q.k}}}(nu) = {tail}: "
@@ -378,7 +396,7 @@ def dqsv_certificate(q: CertificateQuery) -> Certificate:
     """
     if q.protocol != PROTOCOL_DQSV:
         raise ValueError(f"expected a DQSV query, got {q.protocol!r}")
-    if q.delta <= binom_tail(q.n, q.k, q.nu):
+    if q.delta <= _knot_tail(q.n, q.k, q.nu):
         return Certificate(q, 0.0, 1.0)
     _, _, zeta = _dqsv_core(q)
     fidelity = zeta / q.delta

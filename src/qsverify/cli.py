@@ -469,6 +469,10 @@ def _oracle_check_errors(args) -> list[str]:
         errors.append(f"--budget: must lie in [2, {MAX_ENUM_TESTS}], got {args.budget}")
     if args.seed is not None and not 0 <= args.seed < 2**64:
         errors.append(f"--seed: must fit in 64 bits, got {args.seed}")
+    if not 1 <= args.n <= MAX_ENUM_TESTS:
+        errors.append(f"--n: must lie in [1, {MAX_ENUM_TESTS}], got {args.n}")
+    elif not 0 <= args.k <= args.n - 1:
+        errors.append(f"--k: must lie in [0, n - 1] = [0, {args.n - 1}], got {args.k}")
     return errors
 
 

@@ -221,8 +221,8 @@ def dqsv_soundness_sweep(
     SWEEP_SLACK_TOL indicates an implementation bug; offenders are returned in
     full as counterexamples.
     """
-    if n > 12:
-        raise ValueError(f"n = {n} exceeds the sweep budget of 12")
+    if n > MAX_ENUM_TESTS:
+        raise ValueError(f"n = {n} exceeds the sweep budget of {MAX_ENUM_TESTS}")
     strat = build_homogeneous_strategy(phased_singlet(0.0), lam)
     tail = binom_tail(n, k, 1.0 - lam)
     min_slack = math.inf

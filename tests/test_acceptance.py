@@ -345,7 +345,7 @@ def test_criterion_8_rotated_copy_grids(strat):
     assert ok
 
 
-def test_criterion_9_reproduce_determinism(tmp_path):
+def test_criterion_9_reproduce_determinism(tmp_path, fresh_certificate_caches):
     import json
 
     from qsverify.cli import main
@@ -353,6 +353,7 @@ def test_criterion_9_reproduce_determinism(tmp_path):
     start = time.perf_counter()
     a, b = tmp_path / "a", tmp_path / "b"
     code1 = main(["reproduce", "fig5", "--seed", "42", "--out-dir", str(a)])
+    fresh_certificate_caches()  # the second run recomputes instead of replaying the memo
     code2 = main(["reproduce", "fig5", "--seed", "42", "--out-dir", str(b)])
     identical = (a / "fig5.csv").read_bytes() == (b / "fig5.csv").read_bytes()
     ma = json.loads((a / "manifest.json").read_text())

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import betainc
 
+from qsverify import certificates
 from qsverify.certificates import (
     Certificate,
     CertificateQuery,
+    NumericalConsistencyError,
+    _knot_tail,
     binom_tail,
     dqsv_certificate,
     dqsv_intermediates,
@@ -385,3 +388,96 @@ def test_certificate_dispatch():
     d = CertificateQuery("dqsv", 10, 0, 0.05, 1 / 3)
     assert certificate(s) == sqsv_certificate(s)
     assert certificate(d) == dqsv_certificate(d)
+
+
+# ---------------------------------------------------------------------------
+# memoization of solve_J and the DQSV knot tails
+# ---------------------------------------------------------------------------
+
+
+def _memo_queries(count: int = 300) -> list[CertificateQuery]:
+    """Seeded queries of both protocols that revisit a few (n, k, lambda)
+    with fresh deltas, and sometimes an earlier delta, as a scaling run does."""
+    rng = np.random.default_rng(2024)
+    keys = []
+    for _ in range(40):
+        n = int(rng.choice([1, 2, 5, 12, 40, 100, 101, 250, 800]))  # both sides of z = 100
+        keys.append((n, int(rng.integers(0, min(n, 6))), float(rng.choice([0.1, 1 / 3, 0.6]))))
+    deltas: dict[tuple, list[float]] = {}
+    queries = []
+    for _ in range(count):
+        key = keys[int(rng.integers(len(keys)))]
+        seen = deltas.setdefault(key, [])
+        if seen and rng.random() < 0.3:
+            delta = seen[int(rng.integers(len(seen)))]
+        else:
+            delta = 1.0 if rng.random() < 0.05 else float(rng.uniform(0.005, 1.0))
+            seen.append(delta)
+        protocol = "sqsv" if rng.random() < 0.5 else "dqsv"
+        queries.append(CertificateQuery(protocol, key[0], key[1], delta, key[2]))
+    return queries
+
+
+def _evaluate(queries: list[CertificateQuery]) -> list[tuple]:
+    """Every memoized entry point, called through the module's current globals."""
+    out = []
+    for q in queries:
+        if q.protocol == "sqsv":
+            out.append((certificates.solve_J(q.n, q.k, q.delta), sqsv_certificate(q)))
+            continue
+        inter = None
+        if q.n <= 120 and q.delta > binom_tail(q.n, q.k, q.nu):
+            inter = dqsv_intermediates(q)
+        out.append((dqsv_certificate(q), inter))
+    return out
+
+
+def test_memo_returns_the_uncached_values(monkeypatch):
+    queries = _memo_queries()
+    with monkeypatch.context() as m:
+        m.setattr(certificates, "solve_J", solve_J.__wrapped__)
+        m.setattr(certificates, "_knot_tail", binom_tail)
+        reference = _evaluate(queries)
+    assert solve_J.cache_info().currsize == _knot_tail.cache_info().currsize == 0
+    assert _evaluate(queries) == reference
+    assert solve_J.cache_info().hits > 0 and _knot_tail.cache_info().hits > 0
+    assert _evaluate(queries) == reference  # now served entirely from the memo
+    # the set reaches the intermediates and the degenerate branch too
+    assert any(q.protocol == "dqsv" and inter is not None for q, (_, inter) in zip(queries, reference))
+    assert any(q.protocol == "dqsv" and q.delta <= binom_tail(q.n, q.k, q.nu) for q in queries)
+
+
+def test_memo_never_caches_errors(monkeypatch):
+    degenerate = CertificateQuery("dqsv", 10, 0, binom_tail(10, 0, 2 / 3) / 2, 1 / 3)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            solve_J(3, 3, 0.5)
+        with pytest.raises(ValueError):
+            solve_J(3, 0, 0.0)
+        with pytest.raises(ValueError):
+            _knot_tail(-1, 0, 0.5)
+        with pytest.raises(ValueError):
+            _knot_tail(5, 1, 1.5)
+        with pytest.raises(ValueError):
+            dqsv_intermediates(degenerate)
+    # keys carry their types: a float n equal to a cached int n still fails
+    solve_J(5, 1, 0.5)
+    for _ in range(3):
+        with pytest.raises(TypeError):
+            solve_J(5.0, 1, 0.5)
+    # the residual check runs on every miss, and binom_tail is looked up
+    # through the module global at call time
+    with monkeypatch.context() as m:
+        m.setattr(certificates, "binom_tail", lambda z, k, p: 0.5)
+        for _ in range(3):
+            with pytest.raises(NumericalConsistencyError):
+                solve_J(7, 1, 0.3)
+        assert _knot_tail(7, 1, 0.4) == 0.5
+    _knot_tail.cache_clear()
+    assert solve_J(7, 1, 0.3) == solve_J.__wrapped__(7, 1, 0.3)
+
+
+def test_memo_is_bounded():
+    for memo in (solve_J, _knot_tail):
+        maxsize = memo.cache_info().maxsize
+        assert isinstance(maxsize, int) and 0 < maxsize < 10**6

@@ -122,7 +122,7 @@ def test_simulate_with_config_and_files(tmp_path, capsys):
     assert stdout_summary["p_hat"] == 1.0
 
 
-def test_simulate_deterministic_files(tmp_path, capsys):
+def test_simulate_deterministic_files(tmp_path, capsys, fresh_certificate_caches):
     config = tmp_path / "run.yaml"
     config.write_text(
         "protocol: sqsv\nn: 20\nk: 2\nseed: 5\nrounds: 100\n"
@@ -130,6 +130,7 @@ def test_simulate_deterministic_files(tmp_path, capsys):
     )
     outa, outb = tmp_path / "a", tmp_path / "b"
     assert run_cli(capsys, "simulate", "--config", str(config), "--out-dir", str(outa))[0] == 0
+    fresh_certificate_caches()  # the second run recomputes instead of replaying the memo
     assert run_cli(capsys, "simulate", "--config", str(config), "--out-dir", str(outb))[0] == 0
     assert (outa / "summary.json").read_bytes() == (outb / "summary.json").read_bytes()
     assert (outa / "rounds.csv").read_bytes() == (outb / "rounds.csv").read_bytes()
@@ -208,6 +209,11 @@ def test_threads_flag_is_rejected():
         (("oracle-check", "factorization", "--budget", "13"), "--budget"),
         (("oracle-check", "dqsv-sweep", "--seed", "-1"), "--seed"),
         (("oracle-check", "dqsv-sweep", "--seed", str(2**64)), "--seed"),
+        (("oracle-check", "dqsv-sweep", "--n", "0"), "--n"),
+        (("oracle-check", "dqsv-sweep", "--n", "13"), "--n"),
+        (("oracle-check", "dqsv-sweep", "--n", "1"), "--k"),
+        (("oracle-check", "dqsv-sweep", "--k", "-1"), "--k"),
+        (("oracle-check", "dqsv-sweep", "--n", "6", "--k", "6"), "--k"),
     ],
 )
 def test_bad_arguments_exit_2_naming_the_field(tmp_path, capsys, argv, field):
@@ -375,12 +381,13 @@ def test_reproduce_fig5_ideal_closed_form_column(tmp_path, capsys):
         )
 
 
-def test_reproduce_fig5_deterministic(tmp_path, capsys):
+def test_reproduce_fig5_deterministic(tmp_path, capsys, fresh_certificate_caches):
     a, b = tmp_path / "a", tmp_path / "b"
     code1, _, _ = run_cli(
         capsys, "reproduce", "fig5", "--seed", "42", "--out-dir", str(a),
         "--avg-rounds", "5",
     )
+    fresh_certificate_caches()  # the second run recomputes instead of replaying the memo
     code2, _, _ = run_cli(
         capsys, "reproduce", "fig5", "--seed", "42", "--out-dir", str(b),
         "--avg-rounds", "5",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from qsverify.certificates import CertificateQuery, dqsv_certificate, sqsv_certificate
+from qsverify.certificates import CertificateQuery, dqsv_certificate, solve_J, sqsv_certificate
 from qsverify.exact import exact_stats
 from qsverify.simulate import (
     RandomPlan,
@@ -17,6 +17,7 @@ from qsverify.simulate import (
     summarize,
     write_rounds_csv,
 )
+from qsverify.reproduce import default_fig5_grid
 from qsverify.sources import NoiseSpec, honest_iid, rho1, rho2, unconditional_fidelity
 from qsverify.strategy import build_singlet_strategy
 
@@ -363,3 +364,20 @@ def test_protocol_preconditions(strat):
         run_rounds(m, 4, strat, 10, "other", RandomPlan(17))
     with pytest.raises(ValueError):
         rounds_until_accepted(m, 5, 0, strat, 1, "dqsv", plan)
+
+
+def test_scaling_experiment_solves_each_pair_once(strat):
+    # fig5's grid and noise: every (n, k) pair is solved once, then replayed
+    result = scaling_experiment(
+        NoiseSpec(0.99), 0.05, default_fig5_grid(), strat,
+        RandomPlan.for_experiment(42, "fig5"), rounds=20,
+    )
+    certified = [
+        (n, int(k))
+        for row in result["k"]
+        for n, k in zip(result["n_grid"], row)
+        if k <= n - 1
+    ]
+    info = solve_J.cache_info()
+    assert info.misses == len(set(certified))
+    assert info.hits == len(certified) - len(set(certified))
