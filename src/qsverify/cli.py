@@ -86,29 +86,85 @@ class ConfigError(Exception):
 
 
 def parse_lambda(text) -> float:
-    """Parse lambda given as a decimal or a fraction token like ``1/3``."""
+    """Parse lambda given as a decimal or a fraction token like ``1/3``.
+
+    A malformed token raises ``argparse.ArgumentTypeError``, so this serves as
+    the ``type=`` of ``--lambda``.
+    """
     if isinstance(text, (int, float)):
         return float(text)
     num, slash, den = str(text).strip().partition("/")
     try:
         return float(num) / float(den) if slash else float(num)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(
-            f"lambda: expected a decimal or a fraction like 1/3, got {text!r}"
+        raise argparse.ArgumentTypeError(
+            f"expected a decimal or a fraction like 1/3, got {text!r}"
         ) from exc
 
 
-def _int_at_least(errors: list, field: str, raw, minimum: int) -> int | None:
-    """``int(raw)`` if it is at least ``minimum``; otherwise record why under ``field``."""
+def _int_in(lo: int, hi: int | None = None):
+    """Parser for an integer in [lo, hi]: an argparse ``type=`` and a config-value check.
+
+    Only ints and strings are converted: a YAML ``n: 3.7`` or ``n: yes`` is an
+    error, not a silent 3 or 1.
+    """
+
+    def parse(raw) -> int:
+        try:
+            if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+                raise TypeError
+            value = int(raw)
+        except (TypeError, ValueError):
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        if hi is None and value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must lie in [{lo}, {hi}], got {value}")
+        return value
+
+    return parse
+
+
+def _float_in(lo: float, hi: float, open_lo: bool = False):
+    """Parser for a float in [lo, hi], or (lo, hi] with ``open_lo``; rejects nan."""
+
+    def parse(raw) -> float:
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
+        above_lo = value > lo if open_lo else value >= lo
+        if not (above_lo and value <= hi):
+            interval = f"{'(' if open_lo else '['}{lo:g}, {hi:g}]"
+            raise argparse.ArgumentTypeError(f"must lie in {interval}, got {value}")
+        return value
+
+    return parse
+
+
+_SEED = _int_in(0, 2**64 - 1)
+_CONFIG_KEYS = ("protocol", "n", "k", "seed", "rounds", "stopping", "format", "out_dir", "source")
+_STOPPING_KEYS = ("mode", "rounds", "target_acceptances", "max_rounds")
+# The source keys each model reads besides ``model``.
+_SOURCE_KEYS = {
+    "honest": ("fidelity",),
+    "rho1": ("fidelity",),
+    "rho2": ("fidelity", "phi"),
+    "custom": ("branches",),
+}
+
+
+def _unknown_keys(prefix: str, mapping: dict, known) -> list[str]:
+    return [f"{prefix}{key}: unknown key" for key in mapping if key not in known]
+
+
+def _make_out_dir(path: str) -> Path:
+    out_dir = Path(path)
     try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        errors.append(f"{field}: expected an integer, got {raw!r}")
-        return None
-    if value < minimum:
-        errors.append(f"{field}: must be >= {minimum}, got {value}")
-        return None
-    return value
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"out_dir: {exc}"]) from exc
+    return out_dir
 
 
 def _load_config(path: str | None) -> dict:
@@ -116,8 +172,11 @@ def _load_config(path: str | None) -> dict:
         return {}
     import yaml
 
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, ValueError, yaml.YAMLError) as exc:
+        raise ConfigError([f"config: {exc}"]) from exc
     if data is None:
         return {}
     if not isinstance(data, dict):
@@ -126,19 +185,20 @@ def _load_config(path: str | None) -> dict:
 
 
 def _build_source(cfg: dict, n: int, protocol: str):
-    errors = []
     model = cfg.get("model")
-    if model not in ("honest", "rho1", "rho2", "custom"):
+    if not isinstance(model, str) or model not in _SOURCE_KEYS:
         raise ConfigError([f"source.model: expected honest|rho1|rho2|custom, got {model!r}"])
+    errors = _unknown_keys("source.", cfg, ("model", *_SOURCE_KEYS[model]))
+    if errors:
+        raise ConfigError(errors)
     fidelity = cfg.get("fidelity", 1.0)
     try:
         noise = NoiseSpec(float(fidelity))
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"source.fidelity: {exc}"]) from exc
-    systems = n + 1 if protocol == "dqsv" else max(n, 2)
     try:
         if model == "honest":
-            return honest_iid(max(systems, 2), noise)
+            return honest_iid(n + 1 if protocol == "dqsv" else max(n, 2), noise)
         if model == "rho1":
             return rho1(n, noise)
         if model == "rho2":
@@ -146,141 +206,106 @@ def _build_source(cfg: dict, n: int, protocol: str):
                 raise ConfigError(["source.phi: required for rho2"])
             return rho2(n, parse_angle(cfg["phi"]), noise)
         source = mixture_from_spec(cfg)
-        want = n + 1 if protocol == "dqsv" else n
-        if (protocol == "dqsv" and source.num_systems != want) or (
-            protocol == "sqsv" and source.num_systems < want
-        ):
-            errors.append(
-                f"source.branches: sequences have {source.num_systems} systems, "
-                f"need {'exactly' if protocol == 'dqsv' else 'at least'} {want}"
-            )
-            raise ConfigError(errors)
-        return source
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"source: {exc}"]) from exc
+    want = n + 1 if protocol == "dqsv" else n
+    if (protocol == "dqsv" and source.num_systems != want) or (
+        protocol == "sqsv" and source.num_systems < want
+    ):
+        raise ConfigError([
+            f"source.branches: sequences have {source.num_systems} systems, "
+            f"need {'exactly' if protocol == 'dqsv' else 'at least'} {want}"
+        ])
+    return source
 
 
 def _validate_simulate_config(cfg: dict) -> dict:
-    errors = []
+    errors = _unknown_keys("", cfg, _CONFIG_KEYS)
     out = {}
-    protocol = cfg.get("protocol", "dqsv")
-    if protocol not in ("sqsv", "dqsv"):
-        errors.append(f"protocol: expected sqsv|dqsv, got {protocol!r}")
-    out["protocol"] = protocol
-    for field, default in (("n", None), ("k", 0)):
-        raw = cfg.get(field, default)
-        if raw is None:
-            errors.append(f"{field}: required")
-            continue
+
+    def check(field: str, raw, parse):
         try:
-            out[field] = int(raw)
-        except (TypeError, ValueError):
-            errors.append(f"{field}: expected an integer, got {raw!r}")
-    if "n" in out and "k" in out:
-        if out["k"] < 0:
-            errors.append(f"k: must be >= 0, got {out['k']}")
-        elif out["n"] < out["k"] + 1:
-            errors.append(f"n: must be >= k + 1 = {out['k'] + 1}, got {out['n']}")
-    try:
-        out["seed"] = int(cfg.get("seed", 0))
-        if not (0 <= out["seed"] < 2**64):
-            errors.append("seed: must fit in 64 bits")
-    except (TypeError, ValueError):
-        errors.append(f"seed: expected an integer, got {cfg.get('seed')!r}")
+            return parse(raw)
+        except argparse.ArgumentTypeError as exc:
+            errors.append(f"{field}: {'required' if raw is None else exc}")
+
+    out["protocol"] = cfg.get("protocol", "dqsv")
+    if out["protocol"] not in ("sqsv", "dqsv"):
+        errors.append(f"protocol: expected sqsv|dqsv, got {out['protocol']!r}")
+    out["n"] = check("n", cfg.get("n"), _int_in(1))
+    out["k"] = check("k", cfg.get("k", 0), _int_in(0))
+    if out["n"] is not None and out["k"] is not None and out["n"] < out["k"] + 1:
+        errors.append(f"n: must be >= k + 1 = {out['k'] + 1}, got {out['n']}")
+    out["seed"] = check("seed", cfg.get("seed", 0), _SEED)
     stopping = cfg.get("stopping", {})
-    mode = stopping.get("mode", "fixed") if isinstance(stopping, dict) else None
-    if mode not in ("fixed", "acceptances"):
-        errors.append(f"stopping.mode: expected fixed|acceptances, got {mode!r}")
-        mode = "fixed"
-    out["stopping_mode"] = mode
-    rounds = cfg.get("rounds", stopping.get("rounds") if isinstance(stopping, dict) else None)
+    if not isinstance(stopping, dict):
+        errors.append(f"stopping: expected a mapping, got {stopping!r}")
+        stopping = {}
+    errors += _unknown_keys("stopping.", stopping, _STOPPING_KEYS)
+    mode = out["stopping_mode"] = stopping.get("mode", "fixed")
     if mode == "fixed":
-        if rounds is None:
-            errors.append("rounds: required for fixed stopping")
-        else:
-            out["rounds"] = _int_at_least(errors, "rounds", rounds, 1)
-    else:
-        target = stopping.get("target_acceptances")
-        if target is None:
-            errors.append("stopping.target_acceptances: required for acceptances stopping")
-        else:
-            out["target_acceptances"] = _int_at_least(
-                errors, "stopping.target_acceptances", target, 1
-            )
-        cap = stopping.get("max_rounds")
-        out["max_rounds"] = None if cap is None else _int_at_least(
-            errors, "stopping.max_rounds", cap, 1
+        out["rounds"] = check("rounds", cfg.get("rounds", stopping.get("rounds")), _int_in(1))
+    elif mode == "acceptances":
+        out["target_acceptances"] = check(
+            "stopping.target_acceptances", stopping.get("target_acceptances"), _int_in(1)
         )
+        cap = stopping.get("max_rounds")
+        out["max_rounds"] = cap if cap is None else check("stopping.max_rounds", cap, _int_in(1))
+    else:
+        errors.append(f"stopping.mode: expected fixed|acceptances, got {mode!r}")
     out["format"] = cfg.get("format", "json")
     if out["format"] not in ("json", "csv"):
         errors.append(f"format: expected json|csv, got {out['format']!r}")
     out["out_dir"] = cfg.get("out_dir", ".")
-    source = cfg.get("source")
-    if not isinstance(source, dict):
+    if not isinstance(out["out_dir"], str):
+        errors.append(f"out_dir: expected a string, got {out['out_dir']!r}")
+    out["source_cfg"] = cfg.get("source")
+    if not isinstance(out["source_cfg"], dict):
         errors.append("source: required mapping with a 'model' key")
     if errors:
         raise ConfigError(errors)
-    out["source_cfg"] = source
     return out
 
 
 def _cmd_certify(args) -> int:
     try:
-        lam = parse_lambda(args.lam)
-        query = CertificateQuery(args.protocol, args.n, args.k, args.delta, lam)
+        query = CertificateQuery(args.protocol, args.n, args.k, args.delta, args.lam)
     except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        cert = certificate(query)
-        payload = {
-            "protocol": query.protocol,
-            "n": query.n,
-            "k": query.k,
-            "delta": query.delta,
-            "lambda": query.lam,
-            "fidelity_bound": cert.fidelity_bound,
-            "infidelity_bound": cert.infidelity_bound,
-        }
-        if args.intermediates and args.protocol == "dqsv":
-            if query.delta <= binom_tail(query.n, query.k, query.nu):
-                payload["intermediates"] = None
-            else:
-                inter = dqsv_intermediates(query)
-                payload["intermediates"] = {
-                    "h": [inter.h[z] for z in range(query.n + 2)],
-                    "g": [inter.g[z] for z in range(query.n + 2)],
-                    "zhat": inter.zhat,
-                    "kappa": inter.kappa,
-                    "zeta_tilde": inter.zeta_tilde,
-                }
-    except NumericalConsistencyError as exc:
-        print(f"numerical consistency failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise ConfigError([str(exc)]) from exc
+    cert = certificate(query)
+    payload = {
+        "protocol": query.protocol,
+        "n": query.n,
+        "k": query.k,
+        "delta": query.delta,
+        "lambda": query.lam,
+        "fidelity_bound": cert.fidelity_bound,
+        "infidelity_bound": cert.infidelity_bound,
+    }
+    if args.intermediates and args.protocol == "dqsv":
+        if query.delta <= binom_tail(query.n, query.k, query.nu):
+            payload["intermediates"] = None
+        else:
+            inter = dqsv_intermediates(query)
+            payload["intermediates"] = {
+                "h": [inter.h[z] for z in range(query.n + 2)],
+                "g": [inter.g[z] for z in range(query.n + 2)],
+                "zhat": inter.zhat,
+                "kappa": inter.kappa,
+                "zeta_tilde": inter.zeta_tilde,
+            }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        cfg = _load_config(args.config)
-        for key in ("protocol", "n", "k", "rounds", "seed", "format"):
-            value = getattr(args, key, None)
-            if value is not None:
-                cfg[key] = value
-        if args.out_dir is not None:
-            cfg["out_dir"] = args.out_dir
-        conf = _validate_simulate_config(cfg)
-        source = _build_source(conf["source_cfg"], conf["n"], conf["protocol"])
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    cfg = _load_config(args.config)
+    for key in ("protocol", "n", "k", "rounds", "seed", "format", "out_dir"):
+        value = getattr(args, key)
+        if value is not None:
+            cfg[key] = value
+    conf = _validate_simulate_config(cfg)
+    source = _build_source(conf["source_cfg"], conf["n"], conf["protocol"])
 
     strat = build_singlet_strategy()
     plan = RandomPlan.for_experiment(conf["seed"], "simulate")
@@ -297,14 +322,9 @@ def _cmd_simulate(args) -> int:
             )
         summary = summarize(outcomes, conf["k"], strat, conf["protocol"], meta=meta)
     except (TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NumericalConsistencyError as exc:
-        print(f"numerical consistency failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise ConfigError([str(exc)]) from exc
 
-    out_dir = Path(conf["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(conf["out_dir"])
     (out_dir / "summary.json").write_text(summary_to_json(summary) + "\n", encoding="utf-8")
     write_rounds_csv(out_dir / "rounds.csv", outcomes, conf["k"], strat)
     if conf["format"] == "json":
@@ -317,65 +337,31 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_errors(args) -> list[str]:
-    """One 'field: message' line per out-of-range reproduce flag."""
-    errors = []
-    for field, value in (("--rounds", args.rounds), ("--avg-rounds", args.avg_rounds)):
-        if value is not None:
-            _int_at_least(errors, field, value, 1)
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        errors.append(f"--seed: must fit in 64 bits, got {args.seed}")
-    if not 0 <= args.k_max < FIG3_N:
-        errors.append(f"--k-max: must lie in [0, {FIG3_N - 1}], got {args.k_max}")
-    # Below 1/4 a depolarized copy is no longer a state.
-    if args.fidelity is not None and not 0.25 <= args.fidelity <= 1.0:
-        errors.append(f"--fidelity: must lie in [0.25, 1], got {args.fidelity}")
-    if not 0.0 < args.delta <= 1.0:
-        errors.append(f"--delta: must lie in (0, 1], got {args.delta}")
-    return errors
-
-
 def _cmd_reproduce(args) -> int:
-    errors = _reproduce_errors(args)
-    for err in errors:
-        print(f"error: {err}", file=sys.stderr)
-    if errors:
-        return EXIT_INVALID
-    out_dir = Path(args.out_dir or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else 42
-    config = {"figure": args.figure, "seed": seed}
-    try:
-        if args.figure == "fig3":
-            rounds = args.rounds if args.rounds is not None else 200
-            fidelity = args.fidelity if args.fidelity is not None else 1.0
-            rows = fig3_rows(
-                seed=seed, rounds=rounds, k_max=args.k_max, prep_fidelity=fidelity
-            )
-            config.update({"rounds": rounds, "prep_fidelity": fidelity, "k_max": args.k_max})
-            write_csv(out_dir / "fig3.csv", FIG3_SCHEMA, FIG3_COLUMNS, rows)
-            files = ["fig3.csv"]
-        elif args.figure == "fig4":
-            fidelity = args.fidelity if args.fidelity is not None else 1.0
-            rows = fig4_rows(prep_fidelity=fidelity)
-            config.update({"prep_fidelity": fidelity, "k": 1})
-            write_csv(out_dir / "fig4.csv", FIG4_SCHEMA, FIG4_COLUMNS, rows)
-            files = ["fig4.csv"]
-        else:
-            fidelity = args.fidelity if args.fidelity is not None else 0.99
-            avg_rounds = args.avg_rounds if args.avg_rounds is not None else 80
-            rows = fig5_rows(
-                seed=seed, fidelity=fidelity, delta=args.delta, avg_rounds=avg_rounds,
-            )
-            config.update({"fidelity": fidelity, "delta": args.delta, "avg_rounds": avg_rounds})
-            write_csv(out_dir / "fig5.csv", FIG5_SCHEMA, FIG5_COLUMNS, rows)
-            files = ["fig5.csv"]
-    except NumericalConsistencyError as exc:
-        print(f"numerical consistency failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    config["files"] = files
+    out_dir = _make_out_dir(args.out_dir)
+    config = {"figure": args.figure, "seed": args.seed}
+    fidelity = args.fidelity
+    if fidelity is None:
+        fidelity = 0.99 if args.figure == "fig5" else 1.0
+    if args.figure == "fig3":
+        rows = fig3_rows(
+            seed=args.seed, rounds=args.rounds, k_max=args.k_max, prep_fidelity=fidelity
+        )
+        config.update({"rounds": args.rounds, "prep_fidelity": fidelity, "k_max": args.k_max})
+        write_csv(out_dir / "fig3.csv", FIG3_SCHEMA, FIG3_COLUMNS, rows)
+    elif args.figure == "fig4":
+        rows = fig4_rows(prep_fidelity=fidelity)
+        config.update({"prep_fidelity": fidelity, "k": 1})
+        write_csv(out_dir / "fig4.csv", FIG4_SCHEMA, FIG4_COLUMNS, rows)
+    else:
+        rows = fig5_rows(
+            seed=args.seed, fidelity=fidelity, delta=args.delta, avg_rounds=args.avg_rounds,
+        )
+        config.update({"fidelity": fidelity, "delta": args.delta, "avg_rounds": args.avg_rounds})
+        write_csv(out_dir / "fig5.csv", FIG5_SCHEMA, FIG5_COLUMNS, rows)
+    config["files"] = [f"{args.figure}.csv"]
     write_manifest(out_dir / "manifest.json", config)
-    print(f"wrote {', '.join(files)} and manifest.json to {out_dir}")
+    print(f"wrote {args.figure}.csv and manifest.json to {out_dir}")
     return EXIT_OK
 
 
@@ -434,14 +420,12 @@ def _check_sqsv_suite(grid_size: int) -> dict:
 
 
 def _check_factorization_suite(n_max: int) -> dict:
-    from .sources import honest_iid as _honest
-
     failures = []
     checks = 0
     strat = build_singlet_strategy()
     for n in range(2, n_max + 1):
         for source in (
-            _honest(n + 1, NoiseSpec(0.9)),
+            honest_iid(n + 1, NoiseSpec(0.9)),
             rho1(n, NoiseSpec(0.97)),
             rho2(n, 2.2, NoiseSpec(0.95)),
         ):
@@ -460,44 +444,25 @@ def _check_factorization_suite(n_max: int) -> dict:
     return {"suite": "factorization", "checks": checks, "violations": failures}
 
 
-def _oracle_check_errors(args) -> list[str]:
-    """One 'field: message' line per out-of-range oracle-check flag."""
-    errors = []
-    _int_at_least(errors, "--grid-size", args.grid_size, 1000)
-    _int_at_least(errors, "--trials", args.trials, 1)
-    if not 2 <= args.budget <= MAX_ENUM_TESTS:
-        errors.append(f"--budget: must lie in [2, {MAX_ENUM_TESTS}], got {args.budget}")
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        errors.append(f"--seed: must fit in 64 bits, got {args.seed}")
-    if not 1 <= args.n <= MAX_ENUM_TESTS:
-        errors.append(f"--n: must lie in [1, {MAX_ENUM_TESTS}], got {args.n}")
-    elif not 0 <= args.k <= args.n - 1:
-        errors.append(f"--k: must lie in [0, n - 1] = [0, {args.n - 1}], got {args.k}")
-    return errors
-
-
 def _cmd_oracle_check(args) -> int:
     import numpy as np
 
-    errors = _oracle_check_errors(args)
-    for err in errors:
-        print(f"error: {err}", file=sys.stderr)
-    if errors:
-        return EXIT_INVALID
-    try:
-        if args.suite == "binom":
-            report = _check_binom_suite()
-        elif args.suite == "sqsv":
-            report = _check_sqsv_suite(args.grid_size)
-        elif args.suite == "factorization":
-            report = _check_factorization_suite(args.budget)
-        else:
-            rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-            report = dqsv_soundness_sweep(args.n, args.k, parse_lambda(args.lam), args.trials, rng)
-            report["suite"] = "dqsv-sweep"
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    if args.k > args.n - 1:
+        raise ConfigError([f"--k: must lie in [0, n - 1] = [0, {args.n - 1}], got {args.k}"])
+    if args.suite == "binom":
+        report = _check_binom_suite()
+    elif args.suite == "sqsv":
+        report = _check_sqsv_suite(args.grid_size)
+    elif args.suite == "factorization":
+        report = _check_factorization_suite(args.budget)
+    else:
+        try:
+            report = dqsv_soundness_sweep(
+                args.n, args.k, args.lam, args.trials, np.random.default_rng(args.seed)
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError([str(exc)]) from exc
+        report["suite"] = "dqsv-sweep"
     print(json.dumps(report, indent=2, sort_keys=True, default=float))
     if report.get("violations"):
         return EXIT_ORACLE_VIOLATION
@@ -505,60 +470,73 @@ def _cmd_oracle_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=None, help="master seed (64-bit unsigned)")
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out-dir", default=None, help="output directory")
-
     parser = argparse.ArgumentParser(
         prog="qsverify",
         description="Singlet verification certificates and protocol simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed_help = "master seed (64-bit unsigned)"
 
     cert = sub.add_parser("certify", help="print a fidelity certificate")
     cert.add_argument("--protocol", choices=("sqsv", "dqsv"), required=True)
-    cert.add_argument("--n", type=int, required=True)
-    cert.add_argument("--k", type=int, required=True)
-    cert.add_argument("--delta", type=float, required=True)
-    cert.add_argument("--lambda", dest="lam", required=True, help="decimal or fraction like 1/3")
+    cert.add_argument("--n", type=_int_in(1), required=True)
+    cert.add_argument("--k", type=_int_in(0), required=True)
+    cert.add_argument("--delta", type=_float_in(0.0, 1.0, open_lo=True), required=True)
+    cert.add_argument("--lambda", dest="lam", type=parse_lambda, required=True,
+                      help="decimal or fraction like 1/3")
     cert.add_argument("--intermediates", action="store_true")
     cert.set_defaults(func=_cmd_certify)
 
-    sim = sub.add_parser("simulate", parents=[seed, out], help="run a Monte Carlo experiment")
+    # Unset simulate flags are None so that the config file's values stand.
+    sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     sim.add_argument("--config", default=None, help="YAML config file")
     sim.add_argument("--protocol", choices=("sqsv", "dqsv"), default=None)
-    sim.add_argument("--n", type=int, default=None)
-    sim.add_argument("--k", type=int, default=None)
-    sim.add_argument("--rounds", type=int, default=None)
+    sim.add_argument("--n", type=_int_in(1), default=None)
+    sim.add_argument("--k", type=_int_in(0), default=None)
+    sim.add_argument("--rounds", type=_int_in(1), default=None)
+    sim.add_argument("--seed", type=_SEED, default=None, help=seed_help)
     sim.add_argument("--format", choices=("json", "csv"), default=None)
+    sim.add_argument("--out-dir", default=None, help="output directory")
     sim.set_defaults(func=_cmd_simulate)
 
-    rep = sub.add_parser("reproduce", parents=[seed, out], help="regenerate a packaged dataset")
+    rep = sub.add_parser("reproduce", help="regenerate a packaged dataset")
     rep.add_argument("figure", choices=("fig3", "fig4", "fig5"))
-    rep.add_argument("--rounds", type=int, default=None)
-    rep.add_argument("--fidelity", type=float, default=None, help="per-copy preparation fidelity")
-    rep.add_argument("--k-max", type=int, default=10)
-    rep.add_argument("--delta", type=float, default=0.05)
-    rep.add_argument("--avg-rounds", type=int, default=None)
+    rep.add_argument("--seed", type=_SEED, default=42, help=seed_help)
+    rep.add_argument("--rounds", type=_int_in(1), default=200)
+    # Below 1/4 a depolarized copy is no longer a state.
+    rep.add_argument("--fidelity", type=_float_in(0.25, 1.0), default=None,
+                     help="per-copy preparation fidelity (default 0.99 for fig5, else 1)")
+    rep.add_argument("--k-max", type=_int_in(0, FIG3_N - 1), default=10)
+    rep.add_argument("--delta", type=_float_in(0.0, 1.0, open_lo=True), default=0.05)
+    rep.add_argument("--avg-rounds", type=_int_in(1), default=80)
+    rep.add_argument("--out-dir", default=".", help="output directory")
     rep.set_defaults(func=_cmd_reproduce)
 
-    orc = sub.add_parser("oracle-check", parents=[seed], help="run a verification suite")
+    orc = sub.add_parser("oracle-check", help="run a verification suite")
     orc.add_argument("suite", choices=("binom", "sqsv", "dqsv-sweep", "factorization"))
-    orc.add_argument("--n", type=int, default=6)
-    orc.add_argument("--k", type=int, default=1)
-    orc.add_argument("--lambda", dest="lam", default="1/3")
-    orc.add_argument("--trials", type=int, default=1000)
-    orc.add_argument("--grid-size", type=int, default=2000)
-    orc.add_argument("--budget", type=int, default=8, help="max N for factorization")
+    orc.add_argument("--seed", type=_SEED, default=0, help=seed_help)
+    orc.add_argument("--n", type=_int_in(1, MAX_ENUM_TESTS), default=6)
+    orc.add_argument("--k", type=_int_in(0), default=1)
+    orc.add_argument("--lambda", dest="lam", type=parse_lambda, default="1/3")
+    orc.add_argument("--trials", type=_int_in(1), default=1000)
+    orc.add_argument("--grid-size", type=_int_in(1000), default=2000)
+    orc.add_argument("--budget", type=_int_in(2, MAX_ENUM_TESTS), default=8,
+                     help="max N for factorization")
     orc.set_defaults(func=_cmd_oracle_check)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        for err in exc.errors:
+            print(f"error: {err}", file=sys.stderr)
+        return EXIT_INVALID
+    except NumericalConsistencyError as exc:
+        print(f"numerical consistency failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -277,8 +277,8 @@ def mixture_from_spec(spec: dict) -> ProductSequenceMixture:
         raise ValueError("custom source needs a non-empty 'branches' list")
     built = []
     for i, b in enumerate(branches):
-        if "weight" not in b or "states" not in b:
-            raise ValueError(f"branches[{i}]: need 'weight' and 'states'")
+        if set(b) != {"weight", "states"}:
+            raise ValueError(f"branches[{i}]: need the keys weight and states, got {list(b)}")
         states = tuple(parse_state(d) for d in b["states"])
         built.append(
             (float(b["weight"]), ProductSequence(states, label=f"branch{i}"))

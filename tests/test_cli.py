@@ -6,7 +6,10 @@ from qsverify.cli import main, parse_lambda
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected a flag
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -169,15 +172,83 @@ def test_simulate_invalid_config_diagnostics(tmp_path, capsys):
          "stopping.max_rounds: expected an integer"),
         (head + accept + "  target_acceptances: 5\n  max_rounds: 0\n",
          "stopping.max_rounds: must be >= 1"),
+        ("n: [3\n", "config: while parsing"),
+        (b"n: 3\xff\n", "config: 'utf-8' codec can't decode"),
+        (head + "rounds: 10\nseed: 2024-13-45\n", "config: month must be in 1..12"),
+        (head.replace("n: 3", "n: 3.7") + "rounds: 10\n", "n: expected an integer, got 3.7"),
+        (head + "rounds: 5.9\n", "rounds: expected an integer, got 5.9"),
+        (head + "rounds: 10\nseed: 1.5\n", "seed: expected an integer, got 1.5"),
+        (head.replace("n: 3", "n: yes") + "rounds: 10\n", "n: expected an integer, got True"),
+        (head.replace("k: 1", "k: no") + "rounds: 10\n", "k: expected an integer, got False"),
     ]
     for text, message in cases:
-        config.write_text(text)
+        config.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, _, err = run_cli(
             capsys, "simulate", "--config", str(config), "--out-dir", str(tmp_path / "o")
         )
         assert code == 2, text
         assert message in err, (text, err)
     assert not (tmp_path / "o").exists()
+
+
+RHO1 = "source:\n  model: rho1\n"
+CUSTOM = (
+    "source:\n  model: custom\n  branches:\n"
+    "    - {weight: 1, states: [singlet, singlet, singlet, singlet]}\n"
+)
+
+UNREAD_KEY_CASES = [
+    (RHO1 + "sed: 9\n", "sed: unknown key"),
+    (RHO1 + "stopping:\n  max_round: 9\n", "stopping.max_round: unknown key"),
+    (RHO1 + "stopping: 9\n", "stopping: expected a mapping"),
+    (RHO1 + "  fidelty: 0.5\n", "source.fidelty: unknown key"),
+    (RHO1 + "  note: 2024-01-01\n", "source.note: unknown key"),
+    (RHO1 + "  phi: pi\n", "source.phi: unknown key"),
+    (RHO1 + "  branches: []\n", "source.branches: unknown key"),
+    (RHO1 + "out_dir: 5\n", "out_dir: expected a string, got 5"),
+    (CUSTOM + "  fidelity: 0.9\n", "source.fidelity: unknown key"),
+    (CUSTOM.replace("}", ", label: x}"), "source: branches[0]: need the keys weight and states"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, key", UNREAD_KEY_CASES, ids=[key.split(": ")[-2] for _, key in UNREAD_KEY_CASES]
+)
+def test_simulate_rejects_unread_config_keys(tmp_path, capsys, monkeypatch, text, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.yaml").write_text("protocol: sqsv\nn: 4\nk: 0\nrounds: 10\n" + text)
+    code, out, err = run_cli(capsys, "simulate", "--config", "bad.yaml")
+    assert code == 2
+    assert key in err
+    assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("certificate", ("certify", "--protocol", "sqsv", "--n", "10", "--k", "0",
+                         "--delta", "0.05", "--lambda", "1/3")),
+        ("summarize", ("simulate", "--config", "run.yaml")),
+        ("fig4_rows", ("reproduce", "fig4")),
+        ("dqsv_soundness_sweep", ("oracle-check", "dqsv-sweep", "--n", "4", "--trials", "5")),
+    ],
+)
+def test_numerical_consistency_failure_exits_3(tmp_path, capsys, monkeypatch, target, argv):
+    from qsverify import cli
+
+    def fail(*args, **kwargs):
+        raise cli.NumericalConsistencyError("injected")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.yaml").write_text(
+        "protocol: sqsv\nn: 4\nk: 0\nrounds: 10\nsource:\n  model: rho1\n"
+    )
+    monkeypatch.setattr(cli, target, fail)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "numerical consistency failure: injected" in err
+    assert "Traceback" not in err
 
 
 def test_threads_flag_is_rejected():

@@ -198,6 +198,8 @@ def test_mixture_from_spec(strat):
         mixture_from_spec({"branches": []})
     with pytest.raises(ValueError):
         mixture_from_spec({"branches": [{"weight": 1.0}]})
+    with pytest.raises(ValueError, match="label"):
+        mixture_from_spec({"branches": [dict(spec["branches"][0], label="x")]})
 
 
 def test_tabulate_calls_fn_once_per_distinct_state():
