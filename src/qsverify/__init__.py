@@ -20,8 +20,6 @@ from .certificates import (
 from .exact import (
     ExactStats,
     dqsv_soundness_sweep,
-    exact_fk,
-    exact_pk,
     exact_stats,
     exact_stats_bruteforce,
     sqsv_worst_case_scan,
@@ -38,9 +36,8 @@ from .linalg import (
 from .simulate import (
     ExperimentSummary,
     RandomPlan,
-    RunOutcome,
+    RoundTable,
     rounds_until_accepted,
-    run_experiment,
     run_rounds,
     scaling_experiment,
     summarize,
@@ -83,15 +80,13 @@ __all__ = [
     "ProductSequenceMixture",
     "PureState",
     "RandomPlan",
-    "RunOutcome",
+    "RoundTable",
     "binom_tail",
     "build_homogeneous_strategy",
     "build_singlet_strategy",
     "dqsv_certificate",
     "dqsv_intermediates",
     "dqsv_soundness_sweep",
-    "exact_fk",
-    "exact_pk",
     "exact_stats",
     "exact_stats_bruteforce",
     "expectation",
@@ -105,7 +100,6 @@ __all__ = [
     "rho1",
     "rho2",
     "rounds_until_accepted",
-    "run_experiment",
     "run_rounds",
     "sample_tests",
     "scaling_experiment",

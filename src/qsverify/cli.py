@@ -65,6 +65,7 @@ from .sources import (
     honest_iid,
     mixture_from_spec,
     parse_angle,
+    parse_real,
     rho1,
     rho2,
 )
@@ -193,7 +194,7 @@ def _build_source(cfg: dict, n: int, protocol: str):
         raise ConfigError(errors)
     fidelity = cfg.get("fidelity", 1.0)
     try:
-        noise = NoiseSpec(float(fidelity))
+        noise = NoiseSpec(parse_real(fidelity))
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"source.fidelity: {exc}"]) from exc
     try:
@@ -204,7 +205,11 @@ def _build_source(cfg: dict, n: int, protocol: str):
         if model == "rho2":
             if "phi" not in cfg:
                 raise ConfigError(["source.phi: required for rho2"])
-            return rho2(n, parse_angle(cfg["phi"]), noise)
+            try:
+                phi = parse_angle(cfg["phi"])
+            except ValueError as exc:
+                raise ConfigError([f"source.phi: {exc}"]) from exc
+            return rho2(n, phi, noise)
         source = mixture_from_spec(cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"source: {exc}"]) from exc
@@ -312,21 +317,21 @@ def _cmd_simulate(args) -> int:
     meta = {"seed": conf["seed"], "source": conf["source_cfg"]}
     try:
         if conf["stopping_mode"] == "fixed":
-            outcomes = run_rounds(
+            table = run_rounds(
                 source, conf["n"], strat, conf["rounds"], conf["protocol"], plan
             )
         else:
-            outcomes = rounds_until_accepted(
+            table = rounds_until_accepted(
                 source, conf["n"], conf["k"], strat, conf["target_acceptances"],
                 conf["protocol"], plan, conf["max_rounds"],
             )
-        summary = summarize(outcomes, conf["k"], strat, conf["protocol"], meta=meta)
+        summary = summarize(table, conf["k"], strat, conf["protocol"], meta=meta)
     except (TypeError, ValueError) as exc:
         raise ConfigError([str(exc)]) from exc
 
     out_dir = _make_out_dir(conf["out_dir"])
     (out_dir / "summary.json").write_text(summary_to_json(summary) + "\n", encoding="utf-8")
-    write_rounds_csv(out_dir / "rounds.csv", outcomes, conf["k"], strat)
+    write_rounds_csv(out_dir / "rounds.csv", table, conf["k"], strat)
     if conf["format"] == "json":
         print(summary_to_json(summary))
     else:

@@ -94,16 +94,6 @@ def _branch_stats(
     return p_tot / length, f_tot / length
 
 
-def exact_pk(m: ProductSequenceMixture, k: int, strat: HomogeneousStrategy) -> float:
-    """Exact probability of observing at most k failures among the N tests."""
-    return exact_stats(m, k, strat).p_k
-
-
-def exact_fk(m: ProductSequenceMixture, k: int, strat: HomogeneousStrategy) -> float:
-    """Exact joint weight of acceptance and leftover-system target fidelity."""
-    return exact_stats(m, k, strat).f_k
-
-
 def exact_stats(
     m: ProductSequenceMixture, k: int, strat: HomogeneousStrategy
 ) -> ExactStats:

@@ -5,16 +5,20 @@ draws a measurement setting per test according to the strategy weights, and
 samples each outcome from the per-setting pass probability of the tested
 copy.  DQSV rounds additionally leave one uniformly chosen system untested
 and record its ground-truth target fidelity (known only to the simulator)
-plus an optional probe test on it, which drives the measurement-faithful
+plus one probe test on it, which drives the measurement-faithful
 conditional-fidelity estimator.
+
+A run returns a ``RoundTable``, one array per column with row i being round
+i; ``summarize`` reduces its arrays and ``write_rounds_csv`` renders it,
+computing each row's settings digest only there.
 
 Reproducibility: the stream for round ``i`` is derived as
 ``PCG64(SeedSequence([master_seed, experiment_id, i]))``, so results are
 bit-identical for a fixed master seed, and round ``i`` is the same whether a
 run stops after a fixed count or at a target number of acceptances.  Within a
 round the draw order is: branch, leftover (DQSV), settings, outcomes, probe
-(DQSV).  The source is tabulated once per run, one evaluation per distinct
-state, and each round draws its stream once.
+(DQSV: one setting, one outcome).  The source is tabulated once per run, one
+evaluation per distinct state, and each round draws its stream once.
 """
 
 from __future__ import annotations
@@ -61,38 +65,44 @@ class RandomPlan:
         return np.random.Generator(np.random.PCG64(seq))
 
 
-def _as_plan(rng) -> RandomPlan:
-    if isinstance(rng, RandomPlan):
-        return rng
-    return RandomPlan(int(rng))
+@dataclass(frozen=True, eq=False)
+class RoundTable:
+    """Simulated rounds, one array per column; row i is round i.
 
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """One simulated verification round.
-
-    ``settings`` holds indices into ``strategy.tests`` (one per test, in test
-    order) and ``passes`` the corresponding outcomes.  DQSV-only fields are
-    None for SQSV rounds.  ``tested_truth_mean`` is the ground-truth mean
-    target fidelity of the tested copies, used for unconditional benchmarks.
+    ``settings`` (shape (rounds, n), int8) holds indices into
+    ``strategy.tests``, one per test in test order.  ``tested_fidelity`` is the
+    ground-truth mean target fidelity of the tested copies, used for
+    unconditional benchmarks.  The DQSV-only columns ``leftover``,
+    ``leftover_fidelity`` and ``probe_passed`` hold -1, NaN and False for SQSV
+    rounds.
     """
 
+    branch: np.ndarray
+    failures: np.ndarray
+    tested_fidelity: np.ndarray
+    leftover: np.ndarray
+    leftover_fidelity: np.ndarray
+    probe_passed: np.ndarray
     settings: np.ndarray
-    passes: np.ndarray
-    failures: int
-    branch_index: int
-    tested_truth_mean: float
-    leftover_index: int | None = None
-    leftover_truth_fidelity: float | None = None
-    probe_passed: bool | None = None
 
-    def __post_init__(self):
-        if self.failures != int(np.sum(~self.passes)):
-            raise ValueError("failure count does not match the pass record")
+    @classmethod
+    def from_rows(cls, rows: list[tuple], n: int) -> "RoundTable":
+        """Build the table from per-round tuples given in column order."""
+        branch, failures, tested, leftover, left_fid, probe, settings = (
+            list(zip(*rows)) or [()] * 7
+        )
+        return cls(
+            branch=np.array(branch, dtype=np.intp),
+            failures=np.array(failures, dtype=np.intp),
+            tested_fidelity=np.array(tested, dtype=float),
+            leftover=np.array(leftover, dtype=np.intp),
+            leftover_fidelity=np.array(left_fid, dtype=float),
+            probe_passed=np.array(probe, dtype=bool),
+            settings=np.array(settings, dtype=np.int8).reshape(len(rows), n),
+        )
 
-    def settings_digest(self, strat: HomogeneousStrategy) -> str:
-        labels = ",".join(strat.tests[i].label for i in self.settings)
-        return hashlib.sha1(labels.encode("ascii")).hexdigest()[:12]
+    def __len__(self) -> int:
+        return len(self.failures)
 
 
 @dataclass(frozen=True)
@@ -162,43 +172,31 @@ def _run_round(
     cum_weights,
     cum_setting_weights,
     n: int,
-    protocol: str,
+    dqsv: bool,
     rng: np.random.Generator,
-    probe_tests: int,
-) -> RunOutcome:
+) -> tuple:
+    """One round as a row of ``RoundTable`` columns."""
     branch = _sample_branch(cum_weights, rng)
     table = probs[branch]
     fid = fids[branch]
-    if protocol == "dqsv":
+    last = len(cum_setting_weights) - 1
+    if dqsv:
         leftover = int(rng.integers(0, n + 1))
         tested = np.concatenate([np.arange(leftover), np.arange(leftover + 1, n + 1)])
     else:
-        leftover = None
         tested = np.arange(n)
     settings = np.searchsorted(cum_setting_weights, rng.random(n), side="right")
-    np.minimum(settings, len(cum_setting_weights) - 1, out=settings)
-    outcome_probs = table[tested, settings]
-    passes = rng.random(n) < outcome_probs
+    np.minimum(settings, last, out=settings)
+    passes = rng.random(n) < table[tested, settings]
     failures = int(n - passes.sum())
-    probe_passed = None
-    if protocol == "dqsv" and probe_tests > 0:
-        psettings = np.searchsorted(
-            cum_setting_weights, rng.random(probe_tests), side="right"
-        )
-        np.minimum(psettings, len(cum_setting_weights) - 1, out=psettings)
-        ppasses = rng.random(probe_tests) < table[leftover, psettings]
-        # A single probe is the experiment-faithful default; more probes only
-        # tighten the simulation-side estimator.
-        probe_passed = bool(ppasses[0]) if probe_tests == 1 else ppasses
-    return RunOutcome(
-        settings=settings.astype(np.int8),
-        passes=passes,
-        failures=failures,
-        branch_index=branch,
-        tested_truth_mean=float(fid[tested].mean()),
-        leftover_index=leftover,
-        leftover_truth_fidelity=None if leftover is None else float(fid[leftover]),
-        probe_passed=probe_passed,
+    tested_fidelity = float(fid[tested].mean())
+    if not dqsv:
+        return branch, failures, tested_fidelity, -1, math.nan, False, settings
+    # One probe test on the leftover drives the measured conditional fidelity.
+    probe = min(int(np.searchsorted(cum_setting_weights, rng.random(), side="right")), last)
+    probe_passed = bool(rng.random() < table[leftover, probe])
+    return (
+        branch, failures, tested_fidelity, leftover, float(fid[leftover]), probe_passed, settings
     )
 
 
@@ -207,7 +205,6 @@ def _round_runner(
     n: int,
     strat: HomogeneousStrategy,
     protocol: str,
-    probe_tests: int,
 ):
     """Check the protocol's preconditions, tabulate the source once, and
     return a function that simulates one round from its random stream."""
@@ -221,10 +218,10 @@ def _round_runner(
     fids = m.tabulate(partial(overlap, strat.target))
     cw = np.cumsum(m.weights)
     csw = np.cumsum(strat.weights)
-    probe = probe_tests if protocol == "dqsv" else 0
+    dqsv = protocol == "dqsv"
 
-    def one(rng: np.random.Generator) -> RunOutcome:
-        return _run_round(probs, fids, cw, csw, n, protocol, rng, probe)
+    def one(rng: np.random.Generator) -> tuple:
+        return _run_round(probs, fids, cw, csw, n, dqsv, rng)
 
     return one
 
@@ -236,15 +233,14 @@ def run_rounds(
     rounds: int,
     protocol: str,
     plan: RandomPlan,
-    probe_tests: int = 1,
-) -> list[RunOutcome]:
+) -> RoundTable:
     """Rounds 0 .. rounds-1, round i drawn from ``plan.round_rng(i)``.
 
     SQSV tests the first n systems of each drawn sequence and needs at least
     n; DQSV leaves one uniformly chosen system of exactly n + 1 untested.
     """
-    one = _round_runner(m, n, strat, protocol, probe_tests)
-    return [one(plan.round_rng(i)) for i in range(rounds)]
+    one = _round_runner(m, n, strat, protocol)
+    return RoundTable.from_rows([one(plan.round_rng(i)) for i in range(rounds)], n)
 
 
 def rounds_until_accepted(
@@ -256,41 +252,38 @@ def rounds_until_accepted(
     protocol: str,
     plan: RandomPlan,
     max_rounds: int | None = None,
-    probe_tests: int = 1,
-) -> list[RunOutcome]:
+) -> RoundTable:
     """Rounds 0, 1, ... up to the one that brings the number accepted at
     threshold k to ``target_acceptances``, or ``max_rounds`` rounds (default
     1000 * target) if that comes first.  Round i is the same as in
     ``run_rounds``."""
-    one = _round_runner(m, n, strat, protocol, probe_tests)
+    one = _round_runner(m, n, strat, protocol)
     cap = max_rounds if max_rounds is not None else 1000 * target_acceptances
-    outcomes = []
+    rows = []
     accepted = 0
-    while accepted < target_acceptances and len(outcomes) < cap:
-        o = one(plan.round_rng(len(outcomes)))
-        outcomes.append(o)
-        accepted += o.failures <= k
-    return outcomes
+    while accepted < target_acceptances and len(rows) < cap:
+        row = one(plan.round_rng(len(rows)))
+        rows.append(row)
+        accepted += row[1] <= k
+    return RoundTable.from_rows(rows, n)
 
 
 def summarize(
-    outcomes: list[RunOutcome],
+    table: RoundTable,
     k: int,
     strat: HomogeneousStrategy,
     protocol: str,
     meta: dict | None = None,
 ) -> ExperimentSummary:
     """Aggregate rounds into acceptance and fidelity estimates at threshold k."""
-    rounds = len(outcomes)
+    rounds = len(table)
     if rounds == 0:
         raise ValueError("no rounds to summarize")
-    failures = np.array([o.failures for o in outcomes])
+    failures = table.failures
     accepted_mask = failures <= k
     accepted = int(accepted_mask.sum())
-    hist: dict[int, int] = {}
-    for f in failures:
-        hist[int(f)] = hist.get(int(f), 0) + 1
-    n = len(outcomes[0].passes)
+    values, counts = np.unique(failures, return_counts=True)
+    n = table.settings.shape[1]
     lam = strat.lam
 
     summary = {
@@ -301,37 +294,26 @@ def summarize(
         "accepted": accepted,
         "p_hat": accepted / rounds,
         "p_hat_ci": clopper_pearson(accepted, rounds),
-        "per_k_histogram": hist,
+        "per_k_histogram": dict(zip(values.tolist(), counts.tolist())),
         "meta": meta or {},
     }
 
     if protocol == "dqsv":
         if accepted > 0:
-            truth = np.array(
-                [o.leftover_truth_fidelity for o, a in zip(outcomes, accepted_mask) if a]
-            )
+            truth = table.leftover_fidelity[accepted_mask]
             std = float(truth.std(ddof=1)) if accepted > 1 else 0.0
             summary["conditional_fidelity_truth"] = float(truth.mean())
             summary["conditional_truth_std"] = std
             summary["conditional_truth_stderr"] = std / math.sqrt(accepted)
-            probes = [
-                o.probe_passed
-                for o, a in zip(outcomes, accepted_mask)
-                if a and o.probe_passed is not None
-            ]
-            if probes:
-                flat = np.concatenate([np.atleast_1d(p) for p in probes]).astype(float)
-                rate = float(flat.mean())
-                summary["conditional_fidelity_measured"] = fidelity_from_pass_rate(rate, lam)
-                summary["conditional_measured_stderr"] = math.sqrt(
-                    max(rate * (1.0 - rate), 0.0) / len(flat)
-                ) / (1.0 - lam)
+            rate = float(table.probe_passed[accepted_mask].mean())
+            summary["conditional_fidelity_measured"] = fidelity_from_pass_rate(rate, lam)
+            summary["conditional_measured_stderr"] = math.sqrt(
+                max(rate * (1.0 - rate), 0.0) / accepted
+            ) / (1.0 - lam)
     else:
-        tested_truth = np.array([o.tested_truth_mean for o in outcomes])
-        summary["unconditional_fidelity_truth"] = float(tested_truth.mean())
+        summary["unconditional_fidelity_truth"] = float(table.tested_fidelity.mean())
         total_tests = rounds * n
-        total_passes = int(sum(int(o.passes.sum()) for o in outcomes))
-        rate = total_passes / total_tests
+        rate = (total_tests - int(failures.sum())) / total_tests
         summary["unconditional_fidelity_measured"] = fidelity_from_pass_rate(rate, lam)
         summary["unconditional_measured_stderr"] = math.sqrt(
             max(rate * (1.0 - rate), 0.0) / total_tests
@@ -339,47 +321,12 @@ def summarize(
     return ExperimentSummary(**summary)
 
 
-def run_experiment(
-    m: ProductSequenceMixture,
-    n: int,
-    k: int,
-    strat: HomogeneousStrategy,
-    rounds: int | None,
-    protocol: str,
-    rng,
-    target_acceptances: int | None = None,
-    max_rounds: int | None = None,
-    probe_tests: int = 1,
-    meta: dict | None = None,
-) -> ExperimentSummary:
-    """Run a full experiment under one of two stopping rules.
-
-    Fixed mode (``rounds`` given): run exactly that many rounds.  Acceptance
-    mode (``target_acceptances`` given): keep running until that many rounds
-    were accepted at threshold k, hard-capped at ``max_rounds``.
-
-    ``rng`` is a master seed (int) or a RandomPlan.
-    """
-    plan = _as_plan(rng)
-    if (rounds is None) == (target_acceptances is None):
-        raise ValueError("give exactly one of rounds or target_acceptances")
-    if rounds is not None:
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        outcomes = run_rounds(m, n, strat, rounds, protocol, plan, probe_tests)
-    else:
-        outcomes = rounds_until_accepted(
-            m, n, k, strat, target_acceptances, protocol, plan, max_rounds, probe_tests
-        )
-    return summarize(outcomes, k, strat, protocol, meta=meta)
-
-
 def scaling_experiment(
     noise: NoiseSpec,
     delta: float,
     n_grid: list[int],
     strat: HomogeneousStrategy,
-    rng,
+    plan: RandomPlan,
     rounds: int = 1,
 ) -> dict:
     """Certificate scaling on a growing honest run.
@@ -392,7 +339,6 @@ def scaling_experiment(
     n_grid = [int(x) for x in n_grid]
     if n_grid != sorted(n_grid) or n_grid[0] < 1:
         raise ValueError("n_grid must be ascending positive integers")
-    plan = _as_plan(rng)
     max_n = n_grid[-1]
     source = honest_iid(max(max_n, 2), noise)
     table = source.tabulate(partial(test_pass_probabilities, strat))[0]
@@ -438,22 +384,23 @@ def summary_to_json(summary: ExperimentSummary) -> str:
     return json.dumps(summary.to_dict(), indent=2, sort_keys=True)
 
 
-def write_rounds_csv(path, outcomes: list[RunOutcome], k: int, strat: HomogeneousStrategy):
+def write_rounds_csv(path, table: RoundTable, k: int, strat: HomogeneousStrategy):
     """Per-round records with the frozen column set (see README)."""
+    labels = [t.label for t in strat.tests]
+    rows = zip(
+        table.branch.tolist(), table.failures.tolist(), table.leftover.tolist(),
+        table.leftover_fidelity.tolist(), table.settings.tolist(),
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema={ROUNDS_CSV_SCHEMA}\n")
         fh.write(
             "round,branch,failures,accepted,leftover_index,"
             "leftover_truth_fidelity,settings_digest\n"
         )
-        for i, o in enumerate(outcomes):
-            left = "" if o.leftover_index is None else str(o.leftover_index)
-            fid = (
-                ""
-                if o.leftover_truth_fidelity is None
-                else f"{o.leftover_truth_fidelity:.12g}"
-            )
+        for i, (branch, failures, left, fid, settings) in enumerate(rows):
+            leftover = f"{left},{fid:.12g}" if left >= 0 else ","
+            digest = hashlib.sha1(",".join(map(labels.__getitem__, settings)).encode("ascii"))
             fh.write(
-                f"{i},{o.branch_index},{o.failures},{int(o.failures <= k)},"
-                f"{left},{fid},{o.settings_digest(strat)}\n"
+                f"{i},{branch},{failures},{int(failures <= k)},{leftover},"
+                f"{digest.hexdigest()[:12]}\n"
             )

@@ -251,10 +251,17 @@ def parse_state(descriptor: str) -> DensityMatrix:
     raise ValueError(f"unknown state descriptor {name!r}")
 
 
+def parse_real(value) -> float:
+    """A config number as a float; a bool (YAML ``yes``/``no``) is refused, not read as 1 or 0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def parse_angle(text) -> float:
     """Parse an angle given as a number or a pi expression like ``3pi/4``."""
     if isinstance(text, (int, float)):
-        return float(text)
+        return parse_real(text)
     s = str(text).strip().lower().replace(" ", "")
     m = re.match(r"^(-?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$", s)
     if m:
@@ -279,8 +286,10 @@ def mixture_from_spec(spec: dict) -> ProductSequenceMixture:
     for i, b in enumerate(branches):
         if set(b) != {"weight", "states"}:
             raise ValueError(f"branches[{i}]: need the keys weight and states, got {list(b)}")
+        try:
+            weight = parse_real(b["weight"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"branches[{i}].weight: {exc}") from None
         states = tuple(parse_state(d) for d in b["states"])
-        built.append(
-            (float(b["weight"]), ProductSequence(states, label=f"branch{i}"))
-        )
+        built.append((weight, ProductSequence(states, label=f"branch{i}")))
     return ProductSequenceMixture(tuple(built))

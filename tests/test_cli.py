@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -139,6 +140,41 @@ def test_simulate_deterministic_files(tmp_path, capsys, fresh_certificate_caches
     assert (outa / "rounds.csv").read_bytes() == (outb / "rounds.csv").read_bytes()
 
 
+# The three reference runs and the full sha256 of their rounds.csv under round
+# stream v1.  A change to the per-round draws must change these together with
+# the rounds.csv schema version.
+PINNED_RUNS = {
+    "dqsv-rho1-fixed": (
+        "protocol: dqsv\nn: 20\nk: 1\nseed: 123\nrounds: 500\n"
+        "source:\n  model: rho1\n  fidelity: 0.97\n",
+        "af2dfa525023f4f5035a58f510e8ab23af36158918e21d382200f3f1da021f2c",
+    ),
+    "sqsv-rho2-fixed": (
+        "protocol: sqsv\nn: 30\nk: 2\nseed: 99\nrounds: 400\n"
+        "source:\n  model: rho2\n  phi: pi/2\n  fidelity: 0.98\n",
+        "0861686402304547e8de4b728958fbca2d1f9f966db782c50e5634f10403e99d",
+    ),
+    "dqsv-rho2-acceptances": (
+        "protocol: dqsv\nn: 100\nk: 0\nseed: 7\n"
+        "stopping:\n  mode: acceptances\n  target_acceptances: 300\n"
+        "source:\n  model: rho2\n  phi: 3pi/4\n",
+        "9992c8fa557a5bd87d9a0b9d8d87cb6e483b563acde2d1d1898cf101e6479a05",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_simulate_round_stream_is_pinned(tmp_path, capsys, name):
+    text, digest = PINNED_RUNS[name]
+    (tmp_path / "run.yaml").write_text(text)
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--config", str(tmp_path / "run.yaml"), "--out-dir", str(out_dir)
+    )
+    assert code == 0
+    assert hashlib.sha256((out_dir / "rounds.csv").read_bytes()).hexdigest() == digest
+
+
 def test_simulate_flag_overrides(tmp_path, capsys):
     config = tmp_path / "run.yaml"
     config.write_text(
@@ -180,6 +216,13 @@ def test_simulate_invalid_config_diagnostics(tmp_path, capsys):
         (head + "rounds: 10\nseed: 1.5\n", "seed: expected an integer, got 1.5"),
         (head.replace("n: 3", "n: yes") + "rounds: 10\n", "n: expected an integer, got True"),
         (head.replace("k: 1", "k: no") + "rounds: 10\n", "k: expected an integer, got False"),
+        (head.replace("honest", "rho1") + "  fidelity: yes\nrounds: 10\n",
+         "source.fidelity: expected a number, got True"),
+        (head.replace("honest", "rho2") + "  phi: yes\nrounds: 10\n",
+         "source.phi: expected a number, got True"),
+        (head.replace("honest", "custom") + "  branches:\n"
+         "    - {weight: yes, states: [singlet, singlet, singlet, singlet]}\nrounds: 10\n",
+         "source: branches[0].weight: expected a number, got True"),
     ]
     for text, message in cases:
         config.write_bytes(text if isinstance(text, bytes) else text.encode())

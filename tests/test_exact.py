@@ -6,8 +6,6 @@ import pytest
 from qsverify.certificates import CertificateQuery, binom_tail, dqsv_certificate, solve_J
 from qsverify.exact import (
     dqsv_soundness_sweep,
-    exact_fk,
-    exact_pk,
     exact_stats,
     exact_stats_bruteforce,
     sqsv_worst_case_scan,
@@ -42,7 +40,7 @@ def test_honest_ideal_accepts_surely(strat):
 def test_maximally_mixed_reduces_to_binomial_half(strat):
     m = honest_iid(7, NoiseSpec(0.25))
     for k in (0, 2, 5):
-        assert exact_pk(m, k, strat) == pytest.approx(binom_tail(6, k, 0.5), abs=1e-12)
+        assert exact_stats(m, k, strat).p_k == pytest.approx(binom_tail(6, k, 0.5), abs=1e-12)
 
 
 def test_iid_reduction_general(strat):
@@ -51,22 +49,22 @@ def test_iid_reduction_general(strat):
         m = honest_iid(9, NoiseSpec(fid))
         q = 1.0 - pass_probability(strat, werner_state(fid))
         for k in (0, 1, 4, 7):
-            assert exact_pk(m, k, strat) == pytest.approx(
+            assert exact_stats(m, k, strat).p_k == pytest.approx(
                 binom_tail(8, k, q), abs=1e-12
             )
 
 
 def test_rho1_examples(strat):
     m = rho1(4)
-    assert exact_pk(m, 0, strat) == pytest.approx(
+    assert exact_stats(m, 0, strat).p_k == pytest.approx(
         (2 / 3) + (1 / 3) * 0.5**4, abs=1e-10
     )
     # conditional fidelity: singlet branch dominates acceptance
     expected_f = (2 / 3) * 1.0 + (1 / 3) * 0.5**4 * 0.25
-    assert exact_fk(m, 0, strat) == pytest.approx(expected_f, abs=1e-10)
+    assert exact_stats(m, 0, strat).f_k == pytest.approx(expected_f, abs=1e-10)
     st = exact_stats(m, 0, strat)
-    assert st.p_k == exact_pk(m, 0, strat)
-    assert st.f_k == exact_fk(m, 0, strat)
+    assert st.p_k == exact_stats(m, 0, strat).p_k
+    assert st.f_k == exact_stats(m, 0, strat).f_k
     assert st.F_k == pytest.approx(st.f_k / st.p_k, abs=1e-15)
 
 
@@ -143,7 +141,7 @@ def test_permutation_invariance(strat):
 def test_budget_enforced(strat):
     big = honest_iid(17)
     with pytest.raises(ValueError):
-        exact_pk(big, 0, strat)
+        exact_stats(big, 0, strat)
     with pytest.raises(ValueError):
         exact_stats_bruteforce(honest_iid(15), 0, strat)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,9 @@ from qsverify.certificates import CertificateQuery, dqsv_certificate, solve_J, s
 from qsverify.exact import exact_stats
 from qsverify.simulate import (
     RandomPlan,
-    RunOutcome,
+    RoundTable,
     clopper_pearson,
     rounds_until_accepted,
-    run_experiment,
     run_rounds,
     scaling_experiment,
     summarize,
@@ -19,7 +19,10 @@ from qsverify.simulate import (
 )
 from qsverify.reproduce import default_fig5_grid
 from qsverify.sources import NoiseSpec, honest_iid, rho1, rho2, unconditional_fidelity
-from qsverify.strategy import build_singlet_strategy
+from qsverify.strategy import build_singlet_strategy, fidelity_from_pass_rate
+
+
+COLUMNS = [f.name for f in dataclasses.fields(RoundTable)]
 
 
 @pytest.fixture(scope="module")
@@ -29,18 +32,22 @@ def strat():
 
 def test_honest_ideal_sqsv_never_fails(strat):
     m = honest_iid(10, NoiseSpec(1.0))
-    for out in run_rounds(m, 10, strat, 30, "sqsv", RandomPlan(0)):
-        assert out.failures == 0
-        assert out.leftover_index is None
-        assert out.leftover_truth_fidelity is None
+    table = run_rounds(m, 10, strat, 30, "sqsv", RandomPlan(0))
+    assert len(table) == 30
+    assert np.all(table.failures == 0)
+    assert np.all(table.leftover == -1)
+    assert np.all(np.isnan(table.leftover_fidelity))
+    assert not np.any(table.probe_passed)
+    assert table.settings.shape == (30, 10) and table.settings.dtype == np.int8
 
 
 def test_honest_ideal_dqsv_perfect_leftover(strat):
     m = honest_iid(11, NoiseSpec(1.0))
-    for out in run_rounds(m, 10, strat, 30, "dqsv", RandomPlan(1)):
-        assert out.failures == 0
-        assert 0 <= out.leftover_index <= 10
-        assert out.leftover_truth_fidelity == pytest.approx(1.0, abs=1e-12)
+    table = run_rounds(m, 10, strat, 30, "dqsv", RandomPlan(1))
+    assert len(table) == 30
+    assert np.all(table.failures == 0)
+    assert np.all((0 <= table.leftover) & (table.leftover <= 10))
+    assert np.allclose(table.leftover_fidelity, 1.0, rtol=0, atol=1e-12)
 
 
 def test_rho2_tabulates_two_distinct_states(strat, monkeypatch):
@@ -60,15 +67,15 @@ def test_rho2_tabulates_two_distinct_states(strat, monkeypatch):
 
 
 def test_branch_index_single_branch(strat):
-    outcomes = run_rounds(honest_iid(4), 4, strat, 10, "sqsv", RandomPlan(18))
-    assert all(o.branch_index == 0 for o in outcomes)
+    table = run_rounds(honest_iid(4), 4, strat, 10, "sqsv", RandomPlan(18))
+    assert np.all(table.branch == 0)
 
 
 def test_branch_index_rho1_frequency(strat):
     # rho1 draws its all-singlet branch with weight 2/3
     rounds = 50_000
-    outcomes = run_rounds(rho1(2), 2, strat, rounds, "sqsv", RandomPlan(19))
-    hits = sum(o.branch_index == 0 for o in outcomes)
+    table = run_rounds(rho1(2), 2, strat, rounds, "sqsv", RandomPlan(19))
+    hits = int(np.sum(table.branch == 0))
     p = 2 / 3
     sigma = math.sqrt(p * (1 - p) / rounds)
     assert abs(hits / rounds - p) < 4 * sigma
@@ -76,8 +83,8 @@ def test_branch_index_rho1_frequency(strat):
 
 def test_branch_index_rho2_uniform(strat):
     rounds = 50_000
-    outcomes = run_rounds(rho2(5, math.pi), 5, strat, rounds, "sqsv", RandomPlan(20))
-    counts = np.bincount([o.branch_index for o in outcomes], minlength=6)
+    table = run_rounds(rho2(5, math.pi), 5, strat, rounds, "sqsv", RandomPlan(20))
+    counts = np.bincount(table.branch, minlength=6)
     assert len(counts) == 6
     p = 1 / 6
     sigma = math.sqrt(p * (1 - p) / rounds)
@@ -86,8 +93,7 @@ def test_branch_index_rho2_uniform(strat):
 
 def test_maximally_mixed_failure_counts_binomial(strat):
     m = honest_iid(20, NoiseSpec(0.25))
-    outcomes = run_rounds(m, 20, strat, 10_000, "sqsv", RandomPlan(2))
-    failures = np.array([o.failures for o in outcomes])
+    failures = run_rounds(m, 20, strat, 10_000, "sqsv", RandomPlan(2)).failures
     mean = failures.mean()
     sigma = math.sqrt(20 * 0.25 / 10_000) * 2  # std of the mean of Bin(20, .5)
     assert abs(mean - 10.0) < 4 * sigma
@@ -95,9 +101,9 @@ def test_maximally_mixed_failure_counts_binomial(strat):
 
 def test_rho1_failure_histogram_bimodal(strat):
     m = rho1(100)
-    outcomes = run_rounds(m, 100, strat, 10_000, "sqsv", RandomPlan(3))
-    failures = np.array([o.failures for o in outcomes])
-    branches = np.array([o.branch_index for o in outcomes])
+    table = run_rounds(m, 100, strat, 10_000, "sqsv", RandomPlan(3))
+    failures = table.failures
+    branches = table.branch
     assert np.all(failures[branches == 0] == 0)
     mixed = failures[branches == 1]
     assert abs(mixed.mean() - 50.0) < 4 * 5.0 / math.sqrt(len(mixed))
@@ -108,8 +114,8 @@ def test_rho1_failure_histogram_bimodal(strat):
 def test_leftover_index_uniform_chi2(strat):
     n = 9
     m = honest_iid(n + 1, NoiseSpec(0.9))
-    outcomes = run_rounds(m, n, strat, 100_000, "dqsv", RandomPlan(4))
-    counts = np.bincount([o.leftover_index for o in outcomes], minlength=n + 1)
+    table = run_rounds(m, n, strat, 100_000, "dqsv", RandomPlan(4))
+    counts = np.bincount(table.leftover, minlength=n + 1)
     _, pvalue = sps.chisquare(counts)
     assert pvalue > 0.01
 
@@ -119,27 +125,13 @@ def test_leftover_is_excluded_from_testing(strat):
     # is the leftover, every tested system is a perfect singlet, so the round
     # cannot record a failure and the leftover truth fidelity is 0.
     m = rho2(6, math.pi)
-    outcomes = run_rounds(m, 6, strat, 4000, "dqsv", RandomPlan(77))
-    spared = [o for o in outcomes if o.leftover_index == o.branch_index]
-    assert spared, "expected some rounds to spare the rotated copy"
-    for o in spared:
-        assert o.failures == 0
-        assert o.leftover_truth_fidelity == pytest.approx(0.0, abs=1e-10)
-    for o in outcomes:
-        if o.leftover_index != o.branch_index:
-            assert o.failures <= 1
-            assert o.leftover_truth_fidelity == pytest.approx(1.0, abs=1e-10)
-
-
-def test_run_outcome_invariant():
-    with pytest.raises(ValueError):
-        RunOutcome(
-            settings=np.zeros(3, dtype=np.int8),
-            passes=np.array([True, False, True]),
-            failures=2,
-            branch_index=0,
-            tested_truth_mean=1.0,
-        )
+    table = run_rounds(m, 6, strat, 4000, "dqsv", RandomPlan(77))
+    spared = table.leftover == table.branch
+    assert spared.any(), "expected some rounds to spare the rotated copy"
+    assert np.all(table.failures[spared] == 0)
+    assert np.allclose(table.leftover_fidelity[spared], 0.0, rtol=0, atol=1e-10)
+    assert np.all(table.failures[~spared] <= 1)
+    assert np.allclose(table.leftover_fidelity[~spared], 1.0, rtol=0, atol=1e-10)
 
 
 def test_acceptance_probability_matches_exact(strat):
@@ -153,8 +145,8 @@ def test_acceptance_probability_matches_exact(strat):
     ]
     for seed, (m, n, k) in enumerate(cases):
         exact = exact_stats(m, k, strat)
-        outcomes = run_rounds(m, n, strat, rounds, "dqsv", RandomPlan(100 + seed))
-        p_hat = np.mean([o.failures <= k for o in outcomes])
+        table = run_rounds(m, n, strat, rounds, "dqsv", RandomPlan(100 + seed))
+        p_hat = np.mean(table.failures <= k)
         sigma = math.sqrt(max(exact.p_k * (1 - exact.p_k), 1e-12) / rounds)
         assert abs(p_hat - exact.p_k) < 4 * sigma + 1e-9, (n, k)
 
@@ -174,8 +166,8 @@ def test_rho2_smallest_grid_dual_computation(strat):
     # conditional-truth estimate
     m = rho2(2, math.pi)
     exact = exact_stats(m, 0, strat)
-    outcomes = run_rounds(m, 2, strat, 1_000_000, "dqsv", RandomPlan(42), probe_tests=0)
-    summary = summarize(outcomes, 0, strat, "dqsv")
+    table = run_rounds(m, 2, strat, 1_000_000, "dqsv", RandomPlan(42))
+    summary = summarize(table, 0, strat, "dqsv")
     assert abs(summary.p_hat - exact.p_k) < 4 * math.sqrt(
         exact.p_k * (1 - exact.p_k) / summary.rounds
     )
@@ -225,11 +217,11 @@ def test_sqsv_violation_reproduction(strat):
     # the IID certificate overshoots the true unconditional fidelity on
     # correlated sources
     m = rho1(100)
-    outcomes = run_rounds(m, 100, strat, 3000, "sqsv", RandomPlan(6))
+    table = run_rounds(m, 100, strat, 3000, "sqsv", RandomPlan(6))
     truth = unconditional_fidelity(m, strat.target)
     violated = []
     for k in range(0, 11):
-        summary = summarize(outcomes, k, strat, "sqsv")
+        summary = summarize(table, k, strat, "sqsv")
         bound = sqsv_certificate(
             CertificateQuery("sqsv", 100, k, summary.p_hat, strat.lam)
         ).fidelity_bound
@@ -245,25 +237,23 @@ def test_sqsv_violation_reproduction(strat):
 
 def test_determinism_bit_identical(strat):
     m = rho1(20, NoiseSpec(0.97))
-    a = run_experiment(m, 20, 1, strat, 500, "dqsv", RandomPlan(7))
-    b = run_experiment(m, 20, 1, strat, 500, "dqsv", RandomPlan(7))
+    a = summarize(run_rounds(m, 20, strat, 500, "dqsv", RandomPlan(7)), 1, strat, "dqsv")
+    b = summarize(run_rounds(m, 20, strat, 500, "dqsv", RandomPlan(7)), 1, strat, "dqsv")
     assert a == b
 
 
 def test_stopping_rule_acceptances(strat):
     m = rho1(10)
-    summary = run_experiment(
-        m, 10, 0, strat, None, "dqsv", RandomPlan(9),
-        target_acceptances=500, max_rounds=50_000,
-    )
+    table = rounds_until_accepted(m, 10, 0, strat, 500, "dqsv", RandomPlan(9), max_rounds=50_000)
+    summary = summarize(table, 0, strat, "dqsv")
     assert summary.accepted == 500
     assert summary.rounds >= 500
     # cap honored when acceptances are impossible to reach
-    capped = run_experiment(
-        honest_iid(3, NoiseSpec(0.25)), 2, 0, strat, None, "dqsv", RandomPlan(10),
-        target_acceptances=10_000_000, max_rounds=200,
+    capped = rounds_until_accepted(
+        honest_iid(3, NoiseSpec(0.25)), 2, 0, strat, 10_000_000, "dqsv", RandomPlan(10),
+        max_rounds=200,
     )
-    assert capped.rounds == 200
+    assert summarize(capped, 0, strat, "dqsv").rounds == 200
 
 
 def test_rounds_until_accepted_stops_at_target(strat):
@@ -272,24 +262,29 @@ def test_rounds_until_accepted_stops_at_target(strat):
     m = rho2(6, math.pi, NoiseSpec(0.95))
     plan = RandomPlan(21)
     until = rounds_until_accepted(m, 6, 0, strat, 40, "dqsv", plan)
-    assert sum(o.failures <= 0 for o in until) == 40
-    assert until[-1].failures <= 0
+    assert np.sum(until.failures <= 0) == 40
+    assert until.failures[-1] <= 0
     fixed = run_rounds(m, 6, strat, len(until) + 5, "dqsv", plan)
-    for a, b in zip(until, fixed):
-        assert np.array_equal(a.passes, b.passes)
-        assert np.array_equal(a.settings, b.settings)
-        assert (a.branch_index, a.leftover_index, a.probe_passed) == (
-            b.branch_index, b.leftover_index, b.probe_passed
-        )
+    for name in COLUMNS:
+        a, b = getattr(until, name), getattr(fixed, name)[: len(until)]
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
     capped = rounds_until_accepted(m, 6, 0, strat, 40, "dqsv", plan, max_rounds=7)
     assert len(capped) == 7
 
 
 def test_zero_accepted_reports_absent_estimators(strat):
     m = honest_iid(3, NoiseSpec(0.25))
-    outcomes = run_rounds(m, 2, strat, 300, "dqsv", RandomPlan(11))
-    filtered = [o for o in outcomes if o.failures > 0]
-    summary = summarize(filtered, 0, strat, "dqsv")
+    rejected = RoundTable(
+        branch=np.zeros(3, dtype=np.intp),
+        failures=np.array([1, 2, 1]),
+        tested_fidelity=np.full(3, 0.25),
+        leftover=np.array([0, 2, 1]),
+        leftover_fidelity=np.full(3, 0.25),
+        probe_passed=np.array([True, False, True]),
+        settings=np.zeros((3, 2), dtype=np.int8),
+    )
+    summary = summarize(rejected, 0, strat, "dqsv")
+    assert summary.rounds == 3
     assert summary.accepted == 0
     assert summary.conditional_fidelity_truth is None
     assert summary.conditional_fidelity_measured is None
@@ -297,12 +292,45 @@ def test_zero_accepted_reports_absent_estimators(strat):
 
 def test_summary_p_hat_equals_ratio(strat):
     m = rho1(5)
-    outcomes = run_rounds(m, 5, strat, 1000, "dqsv", RandomPlan(12))
-    summary = summarize(outcomes, 1, strat, "dqsv")
+    table = run_rounds(m, 5, strat, 1000, "dqsv", RandomPlan(12))
+    summary = summarize(table, 1, strat, "dqsv")
     assert summary.p_hat == summary.accepted / summary.rounds
     assert sum(summary.per_k_histogram.values()) == summary.rounds
     lo, hi = summary.p_hat_ci
     assert lo <= summary.p_hat <= hi
+
+
+def test_summarize_matches_per_round_reduction(strat):
+    # Reference: reduce the table row by row with Python numbers.  summarize
+    # reduces whole columns and must agree exactly, since the sums are the same.
+    m, n = rho1(8, NoiseSpec(0.9)), 8
+    for protocol in ("sqsv", "dqsv"):
+        table = run_rounds(m, n, strat, 400, protocol, RandomPlan(22))
+        rows = list(zip(*(getattr(table, name).tolist() for name in COLUMNS)))
+        for k in range(4):
+            summary = summarize(table, k, strat, protocol)
+            accepted = [r for r in rows if r[1] <= k]
+            hist = {}
+            for r in rows:
+                hist[r[1]] = hist.get(r[1], 0) + 1
+            assert summary.accepted == len(accepted)
+            assert summary.per_k_histogram == hist
+            if protocol == "dqsv":
+                truth = np.array([r[4] for r in accepted])
+                assert summary.conditional_fidelity_truth == float(truth.mean())
+                assert summary.conditional_truth_std == float(truth.std(ddof=1))
+                rate = sum(r[5] for r in accepted) / len(accepted)
+                assert summary.conditional_fidelity_measured == (
+                    fidelity_from_pass_rate(rate, strat.lam)
+                )
+            else:
+                assert summary.unconditional_fidelity_truth == float(
+                    np.array([r[2] for r in rows]).mean()
+                )
+                passes = sum(n - r[1] for r in rows)
+                assert summary.unconditional_fidelity_measured == (
+                    fidelity_from_pass_rate(passes / (len(rows) * n), strat.lam)
+                )
 
 
 def test_clopper_pearson_edges():
@@ -337,9 +365,9 @@ def test_scaling_experiment_noisy_runs(strat):
 
 def test_rounds_csv_format(tmp_path, strat):
     m = rho2(4, math.pi)
-    outcomes = run_rounds(m, 4, strat, 20, "dqsv", RandomPlan(15))
+    table = run_rounds(m, 4, strat, 20, "dqsv", RandomPlan(15))
     path = tmp_path / "rounds.csv"
-    write_rounds_csv(path, outcomes, 1, strat)
+    write_rounds_csv(path, table, 1, strat)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# schema=qsverify.rounds/")
     assert lines[1] == (

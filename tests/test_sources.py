@@ -169,6 +169,9 @@ def test_parse_angle():
     assert parse_angle("0.5") == 0.5
     assert parse_angle(1.25) == 1.25
     assert parse_angle("-pi") == pytest.approx(-math.pi)
+    # A YAML ``yes`` is a bool, not the angle 1.
+    with pytest.raises(ValueError, match="expected a number, got True"):
+        parse_angle(True)
 
 
 def test_parse_state_descriptors(strat):
@@ -200,6 +203,8 @@ def test_mixture_from_spec(strat):
         mixture_from_spec({"branches": [{"weight": 1.0}]})
     with pytest.raises(ValueError, match="label"):
         mixture_from_spec({"branches": [dict(spec["branches"][0], label="x")]})
+    with pytest.raises(ValueError, match=r"branches\[0\]\.weight: expected a number, got True"):
+        mixture_from_spec({"branches": [dict(spec["branches"][0], weight=True)]})
 
 
 def test_tabulate_calls_fn_once_per_distinct_state():
