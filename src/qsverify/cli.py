@@ -452,8 +452,6 @@ def _check_factorization_suite(n_max: int) -> dict:
 def _cmd_oracle_check(args) -> int:
     import numpy as np
 
-    if args.k > args.n - 1:
-        raise ConfigError([f"--k: must lie in [0, n - 1] = [0, {args.n - 1}], got {args.k}"])
     if args.suite == "binom":
         report = _check_binom_suite()
     elif args.suite == "sqsv":
@@ -461,6 +459,8 @@ def _cmd_oracle_check(args) -> int:
     elif args.suite == "factorization":
         report = _check_factorization_suite(args.budget)
     else:
+        if args.k > args.n - 1:
+            raise ConfigError([f"--k: must lie in [0, n - 1] = [0, {args.n - 1}], got {args.k}"])
         try:
             report = dqsv_soundness_sweep(
                 args.n, args.k, args.lam, args.trials, np.random.default_rng(args.seed)

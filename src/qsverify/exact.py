@@ -1,17 +1,22 @@
-"""Exact, slow reference statistics for small verification runs.
+"""Exact reference statistics for small verification runs.
 
 For a mixture of product sequences the joint distribution of test outcomes
 factorizes, so the acceptance probability and the conditional fidelity of the
 untested system can be computed exactly instead of estimated by simulation.
-These routines are the package's independent cross-checks: they are kept
-deliberately direct (per-system probabilities, dynamic programming over
-failure counts, and an optional full 2^N enumeration) and never reuse the
+These routines are the package's independent cross-checks and never reuse the
 certificate formulas they are meant to validate.
 
-The tested systems are chosen uniformly at random, which is equivalent to
-averaging over which single system is left untested.  That uniform-leftover
-average is applied branch by branch, so the computation is exactly
-permutation-invariant without ever materializing a symmetrized state.
+Everything runs on the (branch, system) table of target fidelities F.  For a
+homogeneous strategy the single-test pass probability is the homogeneity
+identity tr(Omega s) = lambda + nu F (checked by the strategy's constructor),
+so one Poisson-binomial dynamic program over failure counts, with prefix and
+suffix passes for the uniformly random untested system, gives p_k and f_k
+without any matrix.  The soundness sweep draws its random mixtures directly
+as such tables, using the closed-form fidelities of the states it samples.
+
+Two oracles keep the matrices: the 2^N pattern enumeration reads tr(Omega s)
+from every density matrix (and checks the homogeneity identity on it), and
+the SQSV worst-case scan builds the extremal state of each infidelity.
 
 Everything here is pure and reentrant; sweeps take a caller-owned Generator.
 """
@@ -27,18 +32,13 @@ import numpy as np
 
 from .certificates import (
     CertificateQuery,
+    NumericalConsistencyError,
     PROTOCOL_DQSV,
     binom_tail,
     dqsv_certificate,
 )
 from .linalg import overlap, phased_singlet
-from .sources import (
-    ProductSequence,
-    ProductSequenceMixture,
-    depolarized_state,
-    werner_state,
-    worst_case_state,
-)
+from .sources import ProductSequenceMixture, worst_case_state
 from .strategy import (
     HomogeneousStrategy,
     build_homogeneous_strategy,
@@ -48,6 +48,7 @@ from .strategy import (
 MAX_SYSTEMS = 16          # combinatorial budget for the exact statistics
 MAX_ENUM_TESTS = 12       # budget for the brute-force pattern enumeration
 SWEEP_SLACK_TOL = 1e-9    # certificates may exceed the truth by at most this
+IDENTITY_TOL = 4e-10      # |tr(Omega s) - lambda - nu F|: 4 x HOMOGENEITY_TOL on a 4x4 state
 
 
 @dataclass(frozen=True)
@@ -63,35 +64,41 @@ class ExactStats:
             raise ValueError(f"need 0 <= f_k <= p_k, got f_k={self.f_k}, p_k={self.p_k}")
 
 
-def _poisson_binomial_tail(qs: np.ndarray, k: int) -> float:
-    """P[number of failures <= k] for independent failure probabilities qs."""
-    dp = np.zeros(k + 1)
-    dp[0] = 1.0
-    for q in qs:
-        upper = dp[:-1] * q if k >= 1 else None
-        dp *= 1.0 - q
-        if k >= 1:
-            dp[1:] += upper
-    return float(dp.sum())
+def _exact_from_fidelities(
+    weights: np.ndarray, fid: np.ndarray, k: int, lam: float
+) -> ExactStats:
+    """Exact (p_k, f_k, F_k) from branch weights and the (B, L) fidelity table.
 
-
-def _branch_stats(
-    a: np.ndarray, fid: np.ndarray, k: int
-) -> tuple[float, float]:
-    """(accept probability, fidelity-weighted accept probability) for one branch.
-
-    a[i] is the single-test pass probability of system i, fid[i] its target
-    fidelity; the leftover system is uniform over all positions.
+    System i of branch b passes its test with a = lam + nu F[b, i] and is the
+    untested one with probability 1/L.  The failure-count distributions of
+    the systems before and after i, truncated at k, come from one prefix and
+    one suffix pass over the systems, vectorized over branches: O(B L k).
     """
-    length = len(a)
-    p_tot = 0.0
-    f_tot = 0.0
-    for leftover in range(length):
-        qs = 1.0 - np.delete(a, leftover)
-        accept = _poisson_binomial_tail(qs, k)
-        p_tot += accept
-        f_tot += accept * fid[leftover]
-    return p_tot / length, f_tot / length
+    branches, length = fid.shape
+    q = 1.0 - np.clip(lam + (1.0 - lam) * fid, 0.0, 1.0)
+
+    def add_system(dist: np.ndarray, qi: np.ndarray) -> np.ndarray:
+        out = dist * (1.0 - qi)[:, None]
+        out[:, 1:] += dist[:, :-1] * qi[:, None]
+        return out
+
+    # before[i] counts the failures of systems 0..i-1, after[i] of i..L-1.
+    before = np.zeros((length + 1, branches, k + 1))
+    after = np.zeros((length + 1, branches, k + 1))
+    before[0, :, 0] = 1.0
+    after[length, :, 0] = 1.0
+    for i in range(length):
+        before[i + 1] = add_system(before[i], q[:, i])
+        j = length - 1 - i
+        after[j] = add_system(after[j + 1], q[:, j])
+    # accept[b, i] = P[at most k failures among the systems other than i]
+    #              = sum_c before[i][c] * P[after[i + 1] <= k - c].
+    after_cdf = np.cumsum(after[1:], axis=2)[:, :, ::-1]
+    accept = np.einsum("ibc,ibc->bi", before[:-1], after_cdf)
+    p_tot = float(weights @ accept.mean(axis=1))
+    f_tot = float(weights @ (accept * fid).mean(axis=1))
+    F = f_tot / p_tot if p_tot > 0.0 else None
+    return ExactStats(p_k=min(p_tot, 1.0), f_k=min(f_tot, 1.0), F_k=F)
 
 
 def exact_stats(
@@ -104,16 +111,8 @@ def exact_stats(
         )
     if k < 0 or k > m.num_systems - 2:
         raise ValueError(f"k = {k} outside [0, N - 1] for N = {m.num_systems - 1}")
-    p_tot = 0.0
-    f_tot = 0.0
-    a_table = m.tabulate(partial(pass_probability, strat))
-    fid_table = m.tabulate(partial(overlap, strat.target))
-    for (w, _), a, fid in zip(m.branches, a_table, fid_table):
-        p_b, f_b = _branch_stats(a, fid, k)
-        p_tot += w * p_b
-        f_tot += w * f_b
-    F = f_tot / p_tot if p_tot > 0.0 else None
-    return ExactStats(p_k=min(p_tot, 1.0), f_k=min(f_tot, 1.0), F_k=F)
+    fid = m.tabulate(partial(overlap, strat.target))
+    return _exact_from_fidelities(m.weights, fid, k, strat.lam)
 
 
 def exact_stats_bruteforce(
@@ -122,7 +121,9 @@ def exact_stats_bruteforce(
     """Same statistics by direct enumeration of all 2^N pass/fail patterns.
 
     Exists purely as an independent second computation of the factorized
-    path; usable only for small N.
+    path; usable only for small N.  It reads each pass probability as
+    tr(Omega s) from the density matrix and raises NumericalConsistencyError
+    if that breaks the homogeneity identity the factorized path relies on.
     """
     n = m.num_systems - 1
     if n > MAX_ENUM_TESTS:
@@ -133,6 +134,9 @@ def exact_stats_bruteforce(
     f_tot = 0.0
     a_table = m.tabulate(partial(pass_probability, strat))
     fid_table = m.tabulate(partial(overlap, strat.target))
+    gap = np.max(np.abs(a_table - np.clip(strat.lam + strat.nu * fid_table, 0.0, 1.0)))
+    if gap > IDENTITY_TOL:
+        raise NumericalConsistencyError(f"tr(Omega s) differs from lambda + nu F by {gap:.3g}")
     for (w, _), a, fid in zip(m.branches, a_table, fid_table):
         for leftover in range(n + 1):
             tested = [a[i] for i in range(n + 1) if i != leftover]
@@ -170,30 +174,31 @@ def sqsv_worst_case_scan(
     return best
 
 
-def _random_mixture(
-    n: int, rng: np.random.Generator, max_branches: int = 8
-) -> ProductSequenceMixture:
-    """A random mixture of product sequences of Werner and rotated-singlet states."""
-    n_branches = int(rng.integers(1, max_branches + 1))
+def _random_fidelities(
+    n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """A random mixture of 1 to 8 Werner and rotated-singlet product sequences.
+
+    Returns the branch weights, the (B, n + 1) table of singlet fidelities and
+    one label per branch.  A copy depolarized to own-state fidelity f has
+    Werner parameter v = (4f - 1)/3 and singlet fidelity
+    v cos^2(phi/2) + (1 - v)/4, phi being its rotation (0 for a Werner state).
+    """
+    n_branches = int(rng.integers(1, 9))
     weights = rng.dirichlet(np.ones(n_branches))
-    branches = []
+    fid = np.empty((n_branches, n + 1))
+    labels = []
     for b in range(n_branches):
-        states = []
         desc = []
-        for _ in range(n + 1):
-            if rng.random() < 0.5:
-                f = float(rng.uniform(0.25, 1.0))
-                states.append(werner_state(f))
-                desc.append(f"werner({f:.4f})")
-            else:
-                phi = float(rng.uniform(0.0, 2.0 * math.pi))
-                f = float(rng.uniform(0.25, 1.0))
-                states.append(depolarized_state(phased_singlet(phi), f))
-                desc.append(f"phi({phi:.4f},F={f:.4f})")
-        branches.append(
-            (float(weights[b]), ProductSequence(tuple(states), label="|".join(desc)))
-        )
-    return ProductSequenceMixture(tuple(branches))
+        for i in range(n + 1):
+            werner = rng.random() < 0.5
+            phi = 0.0 if werner else float(rng.uniform(0.0, 2.0 * math.pi))
+            f = float(rng.uniform(0.25, 1.0))
+            v = (4.0 * f - 1.0) / 3.0
+            fid[b, i] = v * math.cos(phi / 2.0) ** 2 + (1.0 - v) / 4.0
+            desc.append(f"werner({f:.4f})" if werner else f"phi({phi:.4f},F={f:.4f})")
+        labels.append("|".join(desc))
+    return weights, fid, labels
 
 
 def dqsv_soundness_sweep(
@@ -213,7 +218,10 @@ def dqsv_soundness_sweep(
     """
     if n > MAX_ENUM_TESTS:
         raise ValueError(f"n = {n} exceeds the sweep budget of {MAX_ENUM_TESTS}")
-    strat = build_homogeneous_strategy(phased_singlet(0.0), lam)
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"k = {k} outside [0, N - 1] for N = {n}")
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"lambda {lam} outside (0, 1)")
     tail = binom_tail(n, k, 1.0 - lam)
     min_slack = math.inf
     argmin = None
@@ -221,12 +229,12 @@ def dqsv_soundness_sweep(
     skipped = 0
     violations = []
     for trial in range(trials):
-        mix = _random_mixture(n, rng)
-        stats = exact_stats(mix, k, strat)
+        weights, fid, labels = _random_fidelities(n, rng)
+        stats = _exact_from_fidelities(weights, fid, k, lam)
         if stats.p_k <= tail or stats.F_k is None:
             skipped += 1
             continue
-        q = CertificateQuery(PROTOCOL_DQSV, n, k, min(1.0, stats.p_k), lam)
+        q = CertificateQuery(PROTOCOL_DQSV, n, k, stats.p_k, lam)
         bound = dqsv_certificate(q).fidelity_bound
         slack = stats.F_k - bound
         checked += 1
@@ -237,7 +245,8 @@ def dqsv_soundness_sweep(
             "bound": bound,
             "slack": slack,
             "branches": [
-                {"weight": w, "states": seq.label} for w, seq in mix.branches
+                {"weight": float(w), "states": label}
+                for w, label in zip(weights, labels)
             ],
         }
         if slack < min_slack:

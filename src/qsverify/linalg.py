@@ -59,11 +59,6 @@ class ComplexMatrix:
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return bool(np.max(np.abs(self.data - self.data.conj().T)) <= tol)
 
-    def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return ComplexMatrix(self.data @ other.data)
-
 
 @dataclass(frozen=True)
 class PureState:

@@ -53,11 +53,6 @@ class NoiseSpec:
         if not (0.0 <= self.fidelity <= 1.0):
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
-    @property
-    def depolarization(self) -> float:
-        """Werner parameter v with F = (1 + 3v)/4."""
-        return (4.0 * self.fidelity - 1.0) / 3.0
-
 
 @dataclass(frozen=True)
 class ProductSequence:

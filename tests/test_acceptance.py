@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from matrix_mixtures import random_mixture
 from qsverify.certificates import (
     CertificateQuery,
     binom_tail,
@@ -37,7 +38,6 @@ from qsverify.exact import (
     dqsv_soundness_sweep,
     exact_stats,
     exact_stats_bruteforce,
-    _random_mixture,
 )
 from qsverify.reproduce import fig4_rows
 from qsverify.simulate import (
@@ -207,7 +207,7 @@ def test_criterion_5_factorization_vs_enumeration(strat):
             honest_iid(n + 1, NoiseSpec(0.85)),
             rho1(n, NoiseSpec(0.9)),
             rho2(n, 2.0, NoiseSpec(0.95)),
-            _random_mixture(n, rng),
+            random_mixture(n, rng),
         ]
         for m in sources:
             for k in sorted({0, 1, n // 2, n - 1}):

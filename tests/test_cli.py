@@ -328,6 +328,9 @@ def test_threads_flag_is_rejected():
         (("oracle-check", "dqsv-sweep", "--n", "1"), "--k"),
         (("oracle-check", "dqsv-sweep", "--k", "-1"), "--k"),
         (("oracle-check", "dqsv-sweep", "--n", "6", "--k", "6"), "--k"),
+        (("oracle-check", "dqsv-sweep", "--lambda", "0"), "lambda"),
+        (("oracle-check", "dqsv-sweep", "--lambda", "1.5"), "lambda"),
+        (("oracle-check", "dqsv-sweep", "--lambda", "nan"), "lambda"),
     ],
 )
 def test_bad_arguments_exit_2_naming_the_field(tmp_path, capsys, argv, field):
@@ -468,7 +471,7 @@ def test_reproduce_fig4_columns(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "reproduce", "fig4", "--out-dir", str(tmp_path))
     assert code == 0
     lines = (tmp_path / "fig4.csv").read_text().splitlines()
-    assert lines[0] == "# schema=qsverify.fig4/1"
+    assert lines[0] == "# schema=qsverify.fig4/2"
     header = lines[1].split(",")
     assert header[:4] == ["grid", "n", "phi", "k"]
     assert len(lines) == 2 + 5 + 9  # 5 phase points + 9 size points
@@ -534,5 +537,19 @@ def test_oracle_check_sweep_small(capsys):
 
 def test_oracle_check_factorization_small(capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "factorization", "--budget", "4")
+    assert code == 0
+    assert json.loads(out)["violations"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("factorization", "--budget", "4", "--n", "1"),
+        ("binom", "--k", "7"),
+    ],
+)
+def test_oracle_check_ignores_sweep_flags(capsys, argv):
+    # --n and --k configure dqsv-sweep only; other suites do not range-check them.
+    code, out, _ = run_cli(capsys, "oracle-check", *argv)
     assert code == 0
     assert json.loads(out)["violations"] == []

@@ -1,15 +1,26 @@
+import copy
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from qsverify.certificates import CertificateQuery, binom_tail, dqsv_certificate, solve_J
+from matrix_mixtures import random_mixture
+from qsverify.certificates import (
+    CertificateQuery,
+    NumericalConsistencyError,
+    binom_tail,
+    dqsv_certificate,
+    solve_J,
+)
 from qsverify.exact import (
+    _random_fidelities,
     dqsv_soundness_sweep,
     exact_stats,
     exact_stats_bruteforce,
     sqsv_worst_case_scan,
 )
+from qsverify.linalg import overlap, phased_singlet
 from qsverify.sources import (
     NoiseSpec,
     ProductSequence,
@@ -87,10 +98,8 @@ def test_rho2_pi_k0(strat):
 
 def test_f_never_exceeds_p(strat):
     rng = np.random.default_rng(7)
-    from qsverify.exact import _random_mixture
-
     for _ in range(200):
-        m = _random_mixture(int(rng.integers(2, 7)), rng)
+        m = random_mixture(int(rng.integers(2, 7)), rng)
         k = int(rng.integers(0, m.num_systems - 1))
         st = exact_stats(m, k, strat)
         assert st.f_k <= st.p_k + 1e-12
@@ -98,14 +107,12 @@ def test_f_never_exceeds_p(strat):
 
 def test_factorized_matches_bruteforce(strat):
     rng = np.random.default_rng(8)
-    from qsverify.exact import _random_mixture
-
     for n in range(1, 7):
         sources = [
             honest_iid(n + 1, NoiseSpec(0.85)),
             rho1(n, NoiseSpec(0.9)),
             rho2(n, 2.0, NoiseSpec(0.95)),
-            _random_mixture(n, rng),
+            random_mixture(n, rng),
         ]
         for m in sources:
             for k in sorted({0, 1, n - 1}):
@@ -119,11 +126,9 @@ def test_factorized_matches_bruteforce(strat):
 
 def test_permutation_invariance(strat):
     rng = np.random.default_rng(9)
-    from qsverify.exact import _random_mixture
-
     for _ in range(20):
         n = int(rng.integers(2, 7))
-        m = _random_mixture(n, rng)
+        m = random_mixture(n, rng)
         k = int(rng.integers(0, n))
         perm = rng.permutation(n + 1)
         permuted = ProductSequenceMixture(
@@ -136,6 +141,30 @@ def test_permutation_invariance(strat):
         b = exact_stats(permuted, k, strat)
         assert a.p_k == pytest.approx(b.p_k, abs=1e-12)
         assert a.f_k == pytest.approx(b.f_k, abs=1e-12)
+
+
+def test_random_fidelities_match_matrix_overlaps():
+    # Same seed, same draws: the closed-form fidelities equal <S|s|S> of the
+    # density matrices the helper builds, with the same weights and labels.
+    picks = np.random.default_rng(12)
+    target = phased_singlet(0.0)
+    for seed in range(200):
+        n = int(picks.integers(1, 13))
+        weights, fid, labels = _random_fidelities(n, np.random.default_rng(seed))
+        m = random_mixture(n, np.random.default_rng(seed))
+        assert np.array_equal(weights, m.weights)
+        assert np.max(np.abs(fid - m.tabulate(partial(overlap, target)))) <= 1e-15
+        assert labels == [seq.label for _, seq in m.branches]
+
+
+def test_bruteforce_checks_homogeneity_identity(strat):
+    # A strategy whose lambda disagrees with its Omega breaks
+    # tr(Omega s) = lambda + nu F, which the factorized path relies on.
+    broken = copy.copy(strat)
+    object.__setattr__(broken, "lam", 0.3)
+    object.__setattr__(broken, "nu", 0.7)
+    with pytest.raises(NumericalConsistencyError, match="lambda \\+ nu F"):
+        exact_stats_bruteforce(rho1(3), 1, broken)
 
 
 def test_budget_enforced(strat):
@@ -203,7 +232,36 @@ def test_soundness_known_sources(strat):
     assert st.F_k >= bound - 1e-9
 
 
+def test_soundness_sweep_is_pinned():
+    # checked, skipped_degenerate, the argmin trial and min_slack of this
+    # fixed-seed sweep as computed from 4x4 density matrices; the fidelity
+    # draws must reproduce them.
+    report = dqsv_soundness_sweep(8, 1, 1 / 3, 200, np.random.default_rng(2024))
+    assert report["checked"] == 200
+    assert report["skipped_degenerate"] == 0
+    assert report["violations"] == []
+    assert report["argmin"]["trial"] == 163
+    assert report["min_slack"] == pytest.approx(0.06990814052444422, abs=1e-12)
+    assert report["argmin"]["branches"][0] == {
+        "weight": pytest.approx(0.6189704890195372, abs=1e-15),
+        "states": "phi(3.0545,F=0.6955)|phi(1.0411,F=0.3086)|phi(6.0372,F=0.8460)|"
+        "werner(0.6496)|werner(0.5469)|phi(3.9194,F=0.2641)|werner(0.9351)|"
+        "phi(1.8999,F=0.2591)|phi(2.8476,F=0.8371)",
+    }
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, float("nan")])
+def test_sweep_rejects_lambda_before_drawing(lam):
+    rng = np.random.default_rng(13)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="lambda"):
+        dqsv_soundness_sweep(4, 1, lam, 5, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_sweep_budget():
     rng = np.random.default_rng(11)
     with pytest.raises(ValueError):
         dqsv_soundness_sweep(13, 0, 1 / 3, 1, rng)
+    with pytest.raises(ValueError, match="k = 4"):
+        dqsv_soundness_sweep(4, 4, 1 / 3, 1, rng)

@@ -4,8 +4,8 @@ from functools import partial
 import numpy as np
 import pytest
 
+from matrix_mixtures import random_mixture
 from qsverify import strategy
-from qsverify.exact import _random_mixture
 from qsverify.linalg import overlap, phased_singlet, projector
 from qsverify.sources import (
     NoiseSpec,
@@ -233,7 +233,7 @@ def test_tabulate_calls_fn_once_per_distinct_state():
 
 
 def test_tabulate_matches_per_state_evaluation(strat):
-    m = _random_mixture(6, np.random.default_rng(11))
+    m = random_mixture(6, np.random.default_rng(11))
     probs = m.tabulate(partial(strategy.test_pass_probabilities, strat))
     a = m.tabulate(partial(pass_probability, strat))
     fid = m.tabulate(partial(overlap, strat.target))
