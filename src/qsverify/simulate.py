@@ -26,20 +26,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import zlib
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
-from .certificates import CertificateQuery, dqsv_certificate, sqsv_certificate
+from .certificates import CertificateQuery, dqsv_certificate, solve_J, sqsv_certificate
 from .linalg import overlap
 from .sources import NoiseSpec, ProductSequenceMixture, honest_iid
 from .strategy import HomogeneousStrategy, fidelity_from_pass_rate, test_pass_probabilities
 
 PROTOCOLS = ("sqsv", "dqsv")
 ROUNDS_CSV_SCHEMA = "qsverify.rounds/1"
+SUMMARY_SCHEMA = "qsverify.summary/2"
 
 
 class RandomPlan:
@@ -127,6 +128,7 @@ class ExperimentSummary:
 
     def to_dict(self) -> dict:
         return {
+            "schema": SUMMARY_SCHEMA,
             "protocol": self.protocol,
             "n": self.n,
             "k": self.k,
@@ -148,16 +150,28 @@ class ExperimentSummary:
 
 
 def clopper_pearson(successes: int, trials: int, confidence: float = 0.95):
-    """Exact two-sided binomial confidence interval for a proportion."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    """Exact two-sided binomial confidence interval for a proportion.
+
+    The bounds are the binomial-tail roots of Clopper & Pearson (Biometrika,
+    1934): P[X >= s] = alpha/2 at the lower bound and P[X <= s] = alpha/2 at
+    the upper one, for X ~ Binomial(trials, x), each found by ``solve_J``.
+    """
+    try:
+        successes = operator.index(successes)
+        trials = operator.index(trials)
+    except TypeError as exc:
+        raise ValueError(
+            f"successes = {successes!r} and trials = {trials!r} must be integers"
+        ) from exc
+    if trials < 1:
+        raise ValueError(f"trials = {trials} must be at least 1")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes = {successes} outside [0, trials = {trials}]")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence = {confidence} outside (0, 1)")
     alpha = 1.0 - confidence
-    lo = 0.0
-    hi = 1.0
-    if successes > 0:
-        lo = float(_scipy_stats.beta.ppf(alpha / 2.0, successes, trials - successes + 1))
-    if successes < trials:
-        hi = float(_scipy_stats.beta.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes))
+    lo = solve_J(trials, successes - 1, 1.0 - alpha / 2.0) if successes > 0 else 0.0
+    hi = solve_J(trials, successes, alpha / 2.0) if successes < trials else 1.0
     return lo, hi
 
 

@@ -118,6 +118,7 @@ def test_simulate_with_config_and_files(tmp_path, capsys):
     )
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["schema"] == "qsverify.summary/2"
     assert summary["rounds"] == 300
     assert summary["p_hat"] == 1.0  # only one copy can fail at k = 1
     lines = (out_dir / "rounds.csv").read_text().splitlines()

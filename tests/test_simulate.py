@@ -342,6 +342,40 @@ def test_clopper_pearson_edges():
     assert lo < 0.5 < hi
 
 
+def test_clopper_pearson_matches_beta_quantiles():
+    alpha = 1.0 - 0.95
+    for n in (1, 2, 10, 200, 800, 2000):
+        s = np.arange(n + 1)
+        want_lo = sps.beta.ppf(alpha / 2.0, s[1:], n - s[1:] + 1)
+        want_hi = sps.beta.ppf(1.0 - alpha / 2.0, s[:-1] + 1, n - s[:-1])
+        got = np.array([clopper_pearson(int(j), n) for j in s])
+        np.testing.assert_allclose(got[1:, 0], want_lo, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got[:-1, 1], want_hi, rtol=1e-12, atol=0)
+        assert got[0, 0] == 0.0 and got[-1, 1] == 1.0
+        assert np.all(got[:, 0] <= s / n) and np.all(s / n <= got[:, 1])
+        # closed forms at the edges: (1 - hi)^n = alpha/2 = lo^n
+        edge = (alpha / 2.0) ** (1.0 / n)
+        assert got[0, 1] == pytest.approx(1.0 - edge, rel=1e-12)
+        assert got[-1, 0] == pytest.approx(edge, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((11, 10), "successes"),
+        ((-1, 10), "successes"),
+        ((2.5, 10), "successes"),
+        ((0, 0), "trials"),
+        ((5, 10, 1.5), "confidence"),
+        ((5, 10, 0.0), "confidence"),
+        ((5, 10, float("nan")), "confidence"),
+    ],
+)
+def test_clopper_pearson_rejects_bad_input(args, field):
+    with pytest.raises(ValueError, match=field):
+        clopper_pearson(*args)
+
+
 def test_scaling_experiment_ideal_closed_form(strat):
     res = scaling_experiment(
         NoiseSpec(1.0), 0.05, [10, 50, 100], strat, RandomPlan(13), rounds=2
