@@ -39,16 +39,19 @@ by an anchor term computed in truncated big-integer arithmetic from the
 exact dyadic factorization of the float p, scaled by a float ratio
 recurrence.  The anchored scheme keeps the absolute error within a few
 machine epsilons even where a log-gamma formulation would lose ~1e-12 to
-cancellation; see the tests for the measured bounds.
+cancellation; see the tests for the measured bounds.  The anchor's binomial
+coefficient is exact from ``math.comb`` for small min(j, z - j) and a
+truncated prime-power product above, so its cost stays near 0.1 s even at
+z = 10^7.
 
 J(N, k, delta) is found by bisection to floating-point interval exhaustion.
 The absolute-error contract |computed - true B| <= TAIL_ABS_ERROR = 1e-13,
-pinned by the tests up to z = TAIL_ABS_ERROR_Z_MAX, decides in advance every
-comparison B(mid) > delta whose midpoint lies outside a window [a, b] with
-computed B(a) > delta + 2e and B(b) < delta - 2e; a short safeguarded Newton
-phase finds that window, and the bisection skips those comparisons.  The
-result is therefore bitwise the full bisection's, at well under half its
-binom_tail evaluations.
+measured by the tests on a grid up to z = TAIL_ABS_ERROR_Z_MAX, decides in
+advance every comparison B(mid) > delta whose midpoint lies outside a window
+[a, b] with computed B(a) > delta + 2e and B(b) < delta - 2e; a short
+safeguarded Newton phase finds that window, and the bisection skips those
+comparisons.  Given the contract, the result is bitwise the full
+bisection's, at well under half its binom_tail evaluations.
 
 Memoization: ``solve_J`` is memoized on (n, k, delta), and the knot tails
 B_{z,k}(nu) behind h, g and the degenerate test delta <= B_{N,k}(nu) on
@@ -68,6 +71,8 @@ import math
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 logger = logging.getLogger(__name__)
 
 SOLVE_J_MAX_ITER = 200
@@ -77,13 +82,17 @@ BOUND_CLAMP_TOL = 1e-12    # certificate outside [0,1] by more than this is a bu
 
 _DIRECT_Z_MAX = 100        # direct summation below, anchored scheme above
 _TERM_CUTOFF = 1e-22       # relative cutoff for the ratio recurrences
-_COMB_DIRECT_MAX = 2000    # math.comb while min(j, z - j) is at most this
+# math.comb while min(j, z - j) is at most this, a prime-power product above.
+# Measured crossover under CPython 3.11: min(j, z - j) ~ 1000 at z = 10^4,
+# ~1500 at 10^5, ~2600 at 10^6, ~7500 at 10^7.
+_COMB_DIRECT_MAX = 2000
 _COMB_CACHE_SIZE = 64      # memoized anchor binomials
 
 # |binom_tail(z, k, p) - B_{z,k}(p)| <= TAIL_ABS_ERROR for z <= TAIL_ABS_ERROR_Z_MAX,
-# pinned by test_binom_tail_absolute_error_contract; solve_J relies on it.
+# measured by test_binom_tail_absolute_error_contract (a few 1e-15 at most);
+# solve_J relies on it.
 TAIL_ABS_ERROR = 1e-13
-TAIL_ABS_ERROR_Z_MAX = 10_000
+TAIL_ABS_ERROR_Z_MAX = 10_000_000
 _NEWTON_MAX_STEPS = 40
 
 SOLVE_J_CACHE_SIZE = 4096      # memoized (n, k, delta) roots
@@ -235,41 +244,49 @@ def _pow_reduced(base: int, exp: int) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=_COMB_CACHE_SIZE)
-def _comb(z: int, j: int) -> int:
-    """C(z, j), exactly.
+def _comb(z: int, j: int) -> tuple[int, int]:
+    """C(z, j) as (mantissa, shift), C(z, j) = mantissa * 2**shift.
 
-    ``math.comb`` spends most of its time in big-integer division once
-    min(j, z - j) is large (seconds for C(10^6, 333333) under CPython 3.11).
-    Above _COMB_DIRECT_MAX the product over primes p <= z of p**e_p is taken
-    instead, with e_p = sum_i floor(z/p^i) - floor(j/p^i) - floor((z-j)/p^i)
-    (Legendre), multiplied pairwise.  One bisection anchors at the same few
-    (z, j) again and again, so the values are memoized.
+    Exact, from ``math.comb``, while min(j, z - j) <= _COMB_DIRECT_MAX.
+    Above it ``math.comb`` spends its time in big-integer division (5.7 s for
+    C(10^6, 333333) under CPython 3.11), so the product over primes p <= z of
+    p**e_p is taken instead, with e_p = sum_i floor(z/p^i) - floor(j/p^i) -
+    floor((z-j)/p^i) (Legendre), keeping the mantissa at _POW_PREC_BITS bits
+    like ``_pow_reduced`` (7 ms for the same C(10^6, 333333), 0.1 s for
+    C(10^7, 3333333)).  One solve anchors at the same few (z, j) again and
+    again, so the values are memoized.
     """
-    if min(j, z - j) <= _COMB_DIRECT_MAX:
-        return math.comb(z, j)
-    factors = []
-    for p in _primes_upto(1 << z.bit_length()):
-        if p > z:
-            break
-        e, zz, jj, rr = 0, z, j, z - j
-        while zz:
-            zz, jj, rr = zz // p, jj // p, rr // p
-            e += zz - jj - rr
-        if e:
-            factors.append(p**e)
-    while len(factors) > 1:
-        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-    return factors[0]
+    r = z - j
+    if min(j, r) <= _COMB_DIRECT_MAX:
+        return math.comb(z, j), 0
+    primes = _primes_upto(z)
+    e = z // primes - j // primes - r // primes
+    head = primes[: np.searchsorted(primes, math.isqrt(z), side="right")]
+    power = head * head
+    while len(head):  # p^i <= z only for a prefix of the primes
+        e[: len(head)] += z // power - j // power - r // power
+        keep = power <= z // head
+        head, power = head[keep], power[keep] * head[keep]
+    factors = primes[e == 1].tolist()
+    factors += [int(p) ** int(n) for p, n in zip(primes[e > 1], e[e > 1])]
+    mantissa, shift = 1, 0
+    for i in range(0, len(factors), 8):
+        mantissa *= math.prod(factors[i:i + 8])
+        extra = mantissa.bit_length() - _POW_PREC_BITS
+        if extra > 0:
+            mantissa >>= extra
+            shift += extra
+    return mantissa, shift
 
 
 @functools.lru_cache(maxsize=1)
-def _primes_upto(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\0\0"
+def _primes_upto(n: int) -> np.ndarray:
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
     for i in range(2, math.isqrt(n) + 1):
         if sieve[i]:
-            sieve[i * i::i] = bytes(len(range(i * i, n + 1, i)))
-    return [i for i, flag in enumerate(sieve) if flag]
+            sieve[i * i::i] = False
+    return np.flatnonzero(sieve)
 
 
 def _mantissa_exp_to_float(m: int, e: int) -> float:
@@ -294,11 +311,10 @@ def _anchored_window_sum(z: int, lo: int, hi: int, p: float) -> float:
     mode = (z + 1) * p_num // p_den
     j0 = min(max(mode, lo), hi)
     den_shift = p_den.bit_length() - 1  # p_den is a power of two for floats
+    cm, ce = _comb(z, j0)
     pm, pe = _pow_reduced(p_num, j0)
     qm, qe = _pow_reduced(q_num, z - j0)
-    t0 = _mantissa_exp_to_float(
-        _comb(z, j0) * pm * qm, pe + qe - den_shift * z
-    )
+    t0 = _mantissa_exp_to_float(cm * pm * qm, ce + pe + qe - den_shift * z)
     if t0 == 0.0:
         # The largest term underflows; the whole window is far below any
         # tolerance of interest.
@@ -327,7 +343,7 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     is within e of it, so a computed B(mid) is > delta for every mid <= a and
     < delta for every mid >= b.  A side with no certified edge stays at 0 or
     1, which decides nothing; above TAIL_ABS_ERROR_Z_MAX, where the error
-    bound is not established, the window is [0, 1].
+    bound is not measured, the window is [0, 1].
 
     The edges come from safeguarded Newton on log B, which is concave (B is
     the survival function of Beta(k+1, n-k)), so once an iterate lies right
@@ -391,9 +407,10 @@ def solve_J(n: int, k: int, delta: float) -> float:
     B(1) = 0, so plain bisection always converges; it is run to floating-point
     interval exhaustion (well under the iteration cap) and the residual is
     verified afterwards.  A bisection test whose midpoint lies outside
-    ``_decided_window`` is skipped, since its outcome is already certified by
-    the TAIL_ABS_ERROR contract; the result is bitwise the one of the full
-    bisection.  Memoized on (n, k, delta); errors are not cached.
+    ``_decided_window`` is skipped, since the TAIL_ABS_ERROR contract already
+    decides its outcome; given that measured contract, the result is bitwise
+    the one of the full bisection.  Memoized on (n, k, delta); errors are not
+    cached.
     """
     if k < 0 or n < k + 1:
         raise ValueError(f"need n >= k + 1 >= 1, got n = {n}, k = {k}")

@@ -169,6 +169,12 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95):
         raise ValueError(f"successes = {successes} outside [0, trials = {trials}]")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence = {confidence} outside (0, 1)")
+    if 2 * successes > trials:
+        # Near x = 1 the float grid is too coarse for solve_J's residual
+        # check once trials reach ~10^5; X -> trials - X mirrors both roots
+        # to the end near 0, where the grid is fine.
+        lo, hi = clopper_pearson(trials - successes, trials, confidence)
+        return 1.0 - hi, 1.0 - lo
     alpha = 1.0 - confidence
     lo = solve_J(trials, successes - 1, 1.0 - alpha / 2.0) if successes > 0 else 0.0
     hi = solve_J(trials, successes, alpha / 2.0) if successes < trials else 1.0

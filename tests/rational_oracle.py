@@ -70,8 +70,11 @@ def dqsv_fidelity_exact(k: int, n: int, delta: Fraction, lam: Fraction) -> Fract
 def binom_tail_highprec(z: int, k: int, p: float, dps: int = 50):
     """Lower binomial tail of the float p at ``dps`` digits via mpmath.
 
-    Sums the smaller of the two tails with a term recurrence, so it stays
-    accurate for any (z, k, p) at the sizes used in tests.
+    Sums the smaller of the two tails with a term recurrence outward from
+    the window's largest term, and stops on each side once a term falls
+    below 10**-dps of the running sum (the pmf is log-concave, so the rest
+    is smaller still); it stays accurate and fast for any (z, k, p) at the
+    sizes used in tests, up to z = 10^7.
     """
     import mpmath as mp
 
@@ -84,13 +87,23 @@ def binom_tail_highprec(z: int, k: int, p: float, dps: int = 50):
             return mp.mpf(1)
         if qm == 0:
             return mp.mpf(0)
+        eps = mp.mpf(10) ** -dps
 
         def window(lo, hi):
-            term = mp.binomial(z, lo) * pm**lo * qm ** (z - lo)
-            acc = term
-            for j in range(lo, hi):
+            top = min(max(int(mp.floor((z + 1) * pm)), lo), hi)
+            acc = first = mp.binomial(z, top) * pm**top * qm ** (z - top)
+            term = first
+            for j in range(top, lo, -1):
+                term *= mp.mpf(j) / (z - j + 1) * qm / pm
+                acc += term
+                if term < eps * acc:
+                    break
+            term = first
+            for j in range(top, hi):
                 term *= mp.mpf(z - j) / (j + 1) * pm / qm
                 acc += term
+                if term < eps * acc:
+                    break
             return acc
 
         if k + 1 <= z - k:

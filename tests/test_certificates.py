@@ -10,7 +10,10 @@ from qsverify import certificates
 from qsverify.certificates import (
     Certificate,
     CertificateQuery,
+    TAIL_ABS_ERROR,
+    TAIL_ABS_ERROR_Z_MAX,
     NumericalConsistencyError,
+    _comb,
     _knot_tail,
     binom_tail,
     dqsv_certificate,
@@ -67,17 +70,32 @@ def test_binom_tail_matches_exact_rationals_small():
 
 
 def test_binom_tail_absolute_error_contract():
-    # |error| <= 1e-13 for z up to 1e4, measured against a 50-digit oracle
+    # |error| <= TAIL_ABS_ERROR for z up to TAIL_ABS_ERROR_Z_MAX, measured
+    # against a 50-digit oracle; solve_J's decided window rests on it.
     cases = []
-    for z in (10, 100, 101, 500, 1000, 10_000):
+    for z in (10, 100, 101, 500, 1000, 2500, 4001, 10_000, 10**5, 10**6, TAIL_ABS_ERROR_Z_MAX):
         for k in sorted({0, 1, z // 10, z // 3, z // 2, 2 * z // 3, z - 1}):
             if 0 <= k < z:
                 cases.append((z, k))
+    assert max(z for z, _ in cases) == TAIL_ABS_ERROR_Z_MAX
     for z, k in cases:
         for p in (1e-6, 0.01, 1 / 3, 0.5, 2 / 3, 0.95):
             got = binom_tail(z, k, p)
             want = binom_tail_highprec(z, k, p)
-            assert abs(got - float(want)) <= 1e-13, (z, k, p)
+            assert abs(got - float(want)) <= TAIL_ABS_ERROR, (z, k, p)
+
+
+def test_comb_prime_product_matches_math_comb():
+    # Above _COMB_DIRECT_MAX the anchor binomial is a prime-power product
+    # truncated to _POW_PREC_BITS bits; below it, math.comb exactly.
+    cut = certificates._COMB_DIRECT_MAX
+    for z, j in [(2 * cut + 2, cut + 1), (10_000, 3333), (10_000, 6667), (65_537, 30_001), (10**5, 50_000)]:
+        want = math.comb(z, j)
+        mantissa, shift = _comb.__wrapped__(z, j)
+        assert mantissa.bit_length() == certificates._POW_PREC_BITS
+        assert abs(Fraction(mantissa * 2**shift, want) - 1) < Fraction(1, 2**300), (z, j)
+    for z, j in [(10, 3), (10**6, cut), (10**6, 10**6 - cut), (2 * cut, cut)]:
+        assert _comb.__wrapped__(z, j) == (math.comb(z, j), 0), (z, j)
 
 
 def test_binom_tail_crosschecks_regularized_incomplete_beta():

@@ -20,6 +20,7 @@ from qsverify.simulate import (
 from qsverify.reproduce import default_fig5_grid
 from qsverify.sources import NoiseSpec, honest_iid, rho1, rho2, unconditional_fidelity
 from qsverify.strategy import build_singlet_strategy, fidelity_from_pass_rate
+from rational_oracle import binom_tail_highprec
 
 
 COLUMNS = [f.name for f in dataclasses.fields(RoundTable)]
@@ -357,6 +358,26 @@ def test_clopper_pearson_matches_beta_quantiles():
         edge = (alpha / 2.0) ** (1.0 / n)
         assert got[0, 1] == pytest.approx(1.0 - edge, rel=1e-12)
         assert got[-1, 0] == pytest.approx(edge, rel=1e-12)
+
+
+def test_clopper_pearson_large_trials_bracket_the_true_roots():
+    # scipy.stats.beta.ppf drifts at these sizes (its root at n = 10^7, s = 1
+    # misses the tail equation by 7.8e-12), so the 50-digit tail is the
+    # reference: the true root lies within 1e-13 of the distance to the
+    # nearer end of [0, 1], plus two ulps.  Success counts near the number
+    # of trials take the mirrored roots.
+    alpha = 1.0 - 0.95
+
+    def brackets(k, target, x):
+        w = 1e-13 * min(x, 1.0 - x) + 2.0 * math.ulp(x)
+        return binom_tail_highprec(n, k, x - w) >= target >= binom_tail_highprec(n, k, x + w)
+
+    for n in (10**5, 10**6, 10**7):
+        for s in (0, 1, 2, n // 3, n // 2, n - 2, n - 1, n):
+            lo, hi = clopper_pearson(s, n)
+            assert 0.0 <= lo <= s / n <= hi <= 1.0
+            assert lo == 0.0 if s == 0 else brackets(s - 1, 1.0 - alpha / 2.0, lo), (n, s)
+            assert hi == 1.0 if s == n else brackets(s, alpha / 2.0, hi), (n, s)
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,9 @@ still returns the plain bisection's bits.
 ``reference_bisection`` is the bisection solve_J ran before the window
 existed, kept verbatim.  The cases are every (n, k, delta) that ``fig5_rows``
 solves at its defaults, the SQSV rows of the benchmark's query tables (read
-only) and both Clopper-Pearson roots for every success count at the trial
-counts of ``CP_TRIALS``.
+only), both Clopper-Pearson roots for every success count at the trial
+counts of ``CP_TRIALS`` and a few at the ``LARGE_TRIALS`` up to the end of
+the tail contract.
 """
 
 import csv
@@ -23,12 +24,14 @@ from qsverify.certificates import (
     solve_J,
 )
 from qsverify.reproduce import fig5_rows
+from rational_oracle import binom_tail_highprec
 
 QUERY_TABLES = sorted(
     (Path(__file__).resolve().parents[1] / "bench" / "data").glob("queries-*.csv")
 )
 CP_TRIALS = (1, 2, 10, 200, 800, 2000)
 CP_ALPHA = 1.0 - 0.95
+LARGE_TRIALS = {10**5: (1, 2500, 33_333), 10**6: (1, 2500, 333_333), 10**7: (3_333_333,)}
 
 
 def reference_bisection(n: int, k: int, delta: float) -> float:
@@ -79,21 +82,29 @@ def query_table_cases() -> set:
     return cases
 
 
+def clopper_pearson_roots(n: int, s: int) -> set:
+    roots = set()
+    if s > 0:
+        roots.add((n, s - 1, 1.0 - CP_ALPHA / 2.0))
+    if s < n:
+        roots.add((n, s, CP_ALPHA / 2.0))
+    return roots
+
+
 def clopper_pearson_cases() -> set:
-    cases = set()
-    for n in CP_TRIALS:
-        for s in range(n + 1):
-            if s > 0:
-                cases.add((n, s - 1, 1.0 - CP_ALPHA / 2.0))
-            if s < n:
-                cases.add((n, s, CP_ALPHA / 2.0))
-    return cases
+    return {root for n in CP_TRIALS for s in range(n + 1) for root in clopper_pearson_roots(n, s)}
+
+
+def large_trial_cases() -> set:
+    return {root for n, ss in LARGE_TRIALS.items() for s in ss for root in clopper_pearson_roots(n, s)}
 
 
 @pytest.fixture(scope="module")
 def solved():
     """{(n, k, delta): (solve_J miss, its binom_tail calls, reference)}."""
-    cases = sorted(fig5_cases() | query_table_cases() | clopper_pearson_cases())
+    cases = sorted(
+        fig5_cases() | query_table_cases() | clopper_pearson_cases() | large_trial_cases()
+    )
     calls = 0
 
     def counted(z, k, p):
@@ -117,6 +128,7 @@ def test_case_sets_are_populated():
     assert len(fig5_cases()) > 100
     assert len(query_table_cases()) > 500
     assert len(clopper_pearson_cases()) == sum(2 * n for n in CP_TRIALS)
+    assert max(n for n, _, _ in large_trial_cases()) == certificates.TAIL_ABS_ERROR_Z_MAX
 
 
 def test_solve_j_equals_reference_bisection(solved):
@@ -140,11 +152,18 @@ def test_window_edges_are_certified(solved):
         assert a <= x <= b
 
 
-def test_window_rests_on_the_pinned_tail_contract():
-    # test_binom_tail_absolute_error_contract pins |error| <= 1e-13 for
-    # z <= 10^4; the window may assume no less error and no larger z.
-    assert certificates.TAIL_ABS_ERROR >= 1e-13
-    assert certificates.TAIL_ABS_ERROR_Z_MAX <= 10_000
+def test_window_edges_meet_the_tail_contract(solved):
+    # The skipped comparisons are decided only if binom_tail is within
+    # TAIL_ABS_ERROR of the true tail at the window edges themselves.
+    sample = list(solved)[::53] + sorted(large_trial_cases())
+    for n, k, delta in sample:
+        for edge in certificates._decided_window(n, k, delta):
+            if 0.0 < edge < 1.0:
+                err = abs(binom_tail(n, k, edge) - float(binom_tail_highprec(n, k, edge)))
+                assert err <= certificates.TAIL_ABS_ERROR, (n, k, delta, edge)
+
+
+def test_no_window_beyond_the_tail_contract():
     n = certificates.TAIL_ABS_ERROR_Z_MAX + 1
     assert certificates._decided_window(n, 3, 0.05) == (0.0, 1.0)
     assert solve_J(n, 3, 0.05) == reference_bisection(n, 3, 0.05)
