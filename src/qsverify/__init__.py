@@ -60,7 +60,6 @@ from .strategy import (
     build_singlet_strategy,
     fidelity_from_pass_rate,
     pass_probability,
-    sample_tests,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +100,6 @@ __all__ = [
     "rho2",
     "rounds_until_accepted",
     "run_rounds",
-    "sample_tests",
     "scaling_experiment",
     "solve_J",
     "sqsv_certificate",

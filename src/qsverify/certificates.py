@@ -441,14 +441,18 @@ def sqsv_certificate(q: CertificateQuery) -> Certificate:
     """Guaranteed single-copy fidelity under the IID assumption."""
     if q.protocol != PROTOCOL_SQSV:
         raise ValueError(f"expected an SQSV query, got {q.protocol!r}")
-    j = solve_J(q.n, q.k, q.delta)
-    fidelity = max(0.0, 1.0 - j / q.nu)
+    if _knot_tail(q.n, q.k, q.nu) > q.delta:
+        # Then J > nu, so the bound is 0.  The root itself may lie too near 1
+        # for bisection to meet its residual check.  A tie is left to solve_J,
+        # whose root there is nu up to rounding.
+        return Certificate(q, 0.0, 1.0)
+    fidelity = max(0.0, 1.0 - solve_J(q.n, q.k, q.delta) / q.nu)
     return Certificate(q, fidelity, 1.0 - fidelity)
 
 
 @functools.lru_cache(maxsize=KNOT_TAIL_CACHE_SIZE, typed=True)
 def _knot_tail(z: int, k: int, nu: float) -> float:
-    """B_{z,k}(nu), memoized for the DQSV knots; shared by every n and delta."""
+    """B_{z,k}(nu), memoized for the DQSV knots and the zero-certificate tests."""
     return binom_tail(z, k, nu)
 
 

@@ -38,9 +38,9 @@ from .simulate import (
 from .sources import NoiseSpec, rho1, rho2, unconditional_fidelity
 from .strategy import build_singlet_strategy
 
-FIG3_SCHEMA = "qsverify.fig3/1"
+FIG3_SCHEMA = "qsverify.fig3/2"
 FIG4_SCHEMA = "qsverify.fig4/2"
-FIG5_SCHEMA = "qsverify.fig5/1"
+FIG5_SCHEMA = "qsverify.fig5/2"
 
 FIG3_N = 100
 

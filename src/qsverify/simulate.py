@@ -12,13 +12,19 @@ A run returns a ``RoundTable``, one array per column with row i being round
 i; ``summarize`` reduces its arrays and ``write_rounds_csv`` renders it,
 computing each row's settings digest only there.
 
-Reproducibility: the stream for round ``i`` is derived as
-``PCG64(SeedSequence([master_seed, experiment_id, i]))``, so results are
-bit-identical for a fixed master seed, and round ``i`` is the same whether a
-run stops after a fixed count or at a target number of acceptances.  Within a
-round the draw order is: branch, leftover (DQSV), settings, outcomes, probe
-(DQSV: one setting, one outcome).  The source is tabulated once per run, one
-evaluation per distinct state, and each round draws its stream once.
+Reproducibility (round stream v2): rounds come in chunks of ``CHUNK_ROUNDS``.
+Chunk c holds rounds c*C .. c*C + C - 1 and draws one block of uniforms from
+``PCG64(SeedSequence([master_seed, experiment_id, c]))``, one row per round.
+The columns of a row are, in order: branch, leftover (DQSV only), n
+settings, n outcomes, probe setting and probe outcome (DQSV only).  Every
+round of every caller (fixed count, acceptance stopping, certificate
+scaling) is computed from that block by ``_draw_chunk`` with array
+operations; the source is tabulated once per run, one evaluation per
+distinct state.  The block is drawn in consecutive row slices of about
+``SLICE_VALUES`` numbers, which bounds memory for large n; consecutive draws
+continue one stream, so the slice size changes no number.  A run that stops
+at a target number of acceptances stops inside a chunk, so round i is the
+same under both stopping rules.
 """
 
 from __future__ import annotations
@@ -39,14 +45,16 @@ from .sources import NoiseSpec, ProductSequenceMixture, honest_iid
 from .strategy import HomogeneousStrategy, fidelity_from_pass_rate, test_pass_probabilities
 
 PROTOCOLS = ("sqsv", "dqsv")
-ROUNDS_CSV_SCHEMA = "qsverify.rounds/1"
+ROUNDS_CSV_SCHEMA = "qsverify.rounds/2"
 SUMMARY_SCHEMA = "qsverify.summary/2"
+CHUNK_ROUNDS = 256       # C: rounds per chunk, one random stream each
+SLICE_VALUES = 1 << 20   # uniforms per slice of a chunk's block (memory only)
 
 
 class RandomPlan:
-    """Deterministic per-round random streams.
+    """Deterministic per-chunk random streams.
 
-    ``round_rng(i)`` is a pure function of (master_seed, experiment_id, i);
+    ``chunk_rng(c)`` is a pure function of (master_seed, experiment_id, c);
     see the module docstring.  experiment_id defaults to 0 and is usually the
     CRC32 of an experiment name.
     """
@@ -59,10 +67,8 @@ class RandomPlan:
     def for_experiment(cls, master_seed: int, name: str) -> "RandomPlan":
         return cls(master_seed, zlib.crc32(name.encode("utf-8")))
 
-    def round_rng(self, round_index: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(
-            [self.master_seed, self.experiment_id, int(round_index)]
-        )
+    def chunk_rng(self, chunk: int) -> np.random.Generator:
+        seq = np.random.SeedSequence([self.master_seed, self.experiment_id, int(chunk)])
         return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -85,22 +91,6 @@ class RoundTable:
     leftover_fidelity: np.ndarray
     probe_passed: np.ndarray
     settings: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows: list[tuple], n: int) -> "RoundTable":
-        """Build the table from per-round tuples given in column order."""
-        branch, failures, tested, leftover, left_fid, probe, settings = (
-            list(zip(*rows)) or [()] * 7
-        )
-        return cls(
-            branch=np.array(branch, dtype=np.intp),
-            failures=np.array(failures, dtype=np.intp),
-            tested_fidelity=np.array(tested, dtype=float),
-            leftover=np.array(leftover, dtype=np.intp),
-            leftover_fidelity=np.array(left_fid, dtype=float),
-            probe_passed=np.array(probe, dtype=bool),
-            settings=np.array(settings, dtype=np.int8).reshape(len(rows), n),
-        )
 
     def __len__(self) -> int:
         return len(self.failures)
@@ -181,53 +171,52 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95):
     return lo, hi
 
 
-def _sample_branch(cum_weights: np.ndarray, rng: np.random.Generator) -> int:
-    idx = int(np.searchsorted(cum_weights, rng.random(), side="right"))
-    return min(idx, len(cum_weights) - 1)
+def _draw_chunk(
+    probs, fids, cum_weights, cum_setting_weights, n: int, dqsv: bool,
+    plan: RandomPlan, chunk: int, rows: int,
+) -> list[np.ndarray]:
+    """The first ``rows`` rounds of chunk ``chunk``: the seven ``RoundTable``
+    columns in field order, then the (rows, n) per-test pass flags.
 
-
-def _run_round(
-    probs,
-    fids,
-    cum_weights,
-    cum_setting_weights,
-    n: int,
-    dqsv: bool,
-    rng: np.random.Generator,
-) -> tuple:
-    """One round as a row of ``RoundTable`` columns."""
-    branch = _sample_branch(cum_weights, rng)
-    table = probs[branch]
-    fid = fids[branch]
+    Each uniform picks its branch, setting or leftover by inverse CDF, and an
+    outcome passes when its uniform lies below the pass probability.
+    """
+    rng = plan.chunk_rng(chunk)
     last = len(cum_setting_weights) - 1
-    if dqsv:
-        leftover = int(rng.integers(0, n + 1))
-        tested = np.concatenate([np.arange(leftover), np.arange(leftover + 1, n + 1)])
-    else:
-        tested = np.arange(n)
-    settings = np.searchsorted(cum_setting_weights, rng.random(n), side="right")
-    np.minimum(settings, last, out=settings)
-    passes = rng.random(n) < table[tested, settings]
-    failures = int(n - passes.sum())
-    tested_fidelity = float(fid[tested].mean())
-    if not dqsv:
-        return branch, failures, tested_fidelity, -1, math.nan, False, settings
-    # One probe test on the leftover drives the measured conditional fidelity.
-    probe = min(int(np.searchsorted(cum_setting_weights, rng.random(), side="right")), last)
-    probe_passed = bool(rng.random() < table[leftover, probe])
-    return (
-        branch, failures, tested_fidelity, leftover, float(fid[leftover]), probe_passed, settings
-    )
+    lead = 2 if dqsv else 1  # branch, then the leftover for DQSV
+    width = lead + 2 * n + (2 if dqsv else 0)
+    step = max(1, SLICE_VALUES // width)
+    slices = []
+    # A zero-row chunk runs one empty slice, so every column keeps its shape.
+    for start in range(0, max(rows, 1), step):
+        u = rng.random((min(step, rows - start), width))
+        branch = np.searchsorted(cum_weights, u[:, 0], side="right")
+        np.minimum(branch, len(cum_weights) - 1, out=branch)
+        settings = np.searchsorted(cum_setting_weights, u[:, lead:lead + n], side="right")
+        np.minimum(settings, last, out=settings)
+        systems = np.broadcast_to(np.arange(n), settings.shape)
+        if dqsv:
+            leftover = np.minimum((u[:, 1] * (n + 1)).astype(np.intp), n)
+            systems = systems + (systems >= leftover[:, None])
+            probe = np.minimum(np.searchsorted(cum_setting_weights, u[:, -2], side="right"), last)
+            probe_passed = u[:, -1] < probs[branch, leftover, probe]
+            leftover_fidelity = fids[branch, leftover]
+        else:
+            leftover = np.full(len(u), -1, dtype=np.intp)
+            probe_passed = np.zeros(len(u), dtype=bool)
+            leftover_fidelity = np.full(len(u), math.nan)
+        b = branch[:, None]
+        passes = u[:, lead + n:lead + 2 * n] < probs[b, systems, settings]
+        slices.append((
+            branch, n - passes.sum(axis=1), fids[b, systems].mean(axis=1), leftover,
+            leftover_fidelity, probe_passed, settings.astype(np.int8), passes,
+        ))
+    return [np.concatenate(col) for col in zip(*slices)]
 
 
-def _round_runner(
-    m: ProductSequenceMixture,
-    n: int,
-    strat: HomogeneousStrategy,
-    protocol: str,
-):
+def _chunk_drawer(m: ProductSequenceMixture, n: int, strat: HomogeneousStrategy, protocol: str):
     """Check the protocol's preconditions, tabulate the source once, and
-    return a function that simulates one round from its random stream."""
+    return ``draw(plan, chunk, rows)``, which is ``_draw_chunk`` on the tables."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "dqsv" and m.num_systems != n + 1:
@@ -236,14 +225,25 @@ def _round_runner(
         raise ValueError(f"mixture has {m.num_systems} systems, need at least {n}")
     probs = m.tabulate(partial(test_pass_probabilities, strat))
     fids = m.tabulate(partial(overlap, strat.target))
-    cw = np.cumsum(m.weights)
-    csw = np.cumsum(strat.weights)
-    dqsv = protocol == "dqsv"
+    return partial(
+        _draw_chunk, probs, fids, np.cumsum(m.weights), np.cumsum(strat.weights), n,
+        protocol == "dqsv",
+    )
 
-    def one(rng: np.random.Generator) -> tuple:
-        return _run_round(probs, fids, cw, csw, n, dqsv, rng)
 
-    return one
+def _chunks(rounds: int):
+    """(chunk, rows) for the chunks that hold rounds 0 .. rounds-1, lazily:
+    an acceptance run's cap may be far beyond the rounds it runs."""
+    return (
+        (c, min(CHUNK_ROUNDS, rounds - c * CHUNK_ROUNDS))
+        for c in range(-(-rounds // CHUNK_ROUNDS))
+    )
+
+
+def _table(parts: list, draw, plan: RandomPlan) -> RoundTable:
+    """The chunks' columns joined in round order; no chunks is the empty table."""
+    cols = [np.concatenate(col) for col in zip(*parts)] if parts else draw(plan, 0, 0)
+    return RoundTable(*cols[:7])
 
 
 def run_rounds(
@@ -254,13 +254,13 @@ def run_rounds(
     protocol: str,
     plan: RandomPlan,
 ) -> RoundTable:
-    """Rounds 0 .. rounds-1, round i drawn from ``plan.round_rng(i)``.
+    """Rounds 0 .. rounds-1 of the plan's stream (see the module docstring).
 
     SQSV tests the first n systems of each drawn sequence and needs at least
     n; DQSV leaves one uniformly chosen system of exactly n + 1 untested.
     """
-    one = _round_runner(m, n, strat, protocol)
-    return RoundTable.from_rows([one(plan.round_rng(i)) for i in range(rounds)], n)
+    draw = _chunk_drawer(m, n, strat, protocol)
+    return _table([draw(plan, c, rows)[:7] for c, rows in _chunks(rounds)], draw, plan)
 
 
 def rounds_until_accepted(
@@ -277,15 +277,18 @@ def rounds_until_accepted(
     threshold k to ``target_acceptances``, or ``max_rounds`` rounds (default
     1000 * target) if that comes first.  Round i is the same as in
     ``run_rounds``."""
-    one = _round_runner(m, n, strat, protocol)
+    draw = _chunk_drawer(m, n, strat, protocol)
     cap = max_rounds if max_rounds is not None else 1000 * target_acceptances
-    rows = []
-    accepted = 0
-    while accepted < target_acceptances and len(rows) < cap:
-        row = one(plan.round_rng(len(rows)))
-        rows.append(row)
-        accepted += row[1] <= k
-    return RoundTable.from_rows(rows, n)
+    parts, accepted = [], 0
+    for c, rows in _chunks(cap):
+        if accepted >= target_acceptances:
+            break
+        cols = draw(plan, c, rows)[:7]
+        hits = accepted + np.cumsum(cols[1] <= k)  # cols[1] is the failure count
+        stop = int(np.searchsorted(hits, target_acceptances)) + 1
+        parts.append([col[:stop] for col in cols])
+        accepted = int(hits[-1])
+    return _table(parts, draw, plan)
 
 
 def summarize(
@@ -351,42 +354,33 @@ def scaling_experiment(
 ) -> dict:
     """Certificate scaling on a growing honest run.
 
-    Each round performs max(n_grid) tests on IID noisy singlet copies; at
-    every grid point N the number k of failures observed so far is plugged
-    into both certificates at significance delta.  Returns per-round arrays
-    so callers can report single-round or round-averaged scalings.
+    Each round is an SQSV round of max(n_grid) tests on IID noisy singlet
+    copies; at every grid point N the number k of failures among its first N
+    tests is plugged into both certificates at significance delta.  Returns
+    per-round arrays so callers can report single-round or round-averaged
+    scalings.
     """
     n_grid = [int(x) for x in n_grid]
     if n_grid != sorted(n_grid) or n_grid[0] < 1:
         raise ValueError("n_grid must be ascending positive integers")
     max_n = n_grid[-1]
-    source = honest_iid(max(max_n, 2), noise)
-    table = source.tabulate(partial(test_pass_probabilities, strat))[0]
-    csw = np.cumsum(strat.weights)
-
-    ks = np.zeros((rounds, len(n_grid)), dtype=int)
-    eps_s = np.zeros((rounds, len(n_grid)))
-    eps_d = np.zeros((rounds, len(n_grid)))
-    for r in range(rounds):
-        rng_r = plan.round_rng(r)
-        settings = np.searchsorted(csw, rng_r.random(max_n), side="right")
-        np.minimum(settings, len(csw) - 1, out=settings)
-        passes = rng_r.random(max_n) < table[np.arange(max_n), settings]
-        cum_failures = np.cumsum(~passes)
-        for j, n in enumerate(n_grid):
-            k = int(cum_failures[n - 1])
-            if k > n - 1:
-                # Every test failed; no certificate is defined at k = n.
-                eps_s[r, j] = 1.0
-                eps_d[r, j] = 1.0
-                ks[r, j] = k
-                continue
-            ks[r, j] = k
+    draw = _chunk_drawer(honest_iid(max(max_n, 2), noise), max_n, strat, "sqsv")
+    at = np.array(n_grid) - 1
+    ks = np.concatenate(
+        [np.cumsum(~draw(plan, c, rows)[7], axis=1)[:, at] for c, rows in _chunks(rounds)]
+        or [np.zeros((0, len(n_grid)), dtype=int)]
+    )
+    # At k = n every test failed and no certificate is defined: eps stays 1.
+    eps_s = np.ones(ks.shape)
+    eps_d = np.ones(ks.shape)
+    for (r, j), k in np.ndenumerate(ks):
+        n = n_grid[j]
+        if k < n:
             eps_s[r, j] = sqsv_certificate(
-                CertificateQuery("sqsv", n, k, delta, strat.lam)
+                CertificateQuery("sqsv", n, int(k), delta, strat.lam)
             ).infidelity_bound
             eps_d[r, j] = dqsv_certificate(
-                CertificateQuery("dqsv", n, k, delta, strat.lam)
+                CertificateQuery("dqsv", n, int(k), delta, strat.lam)
             ).infidelity_bound
     return {
         "n_grid": n_grid,

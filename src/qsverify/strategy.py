@@ -14,8 +14,8 @@ each test passes on the -1 outcome, i.e. projects onto the negative eigenspace
 of the corresponding Pauli product.  Since W (x) W is an involution, that
 projector is (1 - W(x)W)/2 exactly, which avoids any eigensolver.
 
-Strategy objects are immutable; sampling functions take a caller-owned
-``numpy.random.Generator``.
+Strategy objects are immutable; the round engine in ``simulate`` samples
+tests from their weights and per-test pass probabilities.
 """
 
 from __future__ import annotations
@@ -153,25 +153,6 @@ def test_pass_probabilities(strat: HomogeneousStrategy, s: DensityMatrix) -> np.
     if bad > CLAMP_LOG_TOL:
         logger.warning("per-test probability clamped by %.3g", bad)
     return np.clip(probs, 0.0, 1.0)
-
-
-def sample_tests(
-    strat: HomogeneousStrategy,
-    s: DensityMatrix,
-    size: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``size`` independent tests on state ``s``.
-
-    Returns (setting indices, pass booleans).  The setting is drawn first
-    according to the strategy weights, then the outcome conditioned on the
-    setting, mirroring how a run chooses a random measurement before seeing
-    the result.
-    """
-    probs = test_pass_probabilities(strat, s)
-    settings = rng.choice(len(strat.tests), size=size, p=strat.weights)
-    passed = rng.random(size) < probs[settings]
-    return settings, passed
 
 
 def fidelity_from_pass_rate(rate: float, lam: float) -> float:

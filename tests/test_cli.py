@@ -54,6 +54,18 @@ def test_certify_degenerate_dqsv(capsys):
     assert json.loads(out)["fidelity_bound"] == 0.0
 
 
+def test_certify_zero_sqsv_near_one(capsys):
+    # B_{n,k}(nu) >= delta, so J >= nu and the bound is 0; the root J itself
+    # lies so near 1 that bisection cannot meet its residual check there.
+    code, out, _ = run_cli(
+        capsys,
+        "certify", "--protocol", "sqsv", "--n", "1000000", "--k", "999990",
+        "--delta", "0.05", "--lambda", "1/3",
+    )
+    assert code == 0
+    assert json.loads(out)["fidelity_bound"] == 0.0
+
+
 def test_certify_intermediates(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -142,24 +154,24 @@ def test_simulate_deterministic_files(tmp_path, capsys, fresh_certificate_caches
 
 
 # The three reference runs and the full sha256 of their rounds.csv under round
-# stream v1.  A change to the per-round draws must change these together with
-# the rounds.csv schema version.
+# stream v2 (chunked, see the simulate module docstring).  A change to the
+# round draws must change these together with the rounds.csv schema version.
 PINNED_RUNS = {
     "dqsv-rho1-fixed": (
         "protocol: dqsv\nn: 20\nk: 1\nseed: 123\nrounds: 500\n"
         "source:\n  model: rho1\n  fidelity: 0.97\n",
-        "af2dfa525023f4f5035a58f510e8ab23af36158918e21d382200f3f1da021f2c",
+        "b194f310f44087969c29bc68a6039d128930c29018dfe292a22ea047ab073018",
     ),
     "sqsv-rho2-fixed": (
         "protocol: sqsv\nn: 30\nk: 2\nseed: 99\nrounds: 400\n"
         "source:\n  model: rho2\n  phi: pi/2\n  fidelity: 0.98\n",
-        "0861686402304547e8de4b728958fbca2d1f9f966db782c50e5634f10403e99d",
+        "1ce167abb6fb688856feadfe4ca5e3779cd624e1b2c84d7b48c1bc20840892b9",
     ),
     "dqsv-rho2-acceptances": (
         "protocol: dqsv\nn: 100\nk: 0\nseed: 7\n"
         "stopping:\n  mode: acceptances\n  target_acceptances: 300\n"
         "source:\n  model: rho2\n  phi: 3pi/4\n",
-        "9992c8fa557a5bd87d9a0b9d8d87cb6e483b563acde2d1d1898cf101e6479a05",
+        "43fafb3fb8ef3b64afc60c394bc8bd4d909bd86e373ce456d6edac2bd420aabd",
     ),
 }
 
@@ -436,27 +448,28 @@ def test_simulate_acceptance_stopping(tmp_path, capsys):
 
 
 def test_simulate_acceptance_mode_single_pass(tmp_path, capsys, monkeypatch):
+    # One tabulation per run, and each chunk of rounds is drawn once, in order.
     from qsverify import simulate
     from qsverify.sources import ProductSequenceMixture
 
     tables, streams = [], []
     tabulate = ProductSequenceMixture.tabulate
-    round_rng = simulate.RandomPlan.round_rng
+    chunk_rng = simulate.RandomPlan.chunk_rng
 
     def counting_tabulate(self, fn):
         tables.append(fn.func.__name__)
         return tabulate(self, fn)
 
-    def counting_rng(self, round_index):
-        streams.append(round_index)
-        return round_rng(self, round_index)
+    def counting_rng(self, chunk):
+        streams.append(chunk)
+        return chunk_rng(self, chunk)
 
     monkeypatch.setattr(ProductSequenceMixture, "tabulate", counting_tabulate)
-    monkeypatch.setattr(simulate.RandomPlan, "round_rng", counting_rng)
+    monkeypatch.setattr(simulate.RandomPlan, "chunk_rng", counting_rng)
     config = tmp_path / "run.yaml"
     config.write_text(
         "protocol: dqsv\nn: 8\nk: 0\nseed: 4\n"
-        "stopping:\n  mode: acceptances\n  target_acceptances: 50\n"
+        "stopping:\n  mode: acceptances\n  target_acceptances: 300\n"
         "source:\n  model: rho2\n  phi: 3pi/4\n"
     )
     code, out, _ = run_cli(
@@ -465,7 +478,8 @@ def test_simulate_acceptance_mode_single_pass(tmp_path, capsys, monkeypatch):
     assert code == 0
     summary = json.loads(out)
     assert sorted(tables) == ["overlap", "test_pass_probabilities"]
-    assert streams == list(range(summary["rounds"]))
+    assert summary["rounds"] > simulate.CHUNK_ROUNDS
+    assert streams == list(range(-(-summary["rounds"] // simulate.CHUNK_ROUNDS)))
 
 
 def test_reproduce_fig4_columns(tmp_path, capsys):

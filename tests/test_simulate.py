@@ -5,9 +5,17 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from qsverify.certificates import CertificateQuery, dqsv_certificate, solve_J, sqsv_certificate
+from qsverify.certificates import (
+    CertificateQuery,
+    binom_tail,
+    dqsv_certificate,
+    solve_J,
+    sqsv_certificate,
+)
 from qsverify.exact import exact_stats
+from qsverify import simulate
 from qsverify.simulate import (
+    CHUNK_ROUNDS,
     RandomPlan,
     RoundTable,
     clopper_pearson,
@@ -259,18 +267,39 @@ def test_stopping_rule_acceptances(strat):
 
 def test_rounds_until_accepted_stops_at_target(strat):
     # Round i is the same under both stopping rules, and the run ends on the
-    # round that reaches the target.
+    # round that reaches the target: inside a later chunk than the first, so
+    # both runs cross a chunk boundary.
     m = rho2(6, math.pi, NoiseSpec(0.95))
     plan = RandomPlan(21)
-    until = rounds_until_accepted(m, 6, 0, strat, 40, "dqsv", plan)
-    assert np.sum(until.failures <= 0) == 40
+    until = rounds_until_accepted(m, 6, 0, strat, 150, "dqsv", plan)
+    assert np.sum(until.failures <= 0) == 150
     assert until.failures[-1] <= 0
+    assert len(until) > CHUNK_ROUNDS and len(until) % CHUNK_ROUNDS != 0
     fixed = run_rounds(m, 6, strat, len(until) + 5, "dqsv", plan)
     for name in COLUMNS:
         a, b = getattr(until, name), getattr(fixed, name)[: len(until)]
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    capped = rounds_until_accepted(m, 6, 0, strat, 40, "dqsv", plan, max_rounds=7)
-    assert len(capped) == 7
+    for cap in (7, CHUNK_ROUNDS + 7):
+        capped = rounds_until_accepted(m, 6, 0, strat, 10_000, "dqsv", plan, max_rounds=cap)
+        assert len(capped) == cap
+        assert np.array_equal(capped.failures, fixed.failures[:cap])
+
+
+def test_slice_size_does_not_change_rounds(strat, monkeypatch):
+    # A chunk's uniforms are drawn in row slices of about SLICE_VALUES numbers;
+    # consecutive draws continue one stream, so any slice size gives the same
+    # table.  At n = 40 a DQSV row holds 84 uniforms: 100 values make one-row
+    # slices, 1000 values eleven-row slices with a short last one.
+    m = rho1(40, NoiseSpec(0.9))
+    plan = RandomPlan(23)
+    rounds = CHUNK_ROUNDS + 30
+    want = run_rounds(m, 40, strat, rounds, "dqsv", plan)
+    for values in (100, 1000):
+        monkeypatch.setattr(simulate, "SLICE_VALUES", values)
+        got = run_rounds(m, 40, strat, rounds, "dqsv", plan)
+        for name in COLUMNS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_zero_accepted_reports_absent_estimators(strat):
@@ -416,6 +445,10 @@ def test_scaling_experiment_noisy_runs(strat):
     assert res["k"].shape == (5, 2)
     assert np.all(res["eps_dqsv"] <= 1.0)
     assert np.all(res["eps_dqsv"] > 0.0)
+    # The rounds are SQSV rounds of the engine: at N = max(n_grid), k is the
+    # failure count of the same round from run_rounds.
+    table = run_rounds(honest_iid(1000, NoiseSpec(0.99)), 1000, strat, 5, "sqsv", RandomPlan(14))
+    assert np.array_equal(res["k"][:, -1], table.failures)
 
 
 def test_rounds_csv_format(tmp_path, strat):
@@ -455,11 +488,12 @@ def test_scaling_experiment_solves_each_pair_once(strat):
         NoiseSpec(0.99), 0.05, default_fig5_grid(), strat,
         RandomPlan.for_experiment(42, "fig5"), rounds=20,
     )
+    # A pair with B_{n,k}(nu) > delta takes the zero certificate without a solve.
     certified = [
         (n, int(k))
         for row in result["k"]
         for n, k in zip(result["n_grid"], row)
-        if k <= n - 1
+        if k <= n - 1 and binom_tail(n, int(k), strat.nu) <= 0.05
     ]
     info = solve_J.cache_info()
     assert info.misses == len(set(certified))

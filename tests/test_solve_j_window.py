@@ -23,7 +23,7 @@ from qsverify.certificates import (
     binom_tail,
     solve_J,
 )
-from qsverify.reproduce import fig5_rows
+from qsverify.reproduce import default_fig5_grid, fig5_rows
 from rational_oracle import binom_tail_highprec
 
 QUERY_TABLES = sorted(
@@ -125,7 +125,9 @@ def solved():
 
 
 def test_case_sets_are_populated():
-    assert len(fig5_cases()) > 100
+    # fig5 solves at every grid point from N = 3 on.  Below that, every k gives
+    # B_{N,k}(nu) > delta = 0.05 and the zero certificate, which skips solve_J.
+    assert {n for n, _, _ in fig5_cases()} == {n for n in default_fig5_grid() if n >= 3}
     assert len(query_table_cases()) > 500
     assert len(clopper_pearson_cases()) == sum(2 * n for n in CP_TRIALS)
     assert max(n for n, _, _ in large_trial_cases()) == certificates.TAIL_ABS_ERROR_Z_MAX

@@ -18,8 +18,9 @@ from qsverify.strategy import (
     build_singlet_strategy,
     fidelity_from_pass_rate,
     pass_probability,
-    sample_tests,
 )
+from qsverify.simulate import RandomPlan, run_rounds
+from qsverify.sources import ProductSequence, ProductSequenceMixture
 
 
 @pytest.fixture(scope="module")
@@ -91,12 +92,16 @@ def test_pass_probability_werner(strat):
     )
 
 
+def iid_rounds(strat, s, n, rounds, seed):
+    """SQSV rounds of n tests each on IID copies of ``s``, from the round engine."""
+    source = ProductSequenceMixture(((1.0, ProductSequence((s,) * max(n, 2))),))
+    return run_rounds(source, n, strat, rounds, "sqsv", RandomPlan(seed))
+
+
 def test_sample_test_target_always_passes(strat):
-    rng = np.random.default_rng(12)
-    target = projector(strat.target)
-    settings, passed = sample_tests(strat, target, 200, rng)
-    assert passed.all()
-    assert set(settings) <= set(range(len(strat.tests)))
+    table = iid_rounds(strat, projector(strat.target), 10, 20, 12)
+    assert np.all(table.failures == 0)
+    assert set(np.unique(table.settings)) <= set(range(len(strat.tests)))
 
 
 def test_sample_test_orthogonal_support_is_deterministic_per_setting(strat):
@@ -111,40 +116,39 @@ def test_sample_test_orthogonal_support_is_deterministic_per_setting(strat):
     assert probs["XX"] == pytest.approx(0.0, abs=1e-12)
     assert probs["YY"] == pytest.approx(0.0, abs=1e-12)
     assert probs["ZZ"] == pytest.approx(1.0, abs=1e-12)
-    rng = np.random.default_rng(13)
-    settings, passed = sample_tests(strat, triplet, 300, rng)
-    labels = np.array(strat.labels)[settings]
-    assert np.array_equal(passed, labels == "ZZ")
+    # One test per round, so each round's failure count is that test's outcome.
+    table = iid_rounds(strat, triplet, 1, 300, 13)
+    labels = np.array(strat.labels)[table.settings[:, 0]]
+    assert np.array_equal(table.failures == 0, labels == "ZZ")
 
 
 def test_sample_tests_empirical_rate_mixed(strat):
     mixed = DensityMatrix.from_array(np.eye(4) / 4)
-    rng = np.random.default_rng(14)
-    n = 1_000_000
-    _, passed = sample_tests(strat, mixed, n, rng)
+    n, rounds = 100, 10_000
+    table = iid_rounds(strat, mixed, n, rounds, 14)
+    tests = n * rounds
     p = pass_probability(strat, mixed)
-    sigma = np.sqrt(p * (1 - p) / n)
-    assert abs(passed.mean() - p) < 4 * sigma
+    sigma = np.sqrt(p * (1 - p) / tests)
+    assert abs((tests - table.failures.sum()) / tests - p) < 4 * sigma
 
 
 def test_sample_tests_empirical_rate_werner(strat):
     from qsverify.sources import werner_state
 
     s = werner_state(0.9)
-    rng = np.random.default_rng(15)
-    n = 1_000_000
-    _, passed = sample_tests(strat, s, n, rng)
+    n, rounds = 100, 10_000
+    table = iid_rounds(strat, s, n, rounds, 15)
+    tests = n * rounds
     p = pass_probability(strat, s)
-    sigma = np.sqrt(p * (1 - p) / n)
-    assert abs(passed.mean() - p) < 4 * sigma
+    sigma = np.sqrt(p * (1 - p) / tests)
+    assert abs((tests - table.failures.sum()) / tests - p) < 4 * sigma
 
 
 def test_setting_frequencies_follow_weights(strat):
     mixed = DensityMatrix.from_array(np.eye(4) / 4)
-    rng = np.random.default_rng(16)
-    n = 300_000
-    settings, _ = sample_tests(strat, mixed, n, rng)
-    counts = np.bincount(settings, minlength=3) / n
+    table = iid_rounds(strat, mixed, 100, 3000, 16)
+    n = table.settings.size
+    counts = np.bincount(table.settings.ravel(), minlength=3) / n
     sigma = np.sqrt((1 / 3) * (2 / 3) / n)
     assert np.max(np.abs(counts - 1 / 3)) < 4 * sigma
 
