@@ -44,7 +44,6 @@ from .simulate import (
 )
 from .sources import (
     NoiseSpec,
-    ProductSequence,
     ProductSequenceMixture,
     honest_iid,
     mixture_from_spec,
@@ -75,7 +74,6 @@ __all__ = [
     "HomogeneousStrategy",
     "NoiseSpec",
     "NumericalConsistencyError",
-    "ProductSequence",
     "ProductSequenceMixture",
     "PureState",
     "RandomPlan",

@@ -111,7 +111,7 @@ def exact_stats(
         )
     if k < 0 or k > m.num_systems - 2:
         raise ValueError(f"k = {k} outside [0, N - 1] for N = {m.num_systems - 1}")
-    fid = m.tabulate(partial(overlap, strat.target))
+    fid = m.tabulate(partial(overlap, strat.target))[m.index]
     return _exact_from_fidelities(m.weights, fid, k, strat.lam)
 
 
@@ -132,12 +132,12 @@ def exact_stats_bruteforce(
         raise ValueError(f"k = {k} outside [0, N - 1]")
     p_tot = 0.0
     f_tot = 0.0
-    a_table = m.tabulate(partial(pass_probability, strat))
-    fid_table = m.tabulate(partial(overlap, strat.target))
+    a_table = m.tabulate(partial(pass_probability, strat))[m.index]
+    fid_table = m.tabulate(partial(overlap, strat.target))[m.index]
     gap = np.max(np.abs(a_table - np.clip(strat.lam + strat.nu * fid_table, 0.0, 1.0)))
     if gap > IDENTITY_TOL:
         raise NumericalConsistencyError(f"tr(Omega s) differs from lambda + nu F by {gap:.3g}")
-    for (w, _), a, fid in zip(m.branches, a_table, fid_table):
+    for w, a, fid in zip(m.weights.tolist(), a_table, fid_table):
         for leftover in range(n + 1):
             tested = [a[i] for i in range(n + 1) if i != leftover]
             for pattern in itertools.product((True, False), repeat=n):

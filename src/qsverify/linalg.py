@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 # Tolerances used by the type invariants.
-ENTRY_TOL = 1e-12       # per-entry matrix equality
 NORM_TOL = 1e-12        # pure-state normalization
 HERMITIAN_TOL = 1e-10   # Hermiticity of density matrices
 TRACE_TOL = 1e-10       # unit-trace deviation
@@ -49,12 +48,6 @@ class ComplexMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[0]
-
-    def allclose(self, other: "ComplexMatrix", tol: float = ENTRY_TOL) -> bool:
-        """Entrywise equality within an absolute tolerance."""
-        if self.dim != other.dim:
-            return False
-        return bool(np.max(np.abs(self.data - other.data)) <= tol)
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return bool(np.max(np.abs(self.data - self.data.conj().T)) <= tol)
@@ -101,10 +94,6 @@ class DensityMatrix:
         if float(eigs.min()) < -PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
 
-    @classmethod
-    def from_array(cls, arr) -> "DensityMatrix":
-        return cls(ComplexMatrix(np.asarray(arr)))
-
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product of two 2x2 operators, ``a`` acting on the left qubit."""
@@ -134,13 +123,6 @@ def overlap(a: PureState, s: DensityMatrix) -> float:
     """Fidelity <a| s |a> of a density matrix with a pure state."""
     value = complex(a.vec.conj() @ s.mat.data @ a.vec)
     return float(value.real)
-
-
-def basis_ket(index: int) -> PureState:
-    """Computational basis state |index> with |00>,|01>,|10>,|11> = 0..3."""
-    vec = np.zeros(4, dtype=np.complex128)
-    vec[index] = 1.0
-    return PureState(vec)
 
 
 def phased_singlet(phi: float = 0.0) -> PureState:

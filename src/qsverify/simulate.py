@@ -20,9 +20,10 @@ settings, n outcomes, probe setting and probe outcome (DQSV only).  Every
 round of every caller (fixed count, acceptance stopping, certificate
 scaling) is computed from that block by ``_draw_chunk`` with array
 operations; the source is tabulated once per run, one evaluation per
-distinct state.  The block is drawn in consecutive row slices of about
-``SLICE_VALUES`` numbers, which bounds memory for large n; consecutive draws
-continue one stream, so the slice size changes no number.  A run that stops
+palette state, and read through its (branch, system) index.  The block is
+drawn in consecutive row slices of about ``SLICE_VALUES`` numbers, which
+bounds memory for large n; consecutive draws continue one stream, so the
+slice size changes no number.  A run that stops
 at a target number of acceptances stops inside a chunk, so round i is the
 same under both stopping rules.
 """
@@ -172,12 +173,13 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95):
 
 
 def _draw_chunk(
-    probs, fids, cum_weights, cum_setting_weights, n: int, dqsv: bool,
+    index, probs, fids, cum_weights, cum_setting_weights, n: int, dqsv: bool,
     plan: RandomPlan, chunk: int, rows: int,
 ) -> list[np.ndarray]:
     """The first ``rows`` rounds of chunk ``chunk``: the seven ``RoundTable``
     columns in field order, then the (rows, n) per-test pass flags.
 
+    ``probs`` (P, S) and ``fids`` (P,) are read through the (B, L) ``index``.
     Each uniform picks its branch, setting or leftover by inverse CDF, and an
     outcome passes when its uniform lies below the pass probability.
     """
@@ -199,16 +201,17 @@ def _draw_chunk(
             leftover = np.minimum((u[:, 1] * (n + 1)).astype(np.intp), n)
             systems = systems + (systems >= leftover[:, None])
             probe = np.minimum(np.searchsorted(cum_setting_weights, u[:, -2], side="right"), last)
-            probe_passed = u[:, -1] < probs[branch, leftover, probe]
-            leftover_fidelity = fids[branch, leftover]
+            spared = index[branch, leftover]
+            probe_passed = u[:, -1] < probs[spared, probe]
+            leftover_fidelity = fids[spared]
         else:
             leftover = np.full(len(u), -1, dtype=np.intp)
             probe_passed = np.zeros(len(u), dtype=bool)
             leftover_fidelity = np.full(len(u), math.nan)
-        b = branch[:, None]
-        passes = u[:, lead + n:lead + 2 * n] < probs[b, systems, settings]
+        tested = index[branch[:, None], systems]
+        passes = u[:, lead + n:lead + 2 * n] < probs[tested, settings]
         slices.append((
-            branch, n - passes.sum(axis=1), fids[b, systems].mean(axis=1), leftover,
+            branch, n - passes.sum(axis=1), fids[tested].mean(axis=1), leftover,
             leftover_fidelity, probe_passed, settings.astype(np.int8), passes,
         ))
     return [np.concatenate(col) for col in zip(*slices)]
@@ -226,7 +229,7 @@ def _chunk_drawer(m: ProductSequenceMixture, n: int, strat: HomogeneousStrategy,
     probs = m.tabulate(partial(test_pass_probabilities, strat))
     fids = m.tabulate(partial(overlap, strat.target))
     return partial(
-        _draw_chunk, probs, fids, np.cumsum(m.weights), np.cumsum(strat.weights), n,
+        _draw_chunk, m.index, probs, fids, np.cumsum(m.weights), np.cumsum(strat.weights), n,
         protocol == "dqsv",
     )
 

@@ -2,11 +2,12 @@
 
 A source hands the verifier N + 1 two-qubit systems.  Every model here is a
 weighted mixture of *product sequences*: with probability w_b the source
-emits the ordered product state seq_b[0] (x) seq_b[1] (x) ... (x) seq_b[N].
-This covers the honest IID source, the two correlated adversaries used in
-the experiments, and arbitrary user-declared mixtures; globally entangled
-sources are outside the representation (and outside what the exact reference
-computations can factorize).
+emits palette[index[b, 0]] (x) ... (x) palette[index[b, N]], where the
+palette holds the distinct single-copy states and ``index`` has one byte per
+system.  This covers the honest IID source, the two correlated adversaries
+used in the experiments, and arbitrary user-declared mixtures; globally
+entangled sources are outside the representation (and outside what the
+exact reference computations can factorize).
 
 The canonical noisy single copy is the Werner state
 
@@ -54,70 +55,56 @@ class NoiseSpec:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class ProductSequence:
-    """An ordered list of single-copy states, one per system."""
-
-    states: tuple[DensityMatrix, ...]
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(self.states) < 2:
-            raise ValueError("a product sequence needs at least 2 systems")
-        for s in self.states:
-            if not isinstance(s, DensityMatrix):
-                raise ValueError("sequence entries must be DensityMatrix values")
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductSequenceMixture:
-    """Weighted mixture of product sequences sharing a common length."""
+    """Weighted mixture of product sequences over a palette of distinct states.
 
-    branches: tuple[tuple[float, ProductSequence], ...]
+    Branch b emits palette[index[b, i]] on system i.  ``index`` (B, L) is
+    stored in the smallest dtype that holds ``len(palette) - 1``: uint8 for
+    up to 256 states, so ``rho2(N)`` costs one byte per system slot.
+    """
+
+    weights: np.ndarray
+    palette: tuple[DensityMatrix, ...]
+    index: np.ndarray
 
     def __post_init__(self):
-        branches = tuple((float(w), seq) for w, seq in self.branches)
-        object.__setattr__(self, "branches", branches)
-        if not branches:
-            raise ValueError("mixture needs at least one branch")
-        total = math.fsum(w for w, _ in branches)
-        if abs(total - 1.0) > WEIGHT_TOL:
+        weights = np.array(self.weights, dtype=float)
+        palette = tuple(self.palette)
+        raw = np.asarray(self.index)
+        if weights.ndim != 1 or len(weights) == 0:
+            raise ValueError("mixture needs a non-empty 1-D array of branch weights")
+        total = math.fsum(weights)
+        if not abs(total - 1.0) <= WEIGHT_TOL:
             raise ValueError(f"branch weights sum to {total}, not 1")
-        if any(w < 0 for w, _ in branches):
+        if np.any(weights < 0):
             raise ValueError("branch weights must be non-negative")
-        lengths = {len(seq) for _, seq in branches}
-        if len(lengths) != 1:
-            raise ValueError(f"branches have inconsistent lengths {sorted(lengths)}")
+        if not all(isinstance(s, DensityMatrix) for s in palette):
+            raise ValueError("palette entries must be DensityMatrix values")
+        if raw.ndim != 2 or raw.shape[0] != len(weights) or raw.dtype.kind not in "iu":
+            raise ValueError(f"index must be 2-D integers, one row per weight; got {raw.shape}")
+        if raw.shape[1] < 2:
+            raise ValueError("a product sequence needs at least 2 systems")
+        if raw.min() < 0 or raw.max() >= len(palette):
+            raise ValueError(f"index entries must lie in [0, {len(palette)})")
+        index = raw.astype(np.min_scalar_type(len(palette) - 1))
+        weights.setflags(write=False)
+        index.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "palette", palette)
+        object.__setattr__(self, "index", index)
 
     @property
     def num_systems(self) -> int:
-        return len(self.branches[0][1])
-
-    @property
-    def weights(self) -> np.ndarray:
-        w = np.array([wb for wb, _ in self.branches])
-        w.setflags(write=False)
-        return w
+        return self.index.shape[1]
 
     def tabulate(self, fn) -> np.ndarray:
-        """``fn(state)`` for every system of every branch, as a (B, L, ...) array.
+        """``fn(state)`` for every palette entry, as a (P, ...) array.
 
-        ``fn`` runs once per distinct state, keyed by the matrix entries, so
-        ``rho2(n)`` costs two calls however large n is.
+        ``table[m.index]`` is the (B, L, ...) view, one value per system of
+        every branch.
         """
-        values = {}
-
-        def value(s: DensityMatrix):
-            key = s.mat.data.tobytes()
-            if key not in values:
-                values[key] = fn(s)
-            return values[key]
-
-        return np.array([[value(s) for s in seq.states] for _, seq in self.branches])
+        return np.array([fn(s) for s in self.palette])
 
 
 def maximally_mixed() -> DensityMatrix:
@@ -144,9 +131,9 @@ def honest_iid(n_plus_1: int, noise: NoiseSpec = NoiseSpec()) -> ProductSequence
     """IID source: every system is the same (possibly noisy) singlet copy."""
     if n_plus_1 < 2:
         raise ValueError(f"need at least 2 systems, got {n_plus_1}")
-    copy = werner_state(noise.fidelity)
-    seq = ProductSequence((copy,) * n_plus_1, label=f"iid(F={noise.fidelity:g})")
-    return ProductSequenceMixture(((1.0, seq),))
+    return ProductSequenceMixture(
+        [1.0], (werner_state(noise.fidelity),), np.zeros((1, n_plus_1), dtype=np.uint8)
+    )
 
 
 def rho1(n: int, prep: NoiseSpec = NoiseSpec()) -> ProductSequenceMixture:
@@ -157,11 +144,10 @@ def rho1(n: int, prep: NoiseSpec = NoiseSpec()) -> ProductSequenceMixture:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    singlet_branch = ProductSequence(
-        (werner_state(prep.fidelity),) * (n + 1), label="singlet"
+    index = np.repeat(np.array([[0], [1]], dtype=np.uint8), n + 1, axis=1)
+    return ProductSequenceMixture(
+        [2.0 / 3.0, 1.0 / 3.0], (werner_state(prep.fidelity), maximally_mixed()), index
     )
-    mixed_branch = ProductSequence((maximally_mixed(),) * (n + 1), label="mixed")
-    return ProductSequenceMixture(((2.0 / 3.0, singlet_branch), (1.0 / 3.0, mixed_branch)))
 
 
 def rho2(n: int, phi: float, prep: NoiseSpec = NoiseSpec()) -> ProductSequenceMixture:
@@ -174,14 +160,9 @@ def rho2(n: int, phi: float, prep: NoiseSpec = NoiseSpec()) -> ProductSequenceMi
         raise ValueError(f"need n >= 1, got {n}")
     good = werner_state(prep.fidelity)
     odd = depolarized_state(phased_singlet(phi), prep.fidelity)
-    branches = []
-    for slot in range(n + 1):
-        states = [good] * (n + 1)
-        states[slot] = odd
-        branches.append(
-            (1.0 / (n + 1), ProductSequence(tuple(states), label=f"odd@{slot}"))
-        )
-    return ProductSequenceMixture(tuple(branches))
+    return ProductSequenceMixture(
+        np.full(n + 1, 1.0 / (n + 1)), (good, odd), np.eye(n + 1, dtype=np.uint8)
+    )
 
 
 def worst_case_state(epsilon: float, strat: HomogeneousStrategy) -> DensityMatrix:
@@ -205,9 +186,10 @@ def worst_case_state(epsilon: float, strat: HomogeneousStrategy) -> DensityMatri
 
 def unconditional_fidelity(m: ProductSequenceMixture, target: PureState) -> float:
     """Fidelity of the single-system reduced state, averaged over systems."""
+    fid = m.tabulate(partial(overlap, target))
     total = 0.0
-    for (w, _), fid in zip(m.branches, m.tabulate(partial(overlap, target))):
-        total += w * np.mean(fid)
+    for w, row in zip(m.weights.tolist(), m.index):
+        total += w * np.mean(fid[row])
     return float(total)
 
 
@@ -247,10 +229,13 @@ def parse_state(descriptor: str) -> DensityMatrix:
 
 
 def parse_real(value) -> float:
-    """A config number as a float; a bool (YAML ``yes``/``no``) is refused, not read as 1 or 0."""
+    """A finite config number as a float; a bool (YAML ``yes``/``no``) is refused."""
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return x
 
 
 def parse_angle(text) -> float:
@@ -259,32 +244,41 @@ def parse_angle(text) -> float:
         return parse_real(text)
     s = str(text).strip().lower().replace(" ", "")
     m = re.match(r"^(-?\d*\.?\d*)\*?pi(?:/(\d*\.?\d+))?$", s)
-    if m:
-        coef = float(m.group(1)) if m.group(1) not in ("", "-") else (
-            -1.0 if m.group(1) == "-" else 1.0
-        )
-        div = float(m.group(2)) if m.group(2) else 1.0
-        return coef * math.pi / div
-    return float(s)
+    if not m:
+        return parse_real(s)
+    coef = float(m.group(1)) if m.group(1) not in ("", "-") else (
+        -1.0 if m.group(1) == "-" else 1.0
+    )
+    div = float(m.group(2)) if m.group(2) else 1.0
+    if div == 0.0:
+        raise ValueError(f"angle {text!r} divides by zero")
+    return coef * math.pi / div
 
 
 def mixture_from_spec(spec: dict) -> ProductSequenceMixture:
     """Build a custom mixture from a declarative branch list.
 
     ``spec`` is ``{"branches": [{"weight": w, "states": [descriptor, ...]},
-    ...]}``; all branches must list the same number of systems.
+    ...]}``; all branches must list the same number of systems.  Each distinct
+    descriptor string becomes one palette entry, parsed once.
     """
     branches = spec.get("branches")
     if not branches:
         raise ValueError("custom source needs a non-empty 'branches' list")
-    built = []
+    weights, codes, index = [], {}, []
     for i, b in enumerate(branches):
         if set(b) != {"weight", "states"}:
             raise ValueError(f"branches[{i}]: need the keys weight and states, got {list(b)}")
         try:
-            weight = parse_real(b["weight"])
+            weights.append(parse_real(b["weight"]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"branches[{i}].weight: {exc}") from None
-        states = tuple(parse_state(d) for d in b["states"])
-        built.append((weight, ProductSequence(states, label=f"branch{i}")))
-    return ProductSequenceMixture(tuple(built))
+        states = b["states"]
+        if not isinstance(states, list) or not all(isinstance(d, str) for d in states):
+            raise ValueError(f"branches[{i}].states: expected a list of descriptor strings")
+        index.append([codes.setdefault(d, len(codes)) for d in states])
+    lengths = sorted({len(row) for row in index})
+    if len(lengths) != 1:
+        raise ValueError(f"branches have inconsistent lengths {lengths}")
+    palette = tuple(parse_state(d) for d in codes)
+    return ProductSequenceMixture(weights, palette, np.array(index, dtype=np.intp))

@@ -236,6 +236,21 @@ def test_simulate_invalid_config_diagnostics(tmp_path, capsys):
         (head.replace("honest", "custom") + "  branches:\n"
          "    - {weight: yes, states: [singlet, singlet, singlet, singlet]}\nrounds: 10\n",
          "source: branches[0].weight: expected a number, got True"),
+        (head.replace("honest", "custom") + "  branches:\n"
+         "    - {weight: .nan, states: [singlet, singlet, singlet, singlet]}\nrounds: 10\n",
+         "source: branches[0].weight: expected a finite number, got nan"),
+        (head.replace("honest", "rho2") + "  phi: .nan\nrounds: 10\n",
+         "source.phi: expected a finite number, got nan"),
+        (head.replace("honest", "rho2") + "  phi: pi/0\nrounds: 10\n",
+         "source.phi: angle 'pi/0' divides by zero"),
+        (head.replace("honest", "rho1") + "  fidelity: .inf\nrounds: 10\n",
+         "source.fidelity: expected a finite number, got inf"),
+        (head.replace("honest", "custom") + "  branches:\n"
+         "    - {weight: 1, states: null}\nrounds: 10\n",
+         "source: branches[0].states: expected a list of descriptor strings"),
+        (head.replace("honest", "custom") + "  branches:\n"
+         "    - {weight: 1, states: [1, 2, 3]}\nrounds: 10\n",
+         "source: branches[0].states: expected a list of descriptor strings"),
     ]
     for text, message in cases:
         config.write_bytes(text if isinstance(text, bytes) else text.encode())

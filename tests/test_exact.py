@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from matrix_mixtures import random_mixture
+from matrix_mixtures import random_mixture, random_mixture_and_labels
 from qsverify.certificates import (
     CertificateQuery,
     NumericalConsistencyError,
@@ -14,6 +14,7 @@ from qsverify.certificates import (
     solve_J,
 )
 from qsverify.exact import (
+    SWEEP_SLACK_TOL,
     _random_fidelities,
     dqsv_soundness_sweep,
     exact_stats,
@@ -23,7 +24,6 @@ from qsverify.exact import (
 from qsverify.linalg import overlap, phased_singlet
 from qsverify.sources import (
     NoiseSpec,
-    ProductSequence,
     ProductSequenceMixture,
     honest_iid,
     maximally_mixed,
@@ -131,12 +131,7 @@ def test_permutation_invariance(strat):
         m = random_mixture(n, rng)
         k = int(rng.integers(0, n))
         perm = rng.permutation(n + 1)
-        permuted = ProductSequenceMixture(
-            tuple(
-                (w, ProductSequence(tuple(seq.states[i] for i in perm)))
-                for w, seq in m.branches
-            )
-        )
+        permuted = ProductSequenceMixture(m.weights, m.palette, m.index[:, perm])
         a = exact_stats(m, k, strat)
         b = exact_stats(permuted, k, strat)
         assert a.p_k == pytest.approx(b.p_k, abs=1e-12)
@@ -151,10 +146,10 @@ def test_random_fidelities_match_matrix_overlaps():
     for seed in range(200):
         n = int(picks.integers(1, 13))
         weights, fid, labels = _random_fidelities(n, np.random.default_rng(seed))
-        m = random_mixture(n, np.random.default_rng(seed))
+        m, matrix_labels = random_mixture_and_labels(n, np.random.default_rng(seed))
         assert np.array_equal(weights, m.weights)
-        assert np.max(np.abs(fid - m.tabulate(partial(overlap, target)))) <= 1e-15
-        assert labels == [seq.label for _, seq in m.branches]
+        assert np.max(np.abs(fid - m.tabulate(partial(overlap, target))[m.index])) <= 1e-15
+        assert labels == matrix_labels
 
 
 def test_bruteforce_checks_homogeneity_identity(strat):
@@ -177,8 +172,7 @@ def test_budget_enforced(strat):
 
 def test_exact_stats_two_system_mixed_source(strat):
     # smallest admissible sequence: one test on a maximally mixed copy
-    seq = ProductSequence((maximally_mixed(),) * 2)
-    m = ProductSequenceMixture(((1.0, seq),))
+    m = ProductSequenceMixture([1.0], (maximally_mixed(),), np.zeros((1, 2), dtype=int))
     st = exact_stats(m, 0, strat)
     assert st.p_k == pytest.approx(0.5, abs=1e-12)
     assert st.F_k == pytest.approx(0.25, abs=1e-12)  # leftover stays I/4
@@ -248,6 +242,32 @@ def test_soundness_sweep_is_pinned():
         "werner(0.6496)|werner(0.5469)|phi(3.9194,F=0.2641)|werner(0.9351)|"
         "phi(1.8999,F=0.2591)|phi(2.8476,F=0.8371)",
     }
+
+
+def test_soundness_sweep_skips_sources_at_the_tail(monkeypatch):
+    # One branch with every F = 0 passes each test with probability lambda, so
+    # p_k is the IID tail B_{n,k}(1 - lambda) itself.  At (8, 1) the DP gives
+    # that tail exactly and the trial is skipped as degenerate; at (6, 1) it
+    # lands one ulp above the tail, so the trial is checked and the bound at
+    # delta = p_k must not exceed F_k = 0.
+    from qsverify import exact
+
+    def all_orthogonal(n, rng):
+        return np.ones(1), np.zeros((1, n + 1)), ["zeros"]
+
+    monkeypatch.setattr(exact, "_random_fidelities", all_orthogonal)
+    rng = np.random.default_rng(0)
+    report = dqsv_soundness_sweep(8, 1, 1 / 3, 3, rng)
+    assert report["skipped_degenerate"] == report["trials"] == 3
+    assert report["checked"] == 0 and report["argmin"] is None
+    tail = binom_tail(8, 1, 1.0 - 1 / 3)
+    assert exact._exact_from_fidelities(np.ones(1), np.zeros((1, 9)), 1, 1 / 3).p_k == tail
+    report = dqsv_soundness_sweep(6, 1, 1 / 3, 2, rng)
+    assert report["checked"] == 2 and report["skipped_degenerate"] == 0
+    assert report["argmin"]["p_k"] > binom_tail(6, 1, 1.0 - 1 / 3)
+    assert report["argmin"]["F_k"] == 0.0
+    assert report["min_slack"] >= -SWEEP_SLACK_TOL
+    assert report["violations"] == []
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, float("nan")])

@@ -75,6 +75,33 @@ def test_rho2_tabulates_two_distinct_states(strat, monkeypatch):
     assert len(calls) == 2
 
 
+def test_rho2_large_n_runs_in_linear_memory(strat, monkeypatch):
+    """rho2(2000) has 2001^2 system slots: one byte each, and two evaluations."""
+    import tracemalloc
+
+    from qsverify import simulate
+
+    calls = []
+    original = simulate.overlap
+
+    def counting(target, s):
+        calls.append(s)
+        return original(target, s)
+
+    monkeypatch.setattr(simulate, "overlap", counting)
+    tracemalloc.start()
+    try:
+        m = rho2(2000, math.pi)
+        table = run_rounds(m, 2000, strat, 256, "dqsv", RandomPlan(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.index.dtype == np.uint8 and m.index.shape == (2001, 2001)
+    assert len(calls) == 2
+    assert len(table) == 256
+    assert peak < 50e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
 def test_branch_index_single_branch(strat):
     table = run_rounds(honest_iid(4), 4, strat, 10, "sqsv", RandomPlan(18))
     assert np.all(table.branch == 0)

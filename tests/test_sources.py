@@ -9,13 +9,13 @@ from qsverify import strategy
 from qsverify.linalg import overlap, phased_singlet, projector
 from qsverify.sources import (
     NoiseSpec,
-    ProductSequence,
     ProductSequenceMixture,
     depolarized_state,
     honest_iid,
     maximally_mixed,
     mixture_from_spec,
     parse_angle,
+    parse_real,
     parse_state,
     rho1,
     rho2,
@@ -31,11 +31,20 @@ def strat():
     return build_singlet_strategy()
 
 
+def same_matrix(a, b) -> bool:
+    return np.allclose(a.mat.data, b.mat.data, rtol=0, atol=1e-12)
+
+
+def states(m, branch):
+    """The states of one branch, in system order."""
+    return [m.palette[i] for i in m.index[branch]]
+
+
 def test_werner_extremes(strat):
     ideal = werner_state(1.0)
-    assert ideal.mat.allclose(projector(phased_singlet(0.0)).mat, tol=1e-12)
+    assert same_matrix(ideal, projector(phased_singlet(0.0)))
     mixed = werner_state(0.25)
-    assert mixed.mat.allclose(maximally_mixed().mat, tol=1e-12)
+    assert same_matrix(mixed, maximally_mixed())
     with pytest.raises(ValueError):
         werner_state(0.2)
 
@@ -49,10 +58,9 @@ def test_werner_pass_probability(strat):
 def test_honest_iid_structure(strat):
     m = honest_iid(6, NoiseSpec(0.98))
     assert m.num_systems == 6
-    assert len(m.branches) == 1
-    w, seq = m.branches[0]
-    assert w == 1.0
-    for s in seq.states:
+    assert m.weights.tolist() == [1.0]
+    assert m.index.shape == (1, 6)
+    for s in states(m, 0):
         assert overlap(strat.target, s) == pytest.approx(0.98, abs=1e-12)
     with pytest.raises(ValueError):
         honest_iid(1)
@@ -62,7 +70,7 @@ def test_honest_iid_structure(strat):
 
 def test_rho1_branch_weights_and_reduced_fidelity(strat):
     m = rho1(4)
-    assert [w for w, _ in m.branches] == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
+    assert m.weights.tolist() == pytest.approx([2 / 3, 1 / 3], abs=1e-15)
     assert unconditional_fidelity(m, strat.target) == pytest.approx(0.75, abs=1e-10)
     noisy = rho1(4, NoiseSpec(0.98))
     assert unconditional_fidelity(noisy, strat.target) == pytest.approx(
@@ -73,20 +81,20 @@ def test_rho1_branch_weights_and_reduced_fidelity(strat):
 def test_rho2_phi_zero_matches_honest(strat):
     m = rho2(3, 0.0)
     honest = honest_iid(4)
-    for _, seq in m.branches:
-        for s, h in zip(seq.states, honest.branches[0][1].states):
-            assert s.mat.allclose(h.mat, tol=1e-12)
+    for b in range(len(m.weights)):
+        for s, h in zip(states(m, b), states(honest, 0)):
+            assert same_matrix(s, h)
 
 
 def test_rho2_pi_odd_copy_orthogonal(strat):
     # <S | S(pi)> = 0, so the rotated copy carries zero target fidelity
     assert abs(np.vdot(phased_singlet(0.0).vec, phased_singlet(math.pi).vec)) < 1e-12
     m = rho2(5, math.pi)
-    assert len(m.branches) == 6
+    assert len(m.weights) == 6
     assert unconditional_fidelity(m, strat.target) == pytest.approx(5 / 6, abs=1e-10)
-    for slot, (w, seq) in enumerate(m.branches):
+    for slot, w in enumerate(m.weights):
         assert w == pytest.approx(1 / 6, abs=1e-15)
-        assert overlap(strat.target, seq.states[slot]) == pytest.approx(0.0, abs=1e-10)
+        assert overlap(strat.target, states(m, slot)[slot]) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_rho2_intermediate_phase_fidelity(strat):
@@ -103,46 +111,89 @@ def test_rho2_permutation_covariance():
     rng = np.random.default_rng(0)
     perm = rng.permutation(5)
 
-    def branch_key(seq):
-        return tuple(s.mat.data.round(9).tobytes() for s in seq.states)
+    def branch_keys(index):
+        return sorted(map(tuple, index.tolist()))
 
-    original = sorted(branch_key(seq) for _, seq in m.branches)
-    permuted = sorted(
-        branch_key(ProductSequence(tuple(seq.states[i] for i in perm)))
-        for _, seq in m.branches
-    )
-    assert original == permuted
+    assert branch_keys(m.index) == branch_keys(m.index[:, perm])
 
 
 def test_all_factors_are_valid_density_matrices():
     for m in (rho1(3, NoiseSpec(0.9)), rho2(3, 2.0, NoiseSpec(0.8)), honest_iid(4)):
-        for w, seq in m.branches:
-            assert w >= 0
-            for s in seq.states:
-                eigs = np.linalg.eigvalsh(s.mat.data)
-                assert eigs.min() > -1e-10
-                assert abs(np.trace(s.mat.data) - 1) < 1e-10
+        assert np.all(m.weights >= 0)
+        assert set(m.index.ravel().tolist()) == set(range(len(m.palette)))
+        for s in m.palette:
+            eigs = np.linalg.eigvalsh(s.mat.data)
+            assert eigs.min() > -1e-10
+            assert abs(np.trace(s.mat.data) - 1) < 1e-10
 
 
 def test_mixture_validation():
-    seq = ProductSequence((maximally_mixed(), maximally_mixed()))
+    mixed = (maximally_mixed(),)
     with pytest.raises(ValueError):
-        ProductSequenceMixture(((0.5, seq),))  # weights don't sum to 1
+        ProductSequenceMixture([0.5], mixed, np.zeros((1, 2), dtype=int))  # weights don't sum to 1
     with pytest.raises(ValueError):
-        ProductSequence((maximally_mixed(),))  # too short
-    long_seq = ProductSequence((maximally_mixed(),) * 3)
+        ProductSequenceMixture([1.0], mixed, np.zeros((1, 1), dtype=int))  # too short
     with pytest.raises(ValueError):
-        ProductSequenceMixture(((0.5, seq), (0.5, long_seq)))  # unequal lengths
+        ProductSequenceMixture([0.5, 0.5], mixed, np.zeros((1, 3), dtype=int))  # rows != weights
+    with pytest.raises(ValueError, match="inconsistent lengths"):
+        mixture_from_spec({"branches": [
+            {"weight": 0.5, "states": ["mixed", "mixed"]},
+            {"weight": 0.5, "states": ["mixed", "mixed", "mixed"]},
+        ]})
+
+
+def test_mixture_rejects_nan_weights():
+    # abs(nan - 1) > tol is False, so the sum check must be written to fail on NaN.
+    two = np.zeros((2, 2), dtype=int)
+    for weights in ([math.nan, 0.5], [math.nan, math.nan], [math.inf, -math.inf]):
+        with pytest.raises(ValueError):
+            ProductSequenceMixture(weights, (maximally_mixed(),), two)
+    with pytest.raises(ValueError, match="branch weights sum to nan"):
+        ProductSequenceMixture([math.nan], (maximally_mixed(),), np.zeros((1, 2), dtype=int))
+    for value in (math.nan, math.inf, -math.inf, "nan", "inf"):
+        with pytest.raises(ValueError, match="expected a finite number"):
+            parse_real(value)
+        with pytest.raises(ValueError, match="expected a finite number"):
+            parse_angle(value)
+    spec = {"branches": [{"weight": math.nan, "states": ["singlet", "singlet"]}]}
+    with pytest.raises(ValueError, match=r"branches\[0\]\.weight: expected a finite number"):
+        mixture_from_spec(spec)
+    with pytest.raises(ValueError, match="divides by zero"):
+        parse_angle("pi/0")
+
+
+def test_mixture_index_is_checked_before_narrowing():
+    pal = (maximally_mixed(), werner_state(0.9))
+    # 256 and -255 would wrap to the valid entries 0 and 1 in uint8.
+    for bad in ([[0, 256]], [[0, -255]], [[0, 2]], [[-1, 0]]):
+        with pytest.raises(ValueError, match="index entries"):
+            ProductSequenceMixture([1.0], pal, np.array(bad))
+    for bad in (np.zeros((1, 2)), np.zeros(2, dtype=int), np.zeros((1, 2), dtype=bool)):
+        with pytest.raises(ValueError, match="index must be"):
+            ProductSequenceMixture([1.0], pal, bad)
+    with pytest.raises(ValueError, match="DensityMatrix"):
+        ProductSequenceMixture([1.0], (maximally_mixed(), "singlet"), np.zeros((1, 2), dtype=int))
+    raw = np.array([[0, 1, 1]])
+    m = ProductSequenceMixture([1.0], pal, raw)
+    assert m.index.dtype == np.uint8 and m.index.tolist() == [[0, 1, 1]]
+    assert not m.index.flags.writeable and not m.weights.flags.writeable
+    raw[0, 0] = 1  # the mixture keeps its own copy
+    assert m.index.tolist() == [[0, 1, 1]]
+    wide = ProductSequenceMixture([1.0], (maximally_mixed(),) * 300, np.array([[0, 299]]))
+    assert wide.index.dtype == np.uint16
+    for m in (honest_iid(5), rho1(4), rho2(4, 1.0), mixture_from_spec(
+        {"branches": [{"weight": 1, "states": ["singlet", "mixed"]}]}
+    )):
+        assert m.index.dtype == np.uint8
 
 
 def test_ideal_singlet_branches_pass_surely(strat):
     # rho1's singlet branch, every rho2 branch, and the honest source all
     # consist of perfect singlet copies when phi = 0 and prep is ideal
-    singlet_branch = rho1(3).branches[0][1]
-    sources_states = list(singlet_branch.states)
-    for _, seq in rho2(3, 0.0).branches:
-        sources_states.extend(seq.states)
-    sources_states.extend(honest_iid(4).branches[0][1].states)
+    sources_states = states(rho1(3), 0)
+    for m in (rho2(3, 0.0), honest_iid(4)):
+        for b in range(len(m.weights)):
+            sources_states.extend(states(m, b))
     for s in sources_states:
         assert pass_probability(strat, s) == pytest.approx(1.0, abs=1e-10)
 
@@ -175,12 +226,10 @@ def test_parse_angle():
 
 
 def test_parse_state_descriptors(strat):
-    assert parse_state("singlet").mat.allclose(projector(strat.target).mat)
-    assert parse_state("mixed").mat.allclose(maximally_mixed().mat)
-    assert parse_state("werner(0.9)").mat.allclose(werner_state(0.9).mat)
-    assert parse_state("singlet_phi(pi)").mat.allclose(
-        projector(phased_singlet(math.pi)).mat, tol=1e-12
-    )
+    assert same_matrix(parse_state("singlet"), projector(strat.target))
+    assert same_matrix(parse_state("mixed"), maximally_mixed())
+    assert same_matrix(parse_state("werner(0.9)"), werner_state(0.9))
+    assert same_matrix(parse_state("singlet_phi(pi)"), projector(phased_singlet(math.pi)))
     with pytest.raises(ValueError):
         parse_state("bogus(3)")
     with pytest.raises(ValueError):
@@ -214,13 +263,14 @@ def test_tabulate_calls_fn_once_per_distinct_state():
         calls.append(s)
         return len(calls)
 
-    table = rho2(50, math.pi / 3).tabulate(fn)
+    m = rho2(50, math.pi / 3)
+    table = m.tabulate(fn)[m.index]
     assert table.shape == (51, 51)
     assert len(calls) == 2
     assert np.array_equal(np.diag(table), np.full(51, table[0, 0]))
+    assert np.array_equal(table[0, 1:], np.full(50, table[0, 1]))
 
-    # parse_state builds a new object for every descriptor it reads; keying by
-    # content still evaluates each distinct descriptor once.
+    # Each distinct descriptor is one palette entry, so it is evaluated once.
     spec = {
         "branches": [
             {"weight": 0.5, "states": ["singlet", "werner(0.9)", "singlet", "mixed"]},
@@ -237,10 +287,12 @@ def test_tabulate_matches_per_state_evaluation(strat):
     probs = m.tabulate(partial(strategy.test_pass_probabilities, strat))
     a = m.tabulate(partial(pass_probability, strat))
     fid = m.tabulate(partial(overlap, strat.target))
-    assert probs.shape == (len(m.branches), 7, len(strat.tests))
-    assert a.shape == fid.shape == (len(m.branches), 7)
-    for b, (_, seq) in enumerate(m.branches):
-        for i, s in enumerate(seq.states):
+    assert probs.shape == (len(m.palette), len(strat.tests))
+    assert a.shape == fid.shape == (len(m.palette),)
+    probs, a, fid = probs[m.index], a[m.index], fid[m.index]
+    assert probs.shape == (len(m.weights), 7, len(strat.tests))
+    for b in range(len(m.weights)):
+        for i, s in enumerate(states(m, b)):
             assert np.array_equal(probs[b, i], strategy.test_pass_probabilities(strat, s))
             assert a[b, i] == pass_probability(strat, s)
             assert fid[b, i] == overlap(strat.target, s)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsverify.linalg import (
+    ComplexMatrix,
     DensityMatrix,
     I4,
     expectation,
@@ -20,7 +21,7 @@ from qsverify.strategy import (
     pass_probability,
 )
 from qsverify.simulate import RandomPlan, run_rounds
-from qsverify.sources import ProductSequence, ProductSequenceMixture
+from qsverify.sources import ProductSequenceMixture
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ def strat():
 def random_density(rng) -> DensityMatrix:
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = a @ a.conj().T
-    return DensityMatrix.from_array(m / np.trace(m))
+    return DensityMatrix(ComplexMatrix(m / np.trace(m)))
 
 
 def test_singlet_strategy_parameters(strat):
@@ -50,7 +51,7 @@ def test_target_passes_with_certainty(strat):
 
 def test_omega_trace_on_maximally_mixed(strat):
     # tr Omega = 1 + 3 lambda = 2, checked through the mixed-state expectation.
-    mixed = DensityMatrix.from_array(np.eye(4) / 4)
+    mixed = DensityMatrix(ComplexMatrix(np.eye(4) / 4))
     assert expectation(strat.omega, mixed) == pytest.approx(0.5, abs=1e-12)
     assert np.trace(strat.omega.data).real == pytest.approx(2.0, abs=1e-12)
 
@@ -94,7 +95,7 @@ def test_pass_probability_werner(strat):
 
 def iid_rounds(strat, s, n, rounds, seed):
     """SQSV rounds of n tests each on IID copies of ``s``, from the round engine."""
-    source = ProductSequenceMixture(((1.0, ProductSequence((s,) * max(n, 2))),))
+    source = ProductSequenceMixture([1.0], (s,), np.zeros((1, max(n, 2)), dtype=int))
     return run_rounds(source, n, strat, rounds, "sqsv", RandomPlan(seed))
 
 
@@ -123,7 +124,7 @@ def test_sample_test_orthogonal_support_is_deterministic_per_setting(strat):
 
 
 def test_sample_tests_empirical_rate_mixed(strat):
-    mixed = DensityMatrix.from_array(np.eye(4) / 4)
+    mixed = DensityMatrix(ComplexMatrix(np.eye(4) / 4))
     n, rounds = 100, 10_000
     table = iid_rounds(strat, mixed, n, rounds, 14)
     tests = n * rounds
@@ -145,7 +146,7 @@ def test_sample_tests_empirical_rate_werner(strat):
 
 
 def test_setting_frequencies_follow_weights(strat):
-    mixed = DensityMatrix.from_array(np.eye(4) / 4)
+    mixed = DensityMatrix(ComplexMatrix(np.eye(4) / 4))
     table = iid_rounds(strat, mixed, 100, 3000, 16)
     n = table.settings.size
     counts = np.bincount(table.settings.ravel(), minlength=3) / n
