@@ -210,6 +210,11 @@ def _build_source(cfg: dict, n: int, protocol: str):
             except ValueError as exc:
                 raise ConfigError([f"source.phi: {exc}"]) from exc
             return rho2(n, phi, noise)
+        branches = cfg.get("branches")
+        if not isinstance(branches, list) or not branches:
+            raise ConfigError([
+                f"source.branches: expected a non-empty list of branches, got {branches!r}"
+            ])
         source = mixture_from_spec(cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"source: {exc}"]) from exc

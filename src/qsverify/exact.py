@@ -13,6 +13,10 @@ so one Poisson-binomial dynamic program over failure counts, with prefix and
 suffix passes for the uniformly random untested system, gives p_k and f_k
 without any matrix.  The soundness sweep draws its random mixtures directly
 as such tables, using the closed-form fidelities of the states it samples.
+It runs in blocks of trials: the draws of a block stay in trial order, on
+exact-size requests to the generator, and one DP runs over all their
+branches stacked, so a seed still gives the report, and leaves the generator
+in the state, of checking one trial at a time.
 
 Two oracles keep the matrices: the 2^N pattern enumeration reads tr(Omega s)
 from every density matrix (and checks the homogeneity identity on it), and
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -49,6 +54,7 @@ MAX_SYSTEMS = 16          # combinatorial budget for the exact statistics
 MAX_ENUM_TESTS = 12       # budget for the brute-force pattern enumeration
 SWEEP_SLACK_TOL = 1e-9    # certificates may exceed the truth by at most this
 IDENTITY_TOL = 4e-10      # |tr(Omega s) - lambda - nu F|: 4 x HOMOGENEITY_TOL on a 4x4 state
+SWEEP_BLOCK_TRIALS = 128  # soundness-sweep trials per stacked DP; bounds its memory
 
 
 @dataclass(frozen=True)
@@ -64,17 +70,16 @@ class ExactStats:
             raise ValueError(f"need 0 <= f_k <= p_k, got f_k={self.f_k}, p_k={self.p_k}")
 
 
-def _exact_from_fidelities(
-    weights: np.ndarray, fid: np.ndarray, k: int, lam: float
-) -> ExactStats:
-    """Exact (p_k, f_k, F_k) from branch weights and the (B, L) fidelity table.
+def _accept_table(fid: np.ndarray, k: int, lam: float) -> np.ndarray:
+    """accept[r, i] = P[at most k failures among the systems of row r other than i].
 
-    System i of branch b passes its test with a = lam + nu F[b, i] and is the
-    untested one with probability 1/L.  The failure-count distributions of
-    the systems before and after i, truncated at k, come from one prefix and
-    one suffix pass over the systems, vectorized over branches: O(B L k).
+    System i of row r passes its test with a = lam + nu F[r, i].  The
+    failure-count distributions of the systems before and after i, truncated
+    at k, come from one prefix and one suffix pass over the systems,
+    vectorized over rows: O(R L k) for the (R, L) fidelity table.  Rows are
+    independent, so one call serves the branches of many mixtures at once.
     """
-    branches, length = fid.shape
+    rows, length = fid.shape
     q = 1.0 - np.clip(lam + (1.0 - lam) * fid, 0.0, 1.0)
 
     def add_system(dist: np.ndarray, qi: np.ndarray) -> np.ndarray:
@@ -83,22 +88,37 @@ def _exact_from_fidelities(
         return out
 
     # before[i] counts the failures of systems 0..i-1, after[i] of i..L-1.
-    before = np.zeros((length + 1, branches, k + 1))
-    after = np.zeros((length + 1, branches, k + 1))
+    before = np.zeros((length + 1, rows, k + 1))
+    after = np.zeros((length + 1, rows, k + 1))
     before[0, :, 0] = 1.0
     after[length, :, 0] = 1.0
     for i in range(length):
         before[i + 1] = add_system(before[i], q[:, i])
         j = length - 1 - i
         after[j] = add_system(after[j + 1], q[:, j])
-    # accept[b, i] = P[at most k failures among the systems other than i]
-    #              = sum_c before[i][c] * P[after[i + 1] <= k - c].
+    # accept[r, i] = sum_c before[i][r, c] * P[after[i + 1][r] <= k - c].
     after_cdf = np.cumsum(after[1:], axis=2)[:, :, ::-1]
-    accept = np.einsum("ibc,ibc->bi", before[:-1], after_cdf)
+    return np.einsum("ibc,ibc->bi", before[:-1], after_cdf)
+
+
+def _mixture_stats(weights: np.ndarray, fid: np.ndarray, accept: np.ndarray) -> ExactStats:
+    """(p_k, f_k, F_k) of one mixture from its rows of fid and accept.
+
+    The untested system is uniform over the L positions.  The means are
+    taken over this mixture's rows alone: over a stack of many mixtures,
+    numpy may sum a row in another order and change its last bits.
+    """
     p_tot = float(weights @ accept.mean(axis=1))
     f_tot = float(weights @ (accept * fid).mean(axis=1))
     F = f_tot / p_tot if p_tot > 0.0 else None
     return ExactStats(p_k=min(p_tot, 1.0), f_k=min(f_tot, 1.0), F_k=F)
+
+
+def _exact_from_fidelities(
+    weights: np.ndarray, fid: np.ndarray, k: int, lam: float
+) -> ExactStats:
+    """Exact (p_k, f_k, F_k) from branch weights and the (B, L) fidelity table."""
+    return _mixture_stats(weights, fid, _accept_table(fid, k, lam))
 
 
 def exact_stats(
@@ -176,29 +196,62 @@ def sqsv_worst_case_scan(
 
 def _random_fidelities(
     n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
+) -> tuple[np.ndarray, np.ndarray, Callable[[], list[str]]]:
     """A random mixture of 1 to 8 Werner and rotated-singlet product sequences.
 
     Returns the branch weights, the (B, n + 1) table of singlet fidelities and
-    one label per branch.  A copy depolarized to own-state fidelity f has
-    Werner parameter v = (4f - 1)/3 and singlet fidelity
-    v cos^2(phi/2) + (1 - v)/4, phi being its rotation (0 for a Werner state).
+    a function that formats one label per branch.  A copy depolarized to
+    own-state fidelity f has Werner parameter v = (4f - 1)/3 and singlet
+    fidelity v cos^2(phi/2) + (1 - v)/4, phi being its rotation (0 for a
+    Werner state).
+
+    Copy by copy the stream holds u < 0.5 for a Werner state, then, unless
+    Werner, phi = 2 pi u', then f = 0.25 + 0.75 u''.  A copy takes 2 or 3
+    doubles, so ``rng.random`` is asked each time for the fewest doubles the
+    copies still left must take, and a walk assigns them.  As
+    ``Generator.uniform(lo, hi)`` is lo + (hi - lo) u on the same double, the
+    stream and every value equal those of one scalar draw per number.
     """
     n_branches = int(rng.integers(1, 9))
     weights = rng.dirichlet(np.ones(n_branches))
-    fid = np.empty((n_branches, n + 1))
-    labels = []
-    for b in range(n_branches):
-        desc = []
-        for i in range(n + 1):
-            werner = rng.random() < 0.5
-            phi = 0.0 if werner else float(rng.uniform(0.0, 2.0 * math.pi))
-            f = float(rng.uniform(0.25, 1.0))
-            v = (4.0 * f - 1.0) / 3.0
-            fid[b, i] = v * math.cos(phi / 2.0) ** 2 + (1.0 - v) / 4.0
-            desc.append(f"werner({f:.4f})" if werner else f"phi({phi:.4f},F={f:.4f})")
-        labels.append("|".join(desc))
-    return weights, fid, labels
+    copies = n_branches * (n + 1)
+    u: list[float] = []
+    starts: list[int] = []  # the first double of each copy
+    fid: list[float] = []
+    pos = 0
+    short = 2 * copies
+    while short:
+        u += rng.random(short).tolist()
+        last = len(u) - 2  # a copy starting at pos reads u[pos + 1], a rotated one u[pos + 2]
+        for _ in range(copies - len(fid)):
+            if pos > last:
+                break
+            if u[pos] < 0.5:
+                v = (4.0 * (0.25 + 0.75 * u[pos + 1]) - 1.0) / 3.0
+                fid.append(v + (1.0 - v) / 4.0)  # cos(0) = 1
+                starts.append(pos)
+                pos += 2
+            elif pos < last:
+                v = (4.0 * (0.25 + 0.75 * u[pos + 2]) - 1.0) / 3.0
+                phi = 2.0 * math.pi * u[pos + 1]
+                fid.append(v * math.cos(phi / 2.0) ** 2 + (1.0 - v) / 4.0)
+                starts.append(pos)
+                pos += 3
+            else:
+                break
+        left = copies - len(fid)
+        # The next copy takes 3 doubles if its first, already drawn, says rotated.
+        short = 2 * left + (pos < len(u) and u[pos] >= 0.5) - (len(u) - pos) if left else 0
+
+    def labels() -> list[str]:
+        desc = [
+            f"werner({0.25 + 0.75 * u[s + 1]:.4f})" if u[s] < 0.5
+            else f"phi({2.0 * math.pi * u[s + 1]:.4f},F={0.25 + 0.75 * u[s + 2]:.4f})"
+            for s in starts
+        ]
+        return ["|".join(desc[b:b + n + 1]) for b in range(0, copies, n + 1)]
+
+    return weights, np.array(fid).reshape(n_branches, n + 1), labels
 
 
 def dqsv_soundness_sweep(
@@ -215,6 +268,12 @@ def dqsv_soundness_sweep(
     hold for every permutation-invariant source, so any violation beyond
     SWEEP_SLACK_TOL indicates an implementation bug; offenders are returned in
     full as counterexamples.
+
+    Trials run in blocks of SWEEP_BLOCK_TRIALS: a block draws its mixtures in
+    trial order, stacks their fidelity tables into one prefix/suffix DP, and
+    then reduces and certifies each mixture on its own rows.  Labels are
+    formatted only for the records kept.  The report and the generator's
+    final state are those of drawing and checking one trial at a time.
     """
     if n > MAX_ENUM_TESTS:
         raise ValueError(f"n = {n} exceeds the sweep budget of {MAX_ENUM_TESTS}")
@@ -228,32 +287,41 @@ def dqsv_soundness_sweep(
     checked = 0
     skipped = 0
     violations = []
-    for trial in range(trials):
-        weights, fid, labels = _random_fidelities(n, rng)
-        stats = _exact_from_fidelities(weights, fid, k, lam)
-        if stats.p_k <= tail or stats.F_k is None:
-            skipped += 1
-            continue
-        q = CertificateQuery(PROTOCOL_DQSV, n, k, stats.p_k, lam)
-        bound = dqsv_certificate(q).fidelity_bound
-        slack = stats.F_k - bound
-        checked += 1
-        record = {
-            "trial": trial,
-            "p_k": stats.p_k,
-            "F_k": stats.F_k,
-            "bound": bound,
-            "slack": slack,
-            "branches": [
-                {"weight": float(w), "states": label}
-                for w, label in zip(weights, labels)
-            ],
-        }
-        if slack < min_slack:
-            min_slack = slack
-            argmin = record
-        if slack < -SWEEP_SLACK_TOL:
-            violations.append(record)
+    for first in range(0, trials, SWEEP_BLOCK_TRIALS):
+        block = [
+            _random_fidelities(n, rng)
+            for _ in range(min(SWEEP_BLOCK_TRIALS, trials - first))
+        ]
+        accept = _accept_table(np.concatenate([fid for _, fid, _ in block]), k, lam)
+        row = 0
+        for trial, (weights, fid, labels) in enumerate(block, first):
+            stats = _mixture_stats(weights, fid, accept[row:row + len(weights)])
+            row += len(weights)
+            if stats.p_k <= tail or stats.F_k is None:
+                skipped += 1
+                continue
+            q = CertificateQuery(PROTOCOL_DQSV, n, k, stats.p_k, lam)
+            bound = dqsv_certificate(q).fidelity_bound
+            slack = stats.F_k - bound
+            checked += 1
+            if not (slack < min_slack or slack < -SWEEP_SLACK_TOL):
+                continue
+            record = {
+                "trial": trial,
+                "p_k": stats.p_k,
+                "F_k": stats.F_k,
+                "bound": bound,
+                "slack": slack,
+                "branches": [
+                    {"weight": float(w), "states": label}
+                    for w, label in zip(weights, labels())
+                ],
+            }
+            if slack < min_slack:
+                min_slack = slack
+                argmin = record
+            if slack < -SWEEP_SLACK_TOL:
+                violations.append(record)
     return {
         "n": n,
         "k": k,

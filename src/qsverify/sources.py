@@ -260,13 +260,16 @@ def mixture_from_spec(spec: dict) -> ProductSequenceMixture:
 
     ``spec`` is ``{"branches": [{"weight": w, "states": [descriptor, ...]},
     ...]}``; all branches must list the same number of systems.  Each distinct
-    descriptor string becomes one palette entry, parsed once.
+    descriptor string becomes one palette entry, parsed once; an error names
+    the field of its first occurrence, as in ``branches[1].states[0]``.
     """
     branches = spec.get("branches")
-    if not branches:
-        raise ValueError("custom source needs a non-empty 'branches' list")
+    if not isinstance(branches, list) or not branches:
+        raise ValueError(f"branches: expected a non-empty list of branches, got {branches!r}")
     weights, codes, index = [], {}, []
     for i, b in enumerate(branches):
+        if not isinstance(b, dict):
+            raise ValueError(f"branches[{i}]: expected a mapping of weight and states, got {b!r}")
         if set(b) != {"weight", "states"}:
             raise ValueError(f"branches[{i}]: need the keys weight and states, got {list(b)}")
         try:
@@ -276,9 +279,16 @@ def mixture_from_spec(spec: dict) -> ProductSequenceMixture:
         states = b["states"]
         if not isinstance(states, list) or not all(isinstance(d, str) for d in states):
             raise ValueError(f"branches[{i}].states: expected a list of descriptor strings")
-        index.append([codes.setdefault(d, len(codes)) for d in states])
+        for j, d in enumerate(states):
+            codes.setdefault(d, (len(codes), i, j))  # code and first position
+        index.append([codes[d][0] for d in states])
     lengths = sorted({len(row) for row in index})
     if len(lengths) != 1:
         raise ValueError(f"branches have inconsistent lengths {lengths}")
-    palette = tuple(parse_state(d) for d in codes)
-    return ProductSequenceMixture(weights, palette, np.array(index, dtype=np.intp))
+    palette = []
+    for d, (_, i, j) in codes.items():
+        try:
+            palette.append(parse_state(d))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"branches[{i}].states[{j}]: {exc}") from None
+    return ProductSequenceMixture(weights, tuple(palette), np.array(index, dtype=np.intp))

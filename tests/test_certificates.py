@@ -12,6 +12,7 @@ from qsverify.certificates import (
     CertificateQuery,
     TAIL_ABS_ERROR,
     TAIL_ABS_ERROR_Z_MAX,
+    SOLVE_J_RESIDUAL_TOL,
     NumericalConsistencyError,
     _comb,
     _knot_tail,
@@ -183,6 +184,22 @@ def test_solve_j_residuals_general_k():
         x = solve_J(n, k, delta)
         assert 0.0 <= x <= 1.0
         assert abs(binom_tail(n, k, x) - delta) <= 1e-12
+
+
+def test_solve_j_roots_next_to_one():
+    # Within a few float steps of 1 the tail is so steep that one ulp of x
+    # moves it by more than SOLVE_J_RESIDUAL_TOL.  The root must agree with
+    # the mirrored root 1 - J_{n, n-1-k}(1 - delta), solved where x is small,
+    # and its true residual must stay within the tolerance plus one ulp's
+    # worth of slope.
+    n = 10**5
+    for k, delta in ((99998, 0.025), (99999, 0.025)):
+        x = solve_J(n, k, delta)
+        assert abs(x - (1.0 - solve_J(n, n - 1 - k, 1.0 - delta))) <= 2.0 * math.ulp(1.0)
+        err = abs(float(binom_tail_highprec(n, k, x)) - delta)
+        assert SOLVE_J_RESIDUAL_TOL < err <= SOLVE_J_RESIDUAL_TOL + (
+            certificates._tail_slope(n, k, x) * math.ulp(x)
+        )
 
 
 def test_solve_j_rejects_bad_arguments():

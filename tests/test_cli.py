@@ -262,6 +262,33 @@ def test_simulate_invalid_config_diagnostics(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+CUSTOM_SOURCE_ERRORS = [
+    ("branches: 5", "source.branches: expected a non-empty list"),
+    ("branches: [1]", "source: branches[0]: expected a mapping of weight and states"),
+    ("branches:\n    - {weight: 1, states: [singlet, bogus, singlet, singlet]}",
+     "source: branches[0].states[1]: unknown state descriptor 'bogus'"),
+    ("branches:\n    - {weight: 1, states: [singlet, singlet, singlet, singlet]}"
+     "\n    - {weight: 0, states: [singlet, singlet, 'werner(2)', 'werner(2)']}",
+     "source: branches[1].states[2]: fidelity 2.0 outside [1/4, 1]"),
+]
+
+
+@pytest.mark.parametrize("branches, message", CUSTOM_SOURCE_ERRORS,
+                         ids=["int", "int-branch", "unknown-state", "bad-fidelity"])
+def test_custom_source_errors_name_their_field(tmp_path, capsys, branches, message):
+    config = tmp_path / "bad.yaml"
+    config.write_text(
+        "protocol: dqsv\nn: 3\nk: 1\nrounds: 10\nsource:\n  model: custom\n  " + branches + "\n"
+    )
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(config), "--out-dir", str(tmp_path / "o")
+    )
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "o").exists()
+
+
 RHO1 = "source:\n  model: rho1\n"
 CUSTOM = (
     "source:\n  model: custom\n  branches:\n"

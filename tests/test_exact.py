@@ -149,7 +149,7 @@ def test_random_fidelities_match_matrix_overlaps():
         m, matrix_labels = random_mixture_and_labels(n, np.random.default_rng(seed))
         assert np.array_equal(weights, m.weights)
         assert np.max(np.abs(fid - m.tabulate(partial(overlap, target))[m.index])) <= 1e-15
-        assert labels == matrix_labels
+        assert labels() == matrix_labels
 
 
 def test_bruteforce_checks_homogeneity_identity(strat):
@@ -253,7 +253,7 @@ def test_soundness_sweep_skips_sources_at_the_tail(monkeypatch):
     from qsverify import exact
 
     def all_orthogonal(n, rng):
-        return np.ones(1), np.zeros((1, n + 1)), ["zeros"]
+        return np.ones(1), np.zeros((1, n + 1)), lambda: ["zeros"]
 
     monkeypatch.setattr(exact, "_random_fidelities", all_orthogonal)
     rng = np.random.default_rng(0)

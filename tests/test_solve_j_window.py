@@ -101,26 +101,38 @@ def large_trial_cases() -> set:
 
 @pytest.fixture(scope="module")
 def solved():
-    """{(n, k, delta): (solve_J miss, its binom_tail calls, reference)}."""
+    """{(n, k, delta): (solve_J miss, its binom_tail calls, reference)}.
+
+    A case's solve_J miss and its reference bisection share one memo of the
+    pure binom_tail on (z, k, p).  Every call solve_J makes is counted, hit
+    or miss, and the reference runs after it, so the count is solve_J's own.
+    """
     cases = sorted(
         fig5_cases() | query_table_cases() | clopper_pearson_cases() | large_trial_cases()
     )
+    tail = binom_tail
+    memo = {}
     calls = 0
+
+    def memoized(z, k, p):
+        if (z, k, p) not in memo:
+            memo[z, k, p] = tail(z, k, p)
+        return memo[z, k, p]
 
     def counted(z, k, p):
         nonlocal calls
         calls += 1
-        return binom_tail(z, k, p)
+        return memoized(z, k, p)
 
     out = {}
     with pytest.MonkeyPatch.context() as m:
         m.setattr(certificates, "binom_tail", counted)
+        m.setitem(globals(), "binom_tail", memoized)
         for case in cases:
+            memo.clear()
             calls = 0
             x = solve_J.__wrapped__(*case)
-            out[case] = (x, calls, None)
-    for case, (x, used, _) in out.items():
-        out[case] = (x, used, reference_bisection(*case))
+            out[case] = (x, calls, reference_bisection(*case))
     return out
 
 
