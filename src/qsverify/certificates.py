@@ -53,9 +53,16 @@ safeguarded Newton phase finds that window, and the bisection skips those
 comparisons.  Given the contract, the result is bitwise the full
 bisection's, at well under half its binom_tail evaluations.
 
+zhat is searched with a tie tolerance relative to delta (ZHAT_TIE_TOL).
+Over a range n - k longer than _ZHAT_PLAIN_MAX the search starts at the
+normal approximation of the z with B_{z,k}(nu) = delta, gallops outward to
+a bracket and bisects inside it, so its probes evaluate a few knot tails
+next to zhat instead of some fifteen spread over [k, n]; h is strictly
+decreasing, so zhat is the full-range binary search's.
+
 Memoization: ``solve_J`` is memoized on (n, k, delta), and the knot tails
 B_{z,k}(nu) behind h, g and the degenerate test delta <= B_{N,k}(nu) on
-(z, k, nu), so the repeated (N, k) pairs of a scaling run are solved once.
+(z, k, nu), so neighbouring zhat probes and repeated queries share them.
 Both memos are bounded, thread-safe, per-process ``functools.lru_cache``
 tables (sizes SOLVE_J_CACHE_SIZE and KNOT_TAIL_CACHE_SIZE) keyed with their
 argument types; errors are never cached, so a hit returns the bit-identical
@@ -77,7 +84,7 @@ logger = logging.getLogger(__name__)
 
 SOLVE_J_MAX_ITER = 200
 SOLVE_J_RESIDUAL_TOL = 1e-12
-ZHAT_TIE_TOL = 1e-14       # h_z within this of delta counts as h_z >= delta
+ZHAT_TIE_TOL = 1e-14       # h_z >= delta - this * delta counts as h_z >= delta
 BOUND_CLAMP_TOL = 1e-12    # certificate outside [0,1] by more than this is a bug
 
 _DIRECT_Z_MAX = 100        # direct summation below, anchored scheme above
@@ -97,6 +104,7 @@ _NEWTON_MAX_STEPS = 40
 
 SOLVE_J_CACHE_SIZE = 4096      # memoized (n, k, delta) roots
 KNOT_TAIL_CACHE_SIZE = 16384   # memoized (z, k, nu) knot tails
+_ZHAT_PLAIN_MAX = 16           # zhat by plain binary search while n - k <= this
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -341,6 +349,18 @@ def _tail_slope(n: int, k: int, x: float) -> float:
     return n * math.exp(log_coef + k * math.log(x) + (n - 1 - k) * math.log1p(-x))
 
 
+def _normal_upper_quantile(delta: float) -> float:
+    """u with P[N(0, 1) > u] ~ delta for 0 < delta < 1.
+
+    Abramowitz & Stegun 26.2.23 (absolute error < 4.5e-4); only starting
+    points of searches are built from it.
+    """
+    t = math.sqrt(-2.0 * math.log(min(delta, 1.0 - delta)))
+    u = t - (2.515517 + 0.802853 * t + 0.010328 * t * t) / (
+        1.0 + 1.432788 * t + 0.189269 * t * t + 0.001308 * t ** 3)
+    return -u if delta > 0.5 else u
+
+
 def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     """[a, b] outside which every bisection test B_{n,k}(mid) > delta is decided.
 
@@ -364,13 +384,8 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     log_delta = math.log(delta)
     slope = functools.partial(_tail_slope, n, k)
 
-    # Start from the normal approximation with continuity correction, with
-    # the normal quantile of Abramowitz & Stegun 26.2.23 (error < 4.5e-4).
-    t = math.sqrt(-2.0 * math.log(min(delta, 1.0 - delta)))
-    u = t - (2.515517 + 0.802853 * t + 0.010328 * t * t) / (
-        1.0 + 1.432788 * t + 0.189269 * t * t + 0.001308 * t ** 3)
-    if delta > 0.5:
-        u = -u
+    # Start from the normal approximation with continuity correction.
+    u = _normal_upper_quantile(delta)
     c = k + 0.5
     x = (c + 0.5 * u * u + u * math.sqrt(c * (n - c) / n + 0.25 * u * u)) / (n + u * u)
     for _ in range(_NEWTON_MAX_STEPS):
@@ -422,16 +437,27 @@ def solve_J(n: int, k: int, delta: float) -> float:
         return 0.0
     a, b = _decided_window(n, k, delta)
     lo, hi = 0.0, 1.0
+    tail_lo = tail_hi = math.nan  # computed B at lo and hi, NaN where not evaluated
     for _ in range(SOLVE_J_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if mid <= a or (mid < b and binom_tail(n, k, mid) > delta):
-            lo = mid
+        if mid <= a:
+            lo, tail_lo = mid, math.nan
+        elif mid >= b:
+            hi, tail_hi = mid, math.nan
         else:
-            hi = mid
+            tail = binom_tail(n, k, mid)
+            if tail > delta:
+                lo, tail_lo = mid, tail
+            else:
+                hi, tail_hi = mid, tail
     x = 0.5 * (lo + hi)
-    residual = abs(binom_tail(n, k, x) - delta)
+    # On interval exhaustion x is lo or hi; reuse its tail if it was evaluated.
+    tail = tail_lo if x == lo else tail_hi if x == hi else math.nan
+    if math.isnan(tail):
+        tail = binom_tail(n, k, x)
+    residual = abs(tail - delta)
     # Next to a steep root, such as one within a float step of 1, one ulp of x
     # moves B by more than the tolerance; so much residual is allowed there.
     if residual > SOLVE_J_RESIDUAL_TOL and not (
@@ -478,14 +504,44 @@ def _g(z: int, k: int, n: int, nu: float) -> float:
 def _zhat(k: int, n: int, nu: float, delta: float) -> int:
     """Largest z in [k, n] with h_z >= delta, given h_{n+1} < delta <= 1 = h_k.
 
-    Binary search is valid because h is strictly decreasing on [k, n+1].
-    Values within ZHAT_TIE_TOL of delta count as meeting the threshold, so the
-    ">=" in the definition is honored under floating-point rounding.
+    Values within a relative ZHAT_TIE_TOL of delta count as meeting the
+    threshold, so the ">=" in the definition is honored under floating-point
+    rounding at every scale of delta.  h is strictly decreasing on [k, n+1],
+    so every correct search returns the same z.  Over a range longer than
+    _ZHAT_PLAIN_MAX the search starts at the normal approximation of the z
+    with B_{z,k}(nu) = delta and gallops outward in steps 1, 2, 4, ... until
+    it brackets zhat, so its probes stay near zhat and neighbouring probes
+    share knot tails; a binary search inside the bracket finishes.
     """
+    threshold = delta - ZHAT_TIE_TOL * delta
     lo, hi = k, n
+    if hi - lo > _ZHAT_PLAIN_MAX:
+        z = k
+        if delta < 1.0:
+            # z nu - (k + 1/2) = u sqrt(z nu (1 - nu)), a quadratic in sqrt(z)
+            b = _normal_upper_quantile(delta) * math.sqrt(nu * (1.0 - nu))
+            root = (b + math.sqrt(b * b + 4.0 * nu * (k + 0.5))) / (2.0 * nu)
+            z = int(min(max(root * root, k), n))
+        step = 1
+        if _h(z, k, n, nu) >= threshold:
+            lo = z
+            while lo < hi:
+                t = min(z + step, hi)
+                if _h(t, k, n, nu) < threshold:
+                    hi = t - 1
+                    break
+                lo, step = t, 2 * step
+        else:
+            hi = z - 1
+            while lo < hi:
+                t = max(z - step, lo)
+                if _h(t, k, n, nu) >= threshold:
+                    lo = t
+                    break
+                hi, step = t - 1, 2 * step
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _h(mid, k, n, nu) >= delta - ZHAT_TIE_TOL:
+        if _h(mid, k, n, nu) >= threshold:
             lo = mid
         else:
             hi = mid - 1
@@ -504,11 +560,11 @@ def _dqsv_core(q: CertificateQuery) -> tuple[int, float, float]:
             f"h_{zh} - h_{zh + 1} = {denom} <= 0; the knot sequence lost monotonicity"
         )
     kappa = (delta - h_z1) / denom
-    # The zhat tie tolerance admits h_zhat up to ZHAT_TIE_TOL below delta,
-    # which can push kappa past 1 by ZHAT_TIE_TOL/denom when the knot gap is
+    # The zhat tie tolerance admits h_zhat up to ZHAT_TIE_TOL * delta below
+    # delta, which can push kappa past 1 by that over denom when the knot gap is
     # near float resolution; clamping to the knot value is the continuous
     # limit.  Anything beyond that allowance is a real inconsistency.
-    if kappa < -1e-9 or delta - h_z > 10.0 * ZHAT_TIE_TOL:
+    if kappa < -1e-9 or delta - h_z > 10.0 * ZHAT_TIE_TOL * delta:
         raise NumericalConsistencyError(
             f"interpolation weight kappa = {kappa} outside [0, 1]"
         )
@@ -532,8 +588,15 @@ def dqsv_intermediates(q: CertificateQuery) -> DqsvIntermediates:
             "degenerate certificate, no intermediates exist"
         )
     zh, kappa, zeta = _dqsv_core(q)
-    h = {z: _h(z, q.k, q.n, q.nu) for z in range(q.n + 2)}
-    g = {z: _g(z, q.k, q.n, q.nu) for z in range(q.n + 2)}
+    n, k = q.n, q.k
+    # _h and _g's expressions, on one pass over the knot tails: above
+    # KNOT_TAIL_CACHE_SIZE knots a second pass would find them evicted.
+    tails = [_knot_tail(z, k, q.nu) for z in range(n + 2)]
+    h = {z: 1.0 for z in range(k + 1)}
+    g = {z: (n - z + 1) / (n + 1) for z in range(k + 1)}
+    for z in range(k + 1, n + 2):
+        h[z] = ((n - z + 1) * tails[z] + z * tails[z - 1]) / (n + 1)
+        g[z] = (n - z + 1) * tails[z] / (n + 1)
     return DqsvIntermediates(h=h, g=g, zhat=zh, kappa=kappa, zeta_tilde=zeta)
 
 

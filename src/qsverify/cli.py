@@ -293,10 +293,11 @@ def _cmd_certify(args) -> int:
         "infidelity_bound": cert.infidelity_bound,
     }
     if args.intermediates and args.protocol == "dqsv":
-        if query.delta <= binom_tail(query.n, query.k, query.nu):
+        try:
+            inter = dqsv_intermediates(query)
+        except ValueError:  # the degenerate zero certificate has none
             payload["intermediates"] = None
         else:
-            inter = dqsv_intermediates(query)
             payload["intermediates"] = {
                 "h": [inter.h[z] for z in range(query.n + 2)],
                 "g": [inter.g[z] for z in range(query.n + 2)],

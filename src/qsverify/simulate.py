@@ -373,26 +373,28 @@ def scaling_experiment(
         [np.cumsum(~draw(plan, c, rows)[7], axis=1)[:, at] for c, rows in _chunks(rounds)]
         or [np.zeros((0, len(n_grid)), dtype=int)]
     )
+    # Each distinct (n, k) pair is certified once, coded as k (max_n + 1) + n.
     # At k = n every test failed and no certificate is defined: eps stays 1.
-    eps_s = np.ones(ks.shape)
-    eps_d = np.ones(ks.shape)
-    for (r, j), k in np.ndenumerate(ks):
-        n = n_grid[j]
+    codes, inverse = np.unique(ks * (max_n + 1) + np.array(n_grid), return_inverse=True)
+    pair_k, pair_n = np.divmod(codes, max_n + 1)
+    eps_s, eps_d = np.ones((2, len(codes)))
+    for i, (k, n) in enumerate(zip(pair_k.tolist(), pair_n.tolist())):
         if k < n:
-            eps_s[r, j] = sqsv_certificate(
-                CertificateQuery("sqsv", n, int(k), delta, strat.lam)
+            eps_s[i] = sqsv_certificate(
+                CertificateQuery("sqsv", n, k, delta, strat.lam)
             ).infidelity_bound
-            eps_d[r, j] = dqsv_certificate(
-                CertificateQuery("dqsv", n, int(k), delta, strat.lam)
+            eps_d[i] = dqsv_certificate(
+                CertificateQuery("dqsv", n, k, delta, strat.lam)
             ).infidelity_bound
+    cells = inverse.reshape(ks.shape)
     return {
         "n_grid": n_grid,
         "delta": delta,
         "fidelity": noise.fidelity,
         "rounds": rounds,
         "k": ks,
-        "eps_sqsv": eps_s,
-        "eps_dqsv": eps_d,
+        "eps_sqsv": eps_s[cells],
+        "eps_dqsv": eps_d[cells],
     }
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -338,6 +339,31 @@ def test_dqsv_intermediates_bracket_delta():
         checked += 1
 
 
+def test_dqsv_intermediates_are_the_knot_values():
+    for n, k, delta, lam in ((1, 0, 1.0, 1 / 3), (40, 3, 0.2, 0.4), (150, 0, 1e-20, 0.6)):
+        inter = dqsv_intermediates(CertificateQuery("dqsv", n, k, delta, lam))
+        nu = 1.0 - lam
+        assert list(inter.h) == list(inter.g) == list(range(n + 2))
+        assert all(inter.h[z] == certificates._h(z, k, n, nu) for z in range(n + 2))
+        assert all(inter.g[z] == certificates._g(z, k, n, nu) for z in range(n + 2))
+
+
+def test_dqsv_intermediates_evaluate_each_knot_once(monkeypatch):
+    # With a knot memo smaller than the table, the h and g tables still
+    # take one tail per knot.
+    n, k, nu = 300, 2, 0.4
+    calls = []
+    tail = certificates.binom_tail
+    monkeypatch.setattr(certificates, "binom_tail", lambda *a: calls.append(a) or tail(*a))
+    small = functools.lru_cache(maxsize=32)(lambda *a: certificates.binom_tail(*a))
+    monkeypatch.setattr(certificates, "_knot_tail", small)
+    q = CertificateQuery("dqsv", n, k, 0.05, 1.0 - nu)
+    dqsv_certificate(q)
+    calls.clear()
+    dqsv_intermediates(q)
+    assert len(calls) == len(set(calls)) <= n + 2
+
+
 def test_dqsv_matches_exact_rational_oracle_small_grid():
     for n in (1, 2, 3, 5, 8, 12):
         for k in range(n):
@@ -351,6 +377,34 @@ def test_dqsv_matches_exact_rational_oracle_small_grid():
                         assert got == pytest.approx(0.0, abs=1e-12)
                     else:
                         assert got == pytest.approx(float(exact), rel=1e-10)
+
+
+def test_dqsv_matches_exact_rational_oracle_tiny_delta():
+    # The zhat tie tolerance is relative: an absolute 1e-14 admitted every
+    # knot once delta fell below it, so these all came out wrong or raised.
+    rows = [(136, 20, 2.18e-12, Fraction(1557, 10000))]
+    for n in (60, 136, 700):
+        for k in (0, 3, 20):
+            for lam in (Fraction(1, 3), Fraction(1557, 10000)):
+                rows += [(n, k, delta, lam) for delta in (1e-15, 1e-30, 1e-300)]
+    nonzero = 0
+    for n, k, delta, lam in rows:
+        exact = dqsv_fidelity_exact(k, n, Fraction(delta), lam)
+        got = dqsv_certificate(CertificateQuery("dqsv", n, k, delta, float(lam))).fidelity_bound
+        if exact == 0:
+            assert got == 0.0, (n, k, delta, lam)
+        else:
+            nonzero += 1
+            assert got == pytest.approx(float(exact), rel=1e-10), (n, k, delta, lam)
+    assert nonzero > 30
+
+
+def test_dqsv_tiny_delta_at_large_n():
+    # The knot tails underflow to 0 far below z = 16000.  The value is
+    # rational_oracle.dqsv_fidelity_exact(5, 16000, Fraction(1e-300),
+    # Fraction(1 / 3)), which takes about 16 s to recompute.
+    got = dqsv_certificate(CertificateQuery("dqsv", 16000, 5, 1e-300, 1 / 3)).fidelity_bound
+    assert got == pytest.approx(0.8869207451838683, rel=1e-10)
 
 
 def test_dqsv_monotone_nondecreasing_in_delta():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qsverify import certificates, cli
 from qsverify.cli import main, parse_lambda
 
 
@@ -80,7 +81,11 @@ def test_certify_intermediates(capsys):
     assert 0 <= inter["kappa"] <= 1
 
 
-def test_certify_intermediates_degenerate_is_null(capsys):
+def test_certify_intermediates_degenerate_is_null(capsys, monkeypatch):
+    calls = []
+    tail = certificates.binom_tail
+    for module in (certificates, cli):
+        monkeypatch.setattr(module, "binom_tail", lambda *a: calls.append(a) or tail(*a))
     code, out, _ = run_cli(
         capsys,
         "certify", "--protocol", "dqsv", "--n", "10", "--k", "0",
@@ -90,6 +95,8 @@ def test_certify_intermediates_degenerate_is_null(capsys):
     payload = json.loads(out)
     assert payload["fidelity_bound"] == 0.0
     assert payload["intermediates"] is None
+    # the degenerate test B_{10,0}(nu) >= delta is evaluated once, for the certificate
+    assert len(calls) == 1
 
 
 def test_certify_validation_exit_code(capsys):

@@ -7,7 +7,6 @@ from scipy import stats as sps
 
 from qsverify.certificates import (
     CertificateQuery,
-    binom_tail,
     dqsv_certificate,
     solve_J,
     sqsv_certificate,
@@ -509,19 +508,29 @@ def test_protocol_preconditions(strat):
         rounds_until_accepted(m, 5, 0, strat, 1, "dqsv", plan)
 
 
-def test_scaling_experiment_solves_each_pair_once(strat):
-    # fig5's grid and noise: every (n, k) pair is solved once, then replayed
+def test_scaling_experiment_solves_each_pair_once(strat, monkeypatch):
+    # fig5's grid and noise: each distinct (n, k) pair is certified once by
+    # each protocol and its infidelities copied to every cell that holds it
+    calls = {"sqsv": [], "dqsv": []}
+    for name in ("sqsv", "dqsv"):
+        cert = getattr(simulate, f"{name}_certificate")
+        monkeypatch.setattr(
+            simulate, f"{name}_certificate",
+            lambda q, cert=cert, seen=calls[name]: seen.append((q.n, q.k)) or cert(q),
+        )
     result = scaling_experiment(
         NoiseSpec(0.99), 0.05, default_fig5_grid(), strat,
         RandomPlan.for_experiment(42, "fig5"), rounds=20,
     )
-    # A pair with B_{n,k}(nu) > delta takes the zero certificate without a solve.
-    certified = [
-        (n, int(k))
-        for row in result["k"]
-        for n, k in zip(result["n_grid"], row)
-        if k <= n - 1 and binom_tail(n, int(k), strat.nu) <= 0.05
-    ]
-    info = solve_J.cache_info()
-    assert info.misses == len(set(certified))
-    assert info.hits == len(certified) - len(set(certified))
+    cells = [(r, j, result["n_grid"][j], int(k)) for (r, j), k in np.ndenumerate(result["k"])]
+    pairs = {(n, k) for _, _, n, k in cells if k < n}
+    assert len(pairs) < len(cells) / 5
+    assert sorted(calls["sqsv"]) == sorted(calls["dqsv"]) == sorted(pairs)
+    assert solve_J.cache_info().hits == 0
+    certify = {"sqsv": sqsv_certificate, "dqsv": dqsv_certificate}
+    for r, j, n, k in cells:
+        for name, cert in certify.items():
+            expected = 1.0 if k == n else cert(
+                CertificateQuery(name, n, k, 0.05, strat.lam)
+            ).infidelity_bound
+            assert result[f"eps_{name}"][r, j] == expected

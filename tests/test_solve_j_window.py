@@ -181,3 +181,28 @@ def test_no_window_beyond_the_tail_contract():
     n = certificates.TAIL_ABS_ERROR_Z_MAX + 1
     assert certificates._decided_window(n, 3, 0.05) == (0.0, 1.0)
     assert solve_J(n, 3, 0.05) == reference_bisection(n, 3, 0.05)
+
+
+def test_solve_j_evaluates_each_point_once(monkeypatch):
+    # On interval exhaustion the root is an endpoint; when the bisection
+    # evaluated it, the residual check reuses that tail.  (The Newton phase
+    # of the window may land on the root too, so only the points after it
+    # are compared.)
+    points, start = [], []
+    window = certificates._decided_window
+    monkeypatch.setattr(
+        certificates, "binom_tail", lambda z, k, p: points.append(p) or binom_tail(z, k, p)
+    )
+
+    def recorded(*args):
+        edges = window(*args)
+        start.append(len(points))
+        return edges
+
+    monkeypatch.setattr(certificates, "_decided_window", recorded)
+    for case in sorted(query_table_cases() | clopper_pearson_roots(200, 37)):
+        points.clear()
+        start.clear()
+        solve_J.__wrapped__(*case)
+        after = points[start[0]:] if start else points
+        assert len(after) == len(set(after)), case

@@ -1,0 +1,113 @@
+"""The bracketed zhat search returns the full-range binary search's zhat.
+
+``zhat_reference.reference_zhat`` is the binary search over [k, n].  The
+cases are every non-degenerate DQSV row of the benchmark's query tables
+(read only), every DQSV query of ``fig5_rows`` at its defaults, and a
+hypothesis grid over the edges of the search: delta = 1, delta just above
+B_{n,k}(nu), nu near 0 and 1, and ranges n - k on both sides of the plain
+search's limit.
+"""
+
+import csv
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from qsverify import certificates
+from qsverify.certificates import (
+    CertificateQuery,
+    _ZHAT_PLAIN_MAX,
+    _knot_tail,
+    _zhat,
+    dqsv_certificate,
+)
+from qsverify.reproduce import fig5_rows
+from zhat_reference import reference_zhat
+
+DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+
+
+def table_queries(name: str) -> list[CertificateQuery]:
+    with (DATA / f"queries-{name}.csv").open(newline="") as fh:
+        return [
+            CertificateQuery("dqsv", int(r["n"]), int(r["k"]), float(r["delta"]), float(r["lam"]))
+            for r in csv.DictReader(fh)
+            if r["protocol"] == "dqsv"
+        ]
+
+
+def zhat_args(queries) -> list[tuple]:
+    """(k, n, nu, delta) of every query with delta above B_{n,k}(nu)."""
+    return [
+        (q.k, q.n, q.nu, q.delta) for q in queries if q.delta > _knot_tail(q.n, q.k, q.nu)
+    ]
+
+
+def fig5_zhat_args() -> set:
+    seen = set()
+    zhat = certificates._zhat
+
+    def record(k, n, nu, delta):
+        seen.add((k, n, nu, delta))
+        return zhat(k, n, nu, delta)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(certificates, "_zhat", record)
+        fig5_rows()
+    return seen
+
+
+@pytest.mark.parametrize("name", ["cert-scaling", "mc-correlated", "exact-adversarial"])
+def test_zhat_equals_reference_on_query_tables(name):
+    cases = zhat_args(table_queries(name))
+    assert len(cases) > 100
+    assert [c for c in cases if _zhat(*c) != reference_zhat(*c)] == []
+
+
+def test_zhat_equals_reference_on_fig5():
+    cases = fig5_zhat_args()
+    assert len(cases) > 50
+    assert any(n - k > _ZHAT_PLAIN_MAX for k, n, _, _ in cases)
+    assert [c for c in cases if _zhat(*c) != reference_zhat(*c)] == []
+
+
+@st.composite
+def zhat_cases(draw):
+    k = draw(st.integers(0, 300))
+    span = draw(st.sampled_from([1, 16, 17]) | st.integers(1, 3000))
+    n = k + span
+    nu = draw(
+        st.sampled_from([1e-9, 1e-4, 1.0 - 1e-4, 1.0 - 1e-9]) | st.floats(1e-6, 1.0 - 1e-6)
+    )
+    tail = _knot_tail(n, k, nu)
+    assume(tail < 1.0)
+    above = math.nextafter(tail, 1.0)
+    delta = draw(
+        st.just(1.0)
+        | st.just(above)
+        | st.just(min(1.0, max(above, tail * (1.0 + 1e-9))))
+        | st.floats(above, 1.0)
+        | st.floats(-300.0, 0.0).map(lambda e: 10.0**e).filter(lambda d: d > tail)
+    )
+    return k, n, nu, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(zhat_cases())
+def test_zhat_equals_reference_on_grid(case):
+    assert _zhat(*case) == reference_zhat(*case)
+
+
+def test_knot_tails_per_dqsv_query(monkeypatch):
+    # The cert-scaling DQSV rows in table order, one memo for the stream:
+    # 3951 knot tails here, where the search over all of [k, n] took 11 075.
+    queries = table_queries("cert-scaling")
+    calls = []
+    tail = certificates.binom_tail
+    monkeypatch.setattr(certificates, "binom_tail", lambda *a: calls.append(a) or tail(*a))
+    for q in queries:
+        dqsv_certificate(q)
+    assert len(queries) == 716
+    assert len(calls) <= 5000
