@@ -34,15 +34,15 @@ is
                      = [(1-kappa) g_{zhat+1} + kappa g_zhat] / delta   otherwise.
 
 Numerics: B_{z,k} is evaluated on its better-conditioned side (tail or
-complement), by compensated direct summation for z <= 100 and, above that,
-by an anchor term computed in truncated big-integer arithmetic from the
-exact dyadic factorization of the float p, scaled by a float ratio
-recurrence.  The anchored scheme keeps the absolute error within a few
-machine epsilons even where a log-gamma formulation would lose ~1e-12 to
-cancellation; see the tests for the measured bounds.  The anchor's binomial
-coefficient is exact from ``math.comb`` for small min(j, z - j) and a
-truncated prime-power product above, so its cost stays near 0.1 s even at
-z = 10^7.
+complement), by compensated direct summation for z <= 100 and, above that
+or where a direct term may have underflowed, by an anchor term computed in
+truncated big-integer arithmetic from the exact dyadic factorization of the
+float p, scaled by a float ratio recurrence.  The anchored scheme keeps the
+absolute error within a few machine epsilons even where a log-gamma
+formulation would lose ~1e-12 to cancellation; see the tests for the
+measured bounds.  The anchor's binomial coefficient is exact from
+``math.comb`` for small min(j, z - j) and a truncated prime-power product
+above, so its cost stays near 0.1 s even at z = 10^7.
 
 J(N, k, delta) is found by bisection to floating-point interval exhaustion.
 The absolute-error contract |computed - true B| <= TAIL_ABS_ERROR = 1e-13,
@@ -54,11 +54,10 @@ comparisons.  Given the contract, the result is bitwise the full
 bisection's, at well under half its binom_tail evaluations.
 
 zhat is searched with a tie tolerance relative to delta (ZHAT_TIE_TOL).
-Over a range n - k longer than _ZHAT_PLAIN_MAX the search starts at the
-normal approximation of the z with B_{z,k}(nu) = delta, gallops outward to
-a bracket and bisects inside it, so its probes evaluate a few knot tails
-next to zhat instead of some fifteen spread over [k, n]; h is strictly
-decreasing, so zhat is the full-range binary search's.
+The search starts at the normal approximation of the z with
+B_{z,k}(nu) = delta, gallops outward to a bracket and bisects inside it, so
+its probes evaluate a few knot tails next to zhat instead of spreading over
+[k, n]; h is strictly decreasing, so zhat is the full-range binary search's.
 
 Memoization: ``solve_J`` is memoized on (n, k, delta), and the knot tails
 B_{z,k}(nu) behind h, g and the degenerate test delta <= B_{N,k}(nu) on
@@ -89,6 +88,9 @@ BOUND_CLAMP_TOL = 1e-12    # certificate outside [0,1] by more than this is a bu
 
 _DIRECT_Z_MAX = 100        # direct summation below, anchored scheme above
 _TERM_CUTOFF = 1e-22       # relative cutoff for the ratio recurrences
+# A direct term whose p**j or (1-p)**(z-j) underflowed is below C(z, j) 2**-1022,
+# so for z <= 100 such terms add up to less than 2**-53 of any sum above this.
+_DIRECT_SUM_MIN = (_DIRECT_Z_MAX + 1) * math.comb(_DIRECT_Z_MAX, _DIRECT_Z_MAX // 2) * 2.0**-969
 # math.comb while min(j, z - j) is at most this, a prime-power product above.
 # Measured crossover under CPython 3.11: min(j, z - j) ~ 1000 at z = 10^4,
 # ~1500 at 10^5, ~2600 at 10^6, ~7500 at 10^7.
@@ -104,7 +106,6 @@ _NEWTON_MAX_STEPS = 40
 
 SOLVE_J_CACHE_SIZE = 4096      # memoized (n, k, delta) roots
 KNOT_TAIL_CACHE_SIZE = 16384   # memoized (z, k, nu) knot tails
-_ZHAT_PLAIN_MAX = 16           # zhat by plain binary search while n - k <= this
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -113,6 +114,7 @@ class NumericalConsistencyError(RuntimeError):
 
 PROTOCOL_SQSV = "sqsv"
 PROTOCOL_DQSV = "dqsv"
+PROTOCOLS = (PROTOCOL_SQSV, PROTOCOL_DQSV)
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ class CertificateQuery:
     lam: float
 
     def __post_init__(self):
-        if self.protocol not in (PROTOCOL_SQSV, PROTOCOL_DQSV):
+        if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         try:
             object.__setattr__(self, "n", operator.index(self.n))
@@ -166,11 +168,10 @@ class CertificateQuery:
 class Certificate:
     query: CertificateQuery
     fidelity_bound: float
-    infidelity_bound: float
 
-    def __post_init__(self):
-        if self.infidelity_bound != 1.0 - self.fidelity_bound:
-            raise ValueError("infidelity_bound must be exactly 1 - fidelity_bound")
+    @property
+    def infidelity_bound(self) -> float:
+        return 1.0 - self.fidelity_bound
 
 
 @dataclass(frozen=True)
@@ -203,21 +204,24 @@ def binom_tail(z: int, k: int, p: float) -> float:
         return 1.0
     if p == 1.0:
         return 0.0
-    if z <= _DIRECT_Z_MAX:
-        low = math.fsum(
-            math.comb(z, j) * p**j * (1.0 - p) ** (z - j) for j in range(k + 1)
-        )
-        if low <= 0.5:
-            return low
-        # near 1 the complement is the well-conditioned side
-        upper = math.fsum(
-            math.comb(z, j) * p**j * (1.0 - p) ** (z - j) for j in range(k + 1, z + 1)
-        )
-        return 1.0 - upper
-    low = _anchored_window_sum(z, 0, k, p)
+    window_sum = _direct_window_sum if z <= _DIRECT_Z_MAX else _anchored_window_sum
+    low = window_sum(z, 0, k, p)
     if low <= 0.5:
         return low
-    return 1.0 - _anchored_window_sum(z, k + 1, z, p)
+    # near 1 the complement is the well-conditioned side
+    return 1.0 - window_sum(z, k + 1, z, p)
+
+
+def _direct_window_sum(z: int, lo: int, hi: int, p: float) -> float:
+    """sum_{j=lo}^{hi} C(z,j) p^j (1-p)^(z-j) by compensated direct summation.
+
+    Below _DIRECT_SUM_MIN a term may have underflowed inside its powers while
+    itself a normal double; the anchored scheme evaluates such a window.
+    """
+    total = math.fsum(math.comb(z, j) * p**j * (1.0 - p) ** (z - j) for j in range(lo, hi + 1))
+    if total < _DIRECT_SUM_MIN:
+        return _anchored_window_sum(z, lo, hi, p)
+    return total
 
 
 _POW_PREC_BITS = 320
@@ -478,9 +482,9 @@ def sqsv_certificate(q: CertificateQuery) -> Certificate:
         # Then J > nu, so the bound is 0.  The root itself may lie too near 1
         # for bisection to meet its residual check.  A tie is left to solve_J,
         # whose root there is nu up to rounding.
-        return Certificate(q, 0.0, 1.0)
+        return Certificate(q, 0.0)
     fidelity = max(0.0, 1.0 - solve_J(q.n, q.k, q.delta) / q.nu)
-    return Certificate(q, fidelity, 1.0 - fidelity)
+    return Certificate(q, fidelity)
 
 
 @functools.lru_cache(maxsize=KNOT_TAIL_CACHE_SIZE, typed=True)
@@ -507,38 +511,36 @@ def _zhat(k: int, n: int, nu: float, delta: float) -> int:
     Values within a relative ZHAT_TIE_TOL of delta count as meeting the
     threshold, so the ">=" in the definition is honored under floating-point
     rounding at every scale of delta.  h is strictly decreasing on [k, n+1],
-    so every correct search returns the same z.  Over a range longer than
-    _ZHAT_PLAIN_MAX the search starts at the normal approximation of the z
-    with B_{z,k}(nu) = delta and gallops outward in steps 1, 2, 4, ... until
-    it brackets zhat, so its probes stay near zhat and neighbouring probes
-    share knot tails; a binary search inside the bracket finishes.
+    so every correct search returns the same z.  The search starts at the
+    normal approximation of the z with B_{z,k}(nu) = delta and gallops
+    outward in steps 1, 2, 4, ... until it brackets zhat, so its probes stay
+    near zhat and neighbouring probes share knot tails; a binary search
+    inside the bracket finishes.
     """
     threshold = delta - ZHAT_TIE_TOL * delta
-    lo, hi = k, n
-    if hi - lo > _ZHAT_PLAIN_MAX:
-        z = k
-        if delta < 1.0:
-            # z nu - (k + 1/2) = u sqrt(z nu (1 - nu)), a quadratic in sqrt(z)
-            b = _normal_upper_quantile(delta) * math.sqrt(nu * (1.0 - nu))
-            root = (b + math.sqrt(b * b + 4.0 * nu * (k + 0.5))) / (2.0 * nu)
-            z = int(min(max(root * root, k), n))
-        step = 1
-        if _h(z, k, n, nu) >= threshold:
-            lo = z
-            while lo < hi:
-                t = min(z + step, hi)
-                if _h(t, k, n, nu) < threshold:
-                    hi = t - 1
-                    break
-                lo, step = t, 2 * step
-        else:
-            hi = z - 1
-            while lo < hi:
-                t = max(z - step, lo)
-                if _h(t, k, n, nu) >= threshold:
-                    lo = t
-                    break
-                hi, step = t - 1, 2 * step
+    z = k
+    if delta < 1.0:
+        # z nu - (k + 1/2) = u sqrt(z nu (1 - nu)), a quadratic in sqrt(z)
+        b = _normal_upper_quantile(delta) * math.sqrt(nu * (1.0 - nu))
+        root = (b + math.sqrt(b * b + 4.0 * nu * (k + 0.5))) / (2.0 * nu)
+        z = int(min(max(root * root, k), n))
+    lo, hi, step = k, n, 1
+    if _h(z, k, n, nu) >= threshold:
+        lo = z
+        while lo < hi:
+            t = min(z + step, hi)
+            if _h(t, k, n, nu) < threshold:
+                hi = t - 1
+                break
+            lo, step = t, 2 * step
+    else:
+        hi = z - 1
+        while lo < hi:
+            t = max(z - step, lo)
+            if _h(t, k, n, nu) >= threshold:
+                lo = t
+                break
+            hi, step = t - 1, 2 * step
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if _h(mid, k, n, nu) >= threshold:
@@ -588,15 +590,12 @@ def dqsv_intermediates(q: CertificateQuery) -> DqsvIntermediates:
             "degenerate certificate, no intermediates exist"
         )
     zh, kappa, zeta = _dqsv_core(q)
-    n, k = q.n, q.k
-    # _h and _g's expressions, on one pass over the knot tails: above
-    # KNOT_TAIL_CACHE_SIZE knots a second pass would find them evicted.
-    tails = [_knot_tail(z, k, q.nu) for z in range(n + 2)]
-    h = {z: 1.0 for z in range(k + 1)}
-    g = {z: (n - z + 1) / (n + 1) for z in range(k + 1)}
-    for z in range(k + 1, n + 2):
-        h[z] = ((n - z + 1) * tails[z] + z * tails[z - 1]) / (n + 1)
-        g[z] = (n - z + 1) * tails[z] / (n + 1)
+    # One ascending pass: tails z - 1 and z are the memo's two latest entries,
+    # so each is evaluated once even above KNOT_TAIL_CACHE_SIZE knots.
+    h, g = {}, {}
+    for z in range(q.n + 2):
+        h[z] = _h(z, q.k, q.n, q.nu)
+        g[z] = _g(z, q.k, q.n, q.nu)
     return DqsvIntermediates(h=h, g=g, zhat=zh, kappa=kappa, zeta_tilde=zeta)
 
 
@@ -611,7 +610,7 @@ def dqsv_certificate(q: CertificateQuery) -> Certificate:
     if q.protocol != PROTOCOL_DQSV:
         raise ValueError(f"expected a DQSV query, got {q.protocol!r}")
     if q.delta <= _knot_tail(q.n, q.k, q.nu):
-        return Certificate(q, 0.0, 1.0)
+        return Certificate(q, 0.0)
     _, _, zeta = _dqsv_core(q)
     fidelity = zeta / q.delta
     if fidelity < -BOUND_CLAMP_TOL or fidelity > 1.0 + BOUND_CLAMP_TOL:
@@ -621,7 +620,7 @@ def dqsv_certificate(q: CertificateQuery) -> Certificate:
     if fidelity < 0.0 or fidelity > 1.0:
         logger.debug("DQSV fidelity bound %.17g clamped to [0, 1]", fidelity)
         fidelity = min(1.0, max(0.0, fidelity))
-    return Certificate(q, fidelity, 1.0 - fidelity)
+    return Certificate(q, fidelity)
 
 
 def certificate(q: CertificateQuery) -> Certificate:

@@ -19,11 +19,13 @@ accept ``pi`` expressions such as ``3pi/4``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
 
 from .certificates import (
+    PROTOCOLS,
     CertificateQuery,
     NumericalConsistencyError,
     binom_tail,
@@ -159,13 +161,16 @@ def _unknown_keys(prefix: str, mapping: dict, known) -> list[str]:
     return [f"{prefix}{key}: unknown key" for key in mapping if key not in known]
 
 
-def _make_out_dir(path: str) -> Path:
+@contextlib.contextmanager
+def _output_dir(path: str):
+    """Create the output directory and yield it; a file-system error while
+    making it or writing into it is reported as an ``out_dir`` error."""
     out_dir = Path(path)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        yield out_dir
     except OSError as exc:
         raise ConfigError([f"out_dir: {exc}"]) from exc
-    return out_dir
 
 
 def _load_config(path: str | None) -> dict:
@@ -240,7 +245,7 @@ def _validate_simulate_config(cfg: dict) -> dict:
             errors.append(f"{field}: {'required' if raw is None else exc}")
 
     out["protocol"] = cfg.get("protocol", "dqsv")
-    if out["protocol"] not in ("sqsv", "dqsv"):
+    if out["protocol"] not in PROTOCOLS:
         errors.append(f"protocol: expected sqsv|dqsv, got {out['protocol']!r}")
     out["n"] = check("n", cfg.get("n"), _int_in(1))
     out["k"] = check("k", cfg.get("k", 0), _int_in(0))
@@ -335,9 +340,9 @@ def _cmd_simulate(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError([str(exc)]) from exc
 
-    out_dir = _make_out_dir(conf["out_dir"])
-    (out_dir / "summary.json").write_text(summary_to_json(summary) + "\n", encoding="utf-8")
-    write_rounds_csv(out_dir / "rounds.csv", table, conf["k"], strat)
+    with _output_dir(conf["out_dir"]) as out_dir:
+        (out_dir / "summary.json").write_text(summary_to_json(summary) + "\n", encoding="utf-8")
+        write_rounds_csv(out_dir / "rounds.csv", table, conf["k"], strat)
     if conf["format"] == "json":
         print(summary_to_json(summary))
     else:
@@ -349,7 +354,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    out_dir = _make_out_dir(args.out_dir)
     config = {"figure": args.figure, "seed": args.seed}
     fidelity = args.fidelity
     if fidelity is None:
@@ -359,19 +363,21 @@ def _cmd_reproduce(args) -> int:
             seed=args.seed, rounds=args.rounds, k_max=args.k_max, prep_fidelity=fidelity
         )
         config.update({"rounds": args.rounds, "prep_fidelity": fidelity, "k_max": args.k_max})
-        write_csv(out_dir / "fig3.csv", FIG3_SCHEMA, FIG3_COLUMNS, rows)
+        schema, columns = FIG3_SCHEMA, FIG3_COLUMNS
     elif args.figure == "fig4":
         rows = fig4_rows(prep_fidelity=fidelity)
         config.update({"prep_fidelity": fidelity, "k": 1})
-        write_csv(out_dir / "fig4.csv", FIG4_SCHEMA, FIG4_COLUMNS, rows)
+        schema, columns = FIG4_SCHEMA, FIG4_COLUMNS
     else:
         rows = fig5_rows(
             seed=args.seed, fidelity=fidelity, delta=args.delta, avg_rounds=args.avg_rounds,
         )
         config.update({"fidelity": fidelity, "delta": args.delta, "avg_rounds": args.avg_rounds})
-        write_csv(out_dir / "fig5.csv", FIG5_SCHEMA, FIG5_COLUMNS, rows)
+        schema, columns = FIG5_SCHEMA, FIG5_COLUMNS
     config["files"] = [f"{args.figure}.csv"]
-    write_manifest(out_dir / "manifest.json", config)
+    with _output_dir(args.out_dir) as out_dir:
+        write_csv(out_dir / f"{args.figure}.csv", schema, columns, rows)
+        write_manifest(out_dir / "manifest.json", config)
     print(f"wrote {args.figure}.csv and manifest.json to {out_dir}")
     return EXIT_OK
 
@@ -489,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     seed_help = "master seed (64-bit unsigned)"
 
     cert = sub.add_parser("certify", help="print a fidelity certificate")
-    cert.add_argument("--protocol", choices=("sqsv", "dqsv"), required=True)
+    cert.add_argument("--protocol", choices=PROTOCOLS, required=True)
     cert.add_argument("--n", type=_int_in(1), required=True)
     cert.add_argument("--k", type=_int_in(0), required=True)
     cert.add_argument("--delta", type=_float_in(0.0, 1.0, open_lo=True), required=True)
@@ -501,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Unset simulate flags are None so that the config file's values stand.
     sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     sim.add_argument("--config", default=None, help="YAML config file")
-    sim.add_argument("--protocol", choices=("sqsv", "dqsv"), default=None)
+    sim.add_argument("--protocol", choices=PROTOCOLS, default=None)
     sim.add_argument("--n", type=_int_in(1), default=None)
     sim.add_argument("--k", type=_int_in(0), default=None)
     sim.add_argument("--rounds", type=_int_in(1), default=None)

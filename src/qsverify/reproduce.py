@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from .certificates import CertificateQuery, dqsv_certificate, sqsv_certificate
+from .certificates import CertificateQuery, certificate, dqsv_certificate, sqsv_certificate
 from .exact import exact_stats
 from .simulate import (
     RandomPlan,
@@ -95,10 +95,9 @@ def fig3_rows(
             p_lo = summ.p_hat_ci[0]
             row[f"{proto}_p_hat"] = p_hat
             row[f"{proto}_p_lo95"] = p_lo
-            make = sqsv_certificate if proto == "sqsv" else dqsv_certificate
             for tag, d in (("p_hat", p_hat), ("p_lo95", p_lo)):
                 if d > 0.0:
-                    bound = make(CertificateQuery(proto, n, k, d, lam)).fidelity_bound
+                    bound = certificate(CertificateQuery(proto, n, k, d, lam)).fidelity_bound
                 else:
                     bound = float("nan")
                 row[f"{proto}_bound_at_{tag}"] = bound

@@ -35,17 +35,16 @@ import json
 import math
 import operator
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .certificates import CertificateQuery, dqsv_certificate, solve_J, sqsv_certificate
+from .certificates import PROTOCOLS, CertificateQuery, dqsv_certificate, solve_J, sqsv_certificate
 from .linalg import overlap
 from .sources import NoiseSpec, ProductSequenceMixture, honest_iid
 from .strategy import HomogeneousStrategy, fidelity_from_pass_rate, test_pass_probabilities
 
-PROTOCOLS = ("sqsv", "dqsv")
 ROUNDS_CSV_SCHEMA = "qsverify.rounds/2"
 SUMMARY_SCHEMA = "qsverify.summary/2"
 CHUNK_ROUNDS = 256       # C: rounds per chunk, one random stream each
@@ -118,26 +117,12 @@ class ExperimentSummary:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SUMMARY_SCHEMA,
-            "protocol": self.protocol,
-            "n": self.n,
-            "k": self.k,
-            "rounds": self.rounds,
-            "accepted": self.accepted,
-            "p_hat": self.p_hat,
-            "p_hat_ci95": list(self.p_hat_ci),
-            "per_k_histogram": {str(f): c for f, c in sorted(self.per_k_histogram.items())},
-            "conditional_fidelity_truth": self.conditional_fidelity_truth,
-            "conditional_truth_std": self.conditional_truth_std,
-            "conditional_truth_stderr": self.conditional_truth_stderr,
-            "conditional_fidelity_measured": self.conditional_fidelity_measured,
-            "conditional_measured_stderr": self.conditional_measured_stderr,
-            "unconditional_fidelity_truth": self.unconditional_fidelity_truth,
-            "unconditional_fidelity_measured": self.unconditional_fidelity_measured,
-            "unconditional_measured_stderr": self.unconditional_measured_stderr,
-            "meta": self.meta,
-        }
+        d = asdict(self)
+        d["schema"] = SUMMARY_SCHEMA
+        d["p_hat_ci95"] = list(d.pop("p_hat_ci"))
+        # str keys: sort_keys orders them as summary/2 files always had them
+        d["per_k_histogram"] = {str(f): c for f, c in sorted(self.per_k_histogram.items())}
+        return d
 
 
 def clopper_pearson(successes: int, trials: int, confidence: float = 0.95):
@@ -294,6 +279,14 @@ def rounds_until_accepted(
     return _table(parts, draw, plan)
 
 
+def _fidelity_estimate(passed: int, tests: int, lam: float) -> tuple[float, float]:
+    """Fidelity estimate from ``passed`` of ``tests`` passing tests, and its
+    binomial standard error."""
+    rate = passed / tests
+    stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / tests) / (1.0 - lam)
+    return fidelity_from_pass_rate(rate, lam), stderr
+
+
 def summarize(
     table: RoundTable,
     k: int,
@@ -310,7 +303,6 @@ def summarize(
     accepted = int(accepted_mask.sum())
     values, counts = np.unique(failures, return_counts=True)
     n = table.settings.shape[1]
-    lam = strat.lam
 
     summary = {
         "protocol": protocol,
@@ -331,19 +323,16 @@ def summarize(
             summary["conditional_fidelity_truth"] = float(truth.mean())
             summary["conditional_truth_std"] = std
             summary["conditional_truth_stderr"] = std / math.sqrt(accepted)
-            rate = float(table.probe_passed[accepted_mask].mean())
-            summary["conditional_fidelity_measured"] = fidelity_from_pass_rate(rate, lam)
-            summary["conditional_measured_stderr"] = math.sqrt(
-                max(rate * (1.0 - rate), 0.0) / accepted
-            ) / (1.0 - lam)
+            passed = int(table.probe_passed[accepted_mask].sum())
+            measured, stderr = _fidelity_estimate(passed, accepted, strat.lam)
+            summary["conditional_fidelity_measured"] = measured
+            summary["conditional_measured_stderr"] = stderr
     else:
+        tests = rounds * n
+        measured, stderr = _fidelity_estimate(tests - int(failures.sum()), tests, strat.lam)
         summary["unconditional_fidelity_truth"] = float(table.tested_fidelity.mean())
-        total_tests = rounds * n
-        rate = (total_tests - int(failures.sum())) / total_tests
-        summary["unconditional_fidelity_measured"] = fidelity_from_pass_rate(rate, lam)
-        summary["unconditional_measured_stderr"] = math.sqrt(
-            max(rate * (1.0 - rate), 0.0) / total_tests
-        ) / (1.0 - lam)
+        summary["unconditional_fidelity_measured"] = measured
+        summary["unconditional_measured_stderr"] = stderr
     return ExperimentSummary(**summary)
 
 
@@ -405,7 +394,7 @@ def summary_to_json(summary: ExperimentSummary) -> str:
 
 def write_rounds_csv(path, table: RoundTable, k: int, strat: HomogeneousStrategy):
     """Per-round records with the frozen column set (see README)."""
-    labels = [t.label for t in strat.tests]
+    labels = strat.labels
     rows = zip(
         table.branch.tolist(), table.failures.tolist(), table.leftover.tolist(),
         table.leftover_fidelity.tolist(), table.settings.tolist(),

@@ -19,7 +19,7 @@ depolarized with the same parameter when a preparation fidelity below 1 is
 requested; the noise channel of an imperfect preparation is a modeling
 choice, and isotropic depolarization is the simplest one-parameter option.
 
-Mixtures are immutable; sampling takes a caller-owned Generator.
+Mixtures are immutable; the round engine in ``simulate`` draws from them.
 """
 
 from __future__ import annotations

@@ -14,14 +14,15 @@ each test passes on the -1 outcome, i.e. projects onto the negative eigenspace
 of the corresponding Pauli product.  Since W (x) W is an involution, that
 projector is (1 - W(x)W)/2 exactly, which avoids any eigensolver.
 
-Strategy objects are immutable; the round engine in ``simulate`` samples
-tests from their weights and per-test pass probabilities.
+Strategy objects are immutable; nu = 1 - lam and Omega are computed from the
+constructor's arguments.  The round engine in ``simulate`` samples tests from
+their weights and per-test pass probabilities.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +45,6 @@ logger = logging.getLogger(__name__)
 
 # Constructor invariant tolerances.
 WEIGHT_TOL = 1e-12
-OMEGA_TOL = 1e-12
 HOMOGENEITY_TOL = 1e-10
 CLAMP_LOG_TOL = 1e-10
 
@@ -72,21 +72,19 @@ class HomogeneousStrategy:
     tests: tuple[StrategyTest, ...]
     target: PureState
     lam: float
-    nu: float
-    omega: ComplexMatrix
+    nu: float = field(init=False)
+    omega: ComplexMatrix = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tests", tuple(self.tests))
         if not (0.0 <= self.lam < 1.0):
             raise ValueError(f"lambda {self.lam} outside [0, 1)")
-        if self.nu != 1.0 - self.lam:
-            raise ValueError("nu must equal 1 - lambda exactly")
         total = sum(t.weight for t in self.tests)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"test weights sum to {total}, not 1")
         acc = sum((t.weight * t.proj.data for t in self.tests), np.zeros((4, 4), complex))
-        if np.max(np.abs(acc - self.omega.data)) > OMEGA_TOL:
-            raise ValueError("omega does not match the weighted sum of test projectors")
+        object.__setattr__(self, "nu", 1.0 - self.lam)
+        object.__setattr__(self, "omega", ComplexMatrix(acc))
         tvec = self.target.vec
         if np.max(np.abs(self.omega.data @ tvec - tvec)) > HOMOGENEITY_TOL:
             raise ValueError("target state does not pass every test with certainty")
@@ -115,9 +113,7 @@ def build_singlet_strategy() -> HomogeneousStrategy:
     for label, pauli in (("XX", PAULI_X), ("YY", PAULI_Y), ("ZZ", PAULI_Z)):
         neg = ComplexMatrix((I4.data - kron(pauli, pauli).data) / 2.0)
         tests.append(StrategyTest(label, neg, 1.0 / 3.0))
-    omega = ComplexMatrix(sum(t.proj.data for t in tests) / 3.0)
-    lam = 1.0 / 3.0
-    return HomogeneousStrategy(tuple(tests), target, lam, 1.0 - lam, omega)
+    return HomogeneousStrategy(tuple(tests), target, 1.0 / 3.0)
 
 
 def build_homogeneous_strategy(target: PureState, lam: float) -> HomogeneousStrategy:
@@ -134,8 +130,7 @@ def build_homogeneous_strategy(target: PureState, lam: float) -> HomogeneousStra
         StrategyTest("ALL", identity(4), lam),
         StrategyTest("TARGET", ptarget, 1.0 - lam),
     )
-    omega = ComplexMatrix(lam * np.eye(4) + (1.0 - lam) * ptarget.data)
-    return HomogeneousStrategy(tests, target, lam, 1.0 - lam, omega)
+    return HomogeneousStrategy(tests, target, lam)
 
 
 def pass_probability(strat: HomogeneousStrategy, s: DensityMatrix) -> float:

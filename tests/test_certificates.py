@@ -71,6 +71,20 @@ def test_binom_tail_matches_exact_rationals_small():
                 assert abs(binom_tail(z, k, p) - float(exact)) < 1e-13
 
 
+def test_binom_tail_below_underflow_matches_exact_rationals():
+    # At p = 1 - 1e-9 the direct terms lose (1-p)**(z-j) to underflow while
+    # the tail is still a double: B_{98,62} once read 0.0 below B_{101,62}.
+    # The tails from z = 94 (direct sum) to 101 (anchored) follow the exact
+    # ones and keep decreasing in z across the z = 100/101 switch.
+    p = 1.0 - 1e-9
+    for k in (62, 66):
+        tails = [binom_tail(z, k, p) for z in range(94, 102)]
+        for z, got in zip(range(94, 102), tails):
+            exact = float(binom_tail_exact(z, k, Fraction(p)))
+            assert got == pytest.approx(exact, rel=1e-12, abs=1e-320), (z, k)
+        assert all(a > b > 0.0 for a, b in zip(tails, tails[1:])), k
+
+
 def test_binom_tail_absolute_error_contract():
     # |error| <= TAIL_ABS_ERROR for z up to TAIL_ABS_ERROR_Z_MAX, measured
     # against a 50-digit oracle; solve_J's decided window rests on it.
@@ -234,6 +248,18 @@ def test_sqsv_certificate_clamps_at_zero():
 def test_sqsv_allows_lambda_zero():
     c = sqsv_certificate(CertificateQuery("sqsv", 10, 0, 0.05, 0.0))
     assert c.fidelity_bound == pytest.approx(0.05**0.1, abs=1e-12)
+
+
+def test_sqsv_bound_at_tiny_delta_is_within_an_ulp_of_exact():
+    # B_{98,62}(J) = 1e-300 puts J where the direct terms underflowed, which
+    # once certified 1.025e-9 against the exact 8.30e-10.  With lambda = 0 the
+    # bound is 1 - J, so the exact tail must cross delta within one ulp of J.
+    delta = 1e-300
+    fidelity = sqsv_certificate(CertificateQuery("sqsv", 98, 62, delta, 0.0)).fidelity_bound
+    j = 1.0 - fidelity
+    assert binom_tail_exact(98, 62, Fraction(math.nextafter(j, 1.0))) <= Fraction(delta)
+    assert binom_tail_exact(98, 62, Fraction(math.nextafter(j, 0.0))) > Fraction(delta)
+    assert fidelity == pytest.approx(8.30e-10, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +483,7 @@ def test_certificate_complement_invariant():
     q = CertificateQuery("sqsv", 10, 0, 0.05, 1 / 3)
     c = sqsv_certificate(q)
     assert c.fidelity_bound + c.infidelity_bound == 1.0
-    with pytest.raises(ValueError):
-        Certificate(q, 0.6, 0.5)
+    assert Certificate(q, 0.6).infidelity_bound == 1.0 - 0.6
 
 
 def test_protocol_mismatch_rejected():

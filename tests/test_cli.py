@@ -160,39 +160,99 @@ def test_simulate_deterministic_files(tmp_path, capsys, fresh_certificate_caches
     assert (outa / "rounds.csv").read_bytes() == (outb / "rounds.csv").read_bytes()
 
 
-# The three reference runs and the full sha256 of their rounds.csv under round
-# stream v2 (chunked, see the simulate module docstring).  A change to the
-# round draws must change these together with the rounds.csv schema version.
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# The three reference runs and the full sha256 of their rounds.csv and
+# summary.json under round stream v2 (chunked, see the simulate module
+# docstring).  A change to the round draws must change these together with
+# the rounds.csv schema version.
 PINNED_RUNS = {
     "dqsv-rho1-fixed": (
         "protocol: dqsv\nn: 20\nk: 1\nseed: 123\nrounds: 500\n"
         "source:\n  model: rho1\n  fidelity: 0.97\n",
         "b194f310f44087969c29bc68a6039d128930c29018dfe292a22ea047ab073018",
+        "5ebf1335b4fdb896e278f847d4b77c05023fed472ca2cf264909918a13cc0920",
     ),
     "sqsv-rho2-fixed": (
         "protocol: sqsv\nn: 30\nk: 2\nseed: 99\nrounds: 400\n"
         "source:\n  model: rho2\n  phi: pi/2\n  fidelity: 0.98\n",
         "1ce167abb6fb688856feadfe4ca5e3779cd624e1b2c84d7b48c1bc20840892b9",
+        "87e91f31af14ec337477361ff4d1bacb1c235bcb92851bff29b7bd061a32f2ee",
     ),
     "dqsv-rho2-acceptances": (
         "protocol: dqsv\nn: 100\nk: 0\nseed: 7\n"
         "stopping:\n  mode: acceptances\n  target_acceptances: 300\n"
         "source:\n  model: rho2\n  phi: 3pi/4\n",
         "43fafb3fb8ef3b64afc60c394bc8bd4d909bd86e373ce456d6edac2bd420aabd",
+        "e60419ace71cf23f4cffae1c77ed3169ef028c48eb982ab0ae3e1a94bbb88cae",
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(PINNED_RUNS))
 def test_simulate_round_stream_is_pinned(tmp_path, capsys, name):
-    text, digest = PINNED_RUNS[name]
+    text, rounds_digest, summary_digest = PINNED_RUNS[name]
     (tmp_path / "run.yaml").write_text(text)
     out_dir = tmp_path / "out"
     code, _, _ = run_cli(
         capsys, "simulate", "--config", str(tmp_path / "run.yaml"), "--out-dir", str(out_dir)
     )
     assert code == 0
-    assert hashlib.sha256((out_dir / "rounds.csv").read_bytes()).hexdigest() == digest
+    assert sha256(out_dir / "rounds.csv") == rounds_digest
+    assert sha256(out_dir / "summary.json") == summary_digest
+
+
+# The sha256 of each dataset at the default arguments.  A change must leave
+# them as they are or bump the figure's schema version.
+PINNED_FIGURES = {
+    "fig3": "2d6d5f96de8b963c63d5a43afaa25ca7970b604f716c921f55d83972141ee454",
+    "fig4": "4e548e2daf8e04ec5c674fb7ae1f277d24c33402b1036b9860376102e717f312",
+    "fig5": "816cabb9f26ac692879672abb60748b448f1ffe597d153b4ddaa4cf861c97f71",
+}
+
+
+@pytest.mark.parametrize("figure", list(PINNED_FIGURES))
+def test_reproduce_datasets_are_pinned(tmp_path, capsys, figure):
+    code, _, _ = run_cli(capsys, "reproduce", figure, "--out-dir", str(tmp_path))
+    assert code == 0
+    assert sha256(tmp_path / f"{figure}.csv") == PINNED_FIGURES[figure]
+
+
+# The sha256 of `certify --intermediates` stdout: the certificate, the full
+# h and g tables, zhat, kappa and zeta_tilde, bit for bit.
+PINNED_CERTIFICATES = {
+    ("100", "3", "0.05", "1/3"): "5a518505727f5c88e7fc4188042290dac59afc79e81a4b09f53e3487551af151",
+    ("1000", "20", "1e-6", "0.2"): "e4686693a29f5ffe6e6034fca8741d0a89ec0fcda52a43e70164bf40d7e1e776",
+    ("12", "2", "0.3", "1/3"): "6c4ea769d2eee51d853a2ed1ce80d473f24717db25e8bbd7097b3240e0e938bf",
+    ("40", "5", "1e-40", "0.01"): "dfa2ec13dc9cb3c473214fdeacd03bb815707b3c90dad5377a75814840e26b8a",
+}
+
+
+@pytest.mark.parametrize("query", list(PINNED_CERTIFICATES))
+def test_certify_intermediates_are_pinned(capsys, query):
+    n, k, delta, lam = query
+    code, out, _ = run_cli(
+        capsys, "certify", "--protocol", "dqsv", "--n", n, "--k", k, "--delta", delta,
+        "--lambda", lam, "--intermediates",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_CERTIFICATES[query]
+
+
+@pytest.mark.parametrize("blocked", ["summary.json", "rounds.csv", "fig4.csv", "manifest.json"])
+def test_output_path_taken_by_a_directory_exits_2(tmp_path, capsys, monkeypatch, blocked):
+    simulate = blocked in ("summary.json", "rounds.csv")
+    argv = ("simulate", "--config", "run.yaml") if simulate else ("reproduce", "fig4")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.yaml").write_text(
+        "protocol: sqsv\nn: 5\nk: 0\nrounds: 10\nsource:\n  model: honest\n"
+    )
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    code, _, err = run_cli(capsys, *argv, "--out-dir", "out")
+    assert code == 2
+    assert err.startswith("error: out_dir: ") and blocked in err
 
 
 def test_simulate_flag_overrides(tmp_path, capsys):

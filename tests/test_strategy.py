@@ -181,9 +181,7 @@ def test_strategy_constructor_rejects_inconsistency():
     target = phased_singlet(0.0)
     good = build_singlet_strategy()
     with pytest.raises(ValueError):
-        HomogeneousStrategy(good.tests, target, 0.5, 0.5, good.omega)  # wrong lambda
-    with pytest.raises(ValueError):
-        HomogeneousStrategy(good.tests, target, 1 / 3, 0.5, good.omega)  # nu != 1-lam
+        HomogeneousStrategy(good.tests, target, 0.5)  # wrong lambda
     bad_tests = (StrategyTest("ALL", I4, 1.0),)
     with pytest.raises(ValueError):
-        HomogeneousStrategy(bad_tests, target, 1 / 3, 2 / 3, good.omega)
+        HomogeneousStrategy(bad_tests, target, 1 / 3)
