@@ -25,11 +25,9 @@ from .exact import (
     sqsv_worst_case_scan,
 )
 from .linalg import (
-    ComplexMatrix,
     DensityMatrix,
     PureState,
     expectation,
-    kron,
     phased_singlet,
     projector,
 )
@@ -66,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate",
     "CertificateQuery",
-    "ComplexMatrix",
     "DensityMatrix",
     "DqsvIntermediates",
     "ExactStats",
@@ -89,7 +86,6 @@ __all__ = [
     "expectation",
     "fidelity_from_pass_rate",
     "honest_iid",
-    "kron",
     "mixture_from_spec",
     "pass_probability",
     "phased_singlet",

@@ -178,8 +178,8 @@ class Certificate:
 class DqsvIntermediates:
     """Full knot tables and interpolation data behind a DQSV certificate."""
 
-    h: dict[int, float]
-    g: dict[int, float]
+    h: tuple[float, ...]   # h[z] for z = 0 .. n + 1
+    g: tuple[float, ...]   # g[z] for z = 0 .. n + 1
     zhat: int
     kappa: float
     zeta_tilde: float
@@ -592,11 +592,11 @@ def dqsv_intermediates(q: CertificateQuery) -> DqsvIntermediates:
     zh, kappa, zeta = _dqsv_core(q)
     # One ascending pass: tails z - 1 and z are the memo's two latest entries,
     # so each is evaluated once even above KNOT_TAIL_CACHE_SIZE knots.
-    h, g = {}, {}
+    h, g = [], []
     for z in range(q.n + 2):
-        h[z] = _h(z, q.k, q.n, q.nu)
-        g[z] = _g(z, q.k, q.n, q.nu)
-    return DqsvIntermediates(h=h, g=g, zhat=zh, kappa=kappa, zeta_tilde=zeta)
+        h.append(_h(z, q.k, q.n, q.nu))
+        g.append(_g(z, q.k, q.n, q.nu))
+    return DqsvIntermediates(h=tuple(h), g=tuple(g), zhat=zh, kappa=kappa, zeta_tilde=zeta)
 
 
 def dqsv_certificate(q: CertificateQuery) -> Certificate:

@@ -304,8 +304,8 @@ def _cmd_certify(args) -> int:
             payload["intermediates"] = None
         else:
             payload["intermediates"] = {
-                "h": [inter.h[z] for z in range(query.n + 2)],
-                "g": [inter.g[z] for z in range(query.n + 2)],
+                "h": inter.h,
+                "g": inter.g,
                 "zhat": inter.zhat,
                 "kappa": inter.kappa,
                 "zeta_tilde": inter.zeta_tilde,

@@ -45,6 +45,7 @@ from .certificates import (
 from .linalg import overlap, phased_singlet
 from .sources import ProductSequenceMixture, worst_case_state
 from .strategy import (
+    HOMOGENEITY_TOL,
     HomogeneousStrategy,
     build_homogeneous_strategy,
     pass_probability,
@@ -53,7 +54,7 @@ from .strategy import (
 MAX_SYSTEMS = 16          # combinatorial budget for the exact statistics
 MAX_ENUM_TESTS = 12       # budget for the brute-force pattern enumeration
 SWEEP_SLACK_TOL = 1e-9    # certificates may exceed the truth by at most this
-IDENTITY_TOL = 4e-10      # |tr(Omega s) - lambda - nu F|: 4 x HOMOGENEITY_TOL on a 4x4 state
+IDENTITY_TOL = 4 * HOMOGENEITY_TOL  # |tr(Omega s) - lambda - nu F| on a 4x4 state
 SWEEP_BLOCK_TRIALS = 128  # soundness-sweep trials per stacked DP; bounds its memory
 
 

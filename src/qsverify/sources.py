@@ -31,17 +31,8 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import (
-    ComplexMatrix,
-    DensityMatrix,
-    PureState,
-    overlap,
-    phased_singlet,
-    projector,
-)
-from .strategy import HomogeneousStrategy
-
-WEIGHT_TOL = 1e-12
+from .linalg import DensityMatrix, PureState, overlap, phased_singlet, projector
+from .strategy import WEIGHT_TOL, HomogeneousStrategy
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,7 @@ class ProductSequenceMixture:
 
 
 def maximally_mixed() -> DensityMatrix:
-    return DensityMatrix(ComplexMatrix(np.eye(4) / 4.0))
+    return DensityMatrix(np.eye(4) / 4.0)
 
 
 def werner_state(fidelity: float) -> DensityMatrix:
@@ -123,8 +114,7 @@ def depolarized_state(state: PureState, fidelity: float) -> DensityMatrix:
             f"fidelity {fidelity} outside [1/4, 1]; the depolarized form is not PSD below 1/4"
         )
     v = (4.0 * fidelity - 1.0) / 3.0
-    mat = v * projector(state).mat.data + (1.0 - v) * np.eye(4) / 4.0
-    return DensityMatrix(ComplexMatrix(mat))
+    return DensityMatrix(v * projector(state).data + (1.0 - v) * np.eye(4) / 4.0)
 
 
 def honest_iid(n_plus_1: int, noise: NoiseSpec = NoiseSpec()) -> ProductSequenceMixture:
@@ -175,13 +165,13 @@ def worst_case_state(epsilon: float, strat: HomogeneousStrategy) -> DensityMatri
     """
     if not (0.0 <= epsilon <= 1.0):
         raise ValueError(f"epsilon {epsilon} outside [0, 1]")
-    eigvals, eigvecs = np.linalg.eigh(strat.omega.data)
+    eigvals, eigvecs = np.linalg.eigh(strat.omega)
     # eigh sorts ascending: the target is last, the second eigenspace next.
     second = eigvecs[:, -2]
-    mat = (1.0 - epsilon) * projector(strat.target).mat.data + epsilon * np.outer(
+    mat = (1.0 - epsilon) * projector(strat.target).data + epsilon * np.outer(
         second, second.conj()
     )
-    return DensityMatrix(ComplexMatrix(mat))
+    return DensityMatrix(mat)
 
 
 def unconditional_fidelity(m: ProductSequenceMixture, target: PureState) -> float:

@@ -12,9 +12,11 @@ so the single-copy pass probability tr(Omega s) determines the fidelity
 The singlet instance uses the three Pauli tests XX, YY, ZZ with equal weight;
 each test passes on the -1 outcome, i.e. projects onto the negative eigenspace
 of the corresponding Pauli product.  Since W (x) W is an involution, that
-projector is (1 - W(x)W)/2 exactly, which avoids any eigensolver.
+projector is (1 - W(x)W)/2 exactly, formed with ``np.kron`` on the local 2x2
+Pauli matrix W, which avoids any eigensolver.
 
-Strategy objects are immutable; nu = 1 - lam and Omega are computed from the
+Strategy objects are immutable; each test projector and Omega are read-only
+4x4 complex128 arrays, and nu = 1 - lam and Omega are computed from the
 constructor's arguments.  The round engine in ``simulate`` samples tests from
 their weights and per-test pass probabilities.
 """
@@ -27,16 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    ComplexMatrix,
     DensityMatrix,
-    I4,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     PureState,
     expectation,
-    identity,
-    kron,
+    freeze,
+    is_hermitian,
     phased_singlet,
     projector,
 )
@@ -54,16 +51,19 @@ class StrategyTest:
     """One projective test: pass with probability tr(projector * state)."""
 
     label: str
-    proj: ComplexMatrix
+    proj: np.ndarray
     weight: float
 
     def __post_init__(self):
+        p = freeze(self.proj)
+        object.__setattr__(self, "proj", p)
         if not (0.0 <= self.weight <= 1.0):
             raise ValueError(f"test weight {self.weight} outside [0, 1]")
-        if not self.proj.is_hermitian():
+        if p.shape != (4, 4):
+            raise ValueError(f"test projector {self.label!r} is not 4x4: shape {p.shape}")
+        if not is_hermitian(p):
             raise ValueError(f"test projector {self.label!r} is not Hermitian")
-        sq = self.proj.data @ self.proj.data
-        if np.max(np.abs(sq - self.proj.data)) > 1e-10:
+        if np.max(np.abs(p @ p - p)) > 1e-10:
             raise ValueError(f"test projector {self.label!r} is not idempotent")
 
 
@@ -73,7 +73,7 @@ class HomogeneousStrategy:
     target: PureState
     lam: float
     nu: float = field(init=False)
-    omega: ComplexMatrix = field(init=False)
+    omega: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tests", tuple(self.tests))
@@ -82,15 +82,15 @@ class HomogeneousStrategy:
         total = sum(t.weight for t in self.tests)
         if abs(total - 1.0) > WEIGHT_TOL:
             raise ValueError(f"test weights sum to {total}, not 1")
-        acc = sum((t.weight * t.proj.data for t in self.tests), np.zeros((4, 4), complex))
+        acc = sum((t.weight * t.proj for t in self.tests), np.zeros((4, 4), complex))
         object.__setattr__(self, "nu", 1.0 - self.lam)
-        object.__setattr__(self, "omega", ComplexMatrix(acc))
+        object.__setattr__(self, "omega", freeze(acc))
         tvec = self.target.vec
-        if np.max(np.abs(self.omega.data @ tvec - tvec)) > HOMOGENEITY_TOL:
+        if np.max(np.abs(self.omega @ tvec - tvec)) > HOMOGENEITY_TOL:
             raise ValueError("target state does not pass every test with certainty")
         ptarget = np.outer(tvec, tvec.conj())
         homog = ptarget + self.lam * (np.eye(4) - ptarget)
-        if np.max(np.abs(self.omega.data - homog)) > HOMOGENEITY_TOL:
+        if np.max(np.abs(self.omega - homog)) > HOMOGENEITY_TOL:
             raise ValueError(
                 "strategy is not homogeneous: omega != P_target + lambda (1 - P_target)"
             )
@@ -109,11 +109,16 @@ class HomogeneousStrategy:
 def build_singlet_strategy() -> HomogeneousStrategy:
     """The XX/YY/ZZ strategy for the singlet (|01> - |10>)/sqrt(2); lambda = 1/3."""
     target = phased_singlet(0.0)
-    tests = []
-    for label, pauli in (("XX", PAULI_X), ("YY", PAULI_Y), ("ZZ", PAULI_Z)):
-        neg = ComplexMatrix((I4.data - kron(pauli, pauli).data) / 2.0)
-        tests.append(StrategyTest(label, neg, 1.0 / 3.0))
-    return HomogeneousStrategy(tuple(tests), target, 1.0 / 3.0)
+    paulis = (
+        ("XX", np.array([[0, 1], [1, 0]], dtype=np.complex128)),
+        ("YY", np.array([[0, -1j], [1j, 0]], dtype=np.complex128)),
+        ("ZZ", np.array([[1, 0], [0, -1]], dtype=np.complex128)),
+    )
+    tests = tuple(
+        StrategyTest(label, (np.eye(4) - np.kron(w, w)) / 2.0, 1.0 / 3.0)
+        for label, w in paulis
+    )
+    return HomogeneousStrategy(tests, target, 1.0 / 3.0)
 
 
 def build_homogeneous_strategy(target: PureState, lam: float) -> HomogeneousStrategy:
@@ -125,10 +130,9 @@ def build_homogeneous_strategy(target: PureState, lam: float) -> HomogeneousStra
     """
     if not (0.0 <= lam < 1.0):
         raise ValueError(f"lambda {lam} outside [0, 1)")
-    ptarget = projector(target).mat
     tests = (
-        StrategyTest("ALL", identity(4), lam),
-        StrategyTest("TARGET", ptarget, 1.0 - lam),
+        StrategyTest("ALL", np.eye(4), lam),
+        StrategyTest("TARGET", projector(target).data, 1.0 - lam),
     )
     return HomogeneousStrategy(tests, target, lam)
 

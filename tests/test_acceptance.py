@@ -152,8 +152,7 @@ def test_criterion_3_monotonicity_suites():
                 if tail >= 1.0 - 1e-9:
                     continue
                 inter = dqsv_intermediates(CertificateQuery("dqsv", n, k, 1.0, lam))
-                h = [inter.h[z] for z in range(n + 2)]
-                g = [inter.g[z] for z in range(n + 2)]
+                h, g = inter.h, inter.g
                 for z in range(n + 1):
                     ok &= h[z + 1] <= h[z]
                     if z >= k and h[z + 1] < 1.0 - 1e-12:

@@ -335,8 +335,7 @@ def test_dqsv_knot_monotonicity():
                 if tail >= 1.0 - 1e-9:
                     continue
                 inter = dqsv_intermediates(CertificateQuery("dqsv", n, k, 1.0, lam))
-                h = [inter.h[z] for z in range(n + 2)]
-                g = [inter.g[z] for z in range(n + 2)]
+                h, g = inter.h, inter.g
                 for z in range(n + 1):
                     assert h[z + 1] <= h[z], (n, k, lam, z)
                     if z >= k and h[z + 1] < 1.0 - 1e-12:
@@ -369,7 +368,7 @@ def test_dqsv_intermediates_are_the_knot_values():
     for n, k, delta, lam in ((1, 0, 1.0, 1 / 3), (40, 3, 0.2, 0.4), (150, 0, 1e-20, 0.6)):
         inter = dqsv_intermediates(CertificateQuery("dqsv", n, k, delta, lam))
         nu = 1.0 - lam
-        assert list(inter.h) == list(inter.g) == list(range(n + 2))
+        assert len(inter.h) == len(inter.g) == n + 2
         assert all(inter.h[z] == certificates._h(z, k, n, nu) for z in range(n + 2))
         assert all(inter.g[z] == certificates._g(z, k, n, nu) for z in range(n + 2))
 

@@ -32,7 +32,7 @@ def strat():
 
 
 def same_matrix(a, b) -> bool:
-    return np.allclose(a.mat.data, b.mat.data, rtol=0, atol=1e-12)
+    return np.allclose(a.data, b.data, rtol=0, atol=1e-12)
 
 
 def states(m, branch):
@@ -122,9 +122,9 @@ def test_all_factors_are_valid_density_matrices():
         assert np.all(m.weights >= 0)
         assert set(m.index.ravel().tolist()) == set(range(len(m.palette)))
         for s in m.palette:
-            eigs = np.linalg.eigvalsh(s.mat.data)
+            eigs = np.linalg.eigvalsh(s.data)
             assert eigs.min() > -1e-10
-            assert abs(np.trace(s.mat.data) - 1) < 1e-10
+            assert abs(np.trace(s.data) - 1) < 1e-10
 
 
 def test_mixture_validation():

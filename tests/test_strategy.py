@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from qsverify.linalg import (
-    ComplexMatrix,
     DensityMatrix,
-    I4,
     expectation,
-    kron,
     overlap,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     phased_singlet,
     projector,
 )
@@ -32,7 +26,7 @@ def strat():
 def random_density(rng) -> DensityMatrix:
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     m = a @ a.conj().T
-    return DensityMatrix(ComplexMatrix(m / np.trace(m)))
+    return DensityMatrix(m / np.trace(m))
 
 
 def test_singlet_strategy_parameters(strat):
@@ -51,19 +45,41 @@ def test_target_passes_with_certainty(strat):
 
 def test_omega_trace_on_maximally_mixed(strat):
     # tr Omega = 1 + 3 lambda = 2, checked through the mixed-state expectation.
-    mixed = DensityMatrix(ComplexMatrix(np.eye(4) / 4))
+    mixed = DensityMatrix(np.eye(4) / 4)
     assert expectation(strat.omega, mixed) == pytest.approx(0.5, abs=1e-12)
-    assert np.trace(strat.omega.data).real == pytest.approx(2.0, abs=1e-12)
+    assert np.trace(strat.omega).real == pytest.approx(2.0, abs=1e-12)
 
 
 def test_projector_ranks_match_eigendecomposition(strat):
     # Each negative-eigenspace projector must reproduce the eigenspace of the
-    # Kronecker product it was built from.
-    for t, pauli in zip(strat.tests, (PAULI_X, PAULI_Y, PAULI_Z)):
-        rank = int(round(np.trace(t.proj.data).real))
-        eigs = np.linalg.eigvalsh(kron(pauli, pauli).data)
+    # Pauli product it was built from.
+    paulis = (
+        np.array([[0, 1], [1, 0]]),
+        np.array([[0, -1j], [1j, 0]]),
+        np.array([[1, 0], [0, -1]]),
+    )
+    for t, w in zip(strat.tests, paulis):
+        rank = int(round(np.trace(t.proj).real))
+        eigs = np.linalg.eigvalsh(np.kron(w, w))
         assert rank == int(np.sum(eigs < 0))
         assert rank in (1, 2, 3)
+
+
+def test_zz_projector_is_diagonal(strat):
+    # ZZ = diag(1, -1, -1, 1) in the |00>, |01>, |10>, |11> order, so its
+    # -1 eigenspace is spanned by |01> and |10>.
+    zz = strat.tests[strat.labels.index("ZZ")].proj
+    assert np.array_equal(zz, np.diag([0, 1, 1, 0]))
+
+
+def test_xx_projector_pairs_flipped_basis_states(strat):
+    # XX flips both qubits, |01> <-> |10> and |00> <-> |11>, so (1 - XX)/2 is
+    # 1/2 on the diagonal and -1/2 between each flipped pair.
+    xx = strat.tests[strat.labels.index("XX")].proj
+    want = np.eye(4) / 2
+    for a, b in ((0b01, 0b10), (0b00, 0b11)):
+        want[a, b] = want[b, a] = -0.5
+    assert np.array_equal(xx, want)
 
 
 def test_homogeneity_on_random_states(strat):
@@ -124,7 +140,7 @@ def test_sample_test_orthogonal_support_is_deterministic_per_setting(strat):
 
 
 def test_sample_tests_empirical_rate_mixed(strat):
-    mixed = DensityMatrix(ComplexMatrix(np.eye(4) / 4))
+    mixed = DensityMatrix(np.eye(4) / 4)
     n, rounds = 100, 10_000
     table = iid_rounds(strat, mixed, n, rounds, 14)
     tests = n * rounds
@@ -146,7 +162,7 @@ def test_sample_tests_empirical_rate_werner(strat):
 
 
 def test_setting_frequencies_follow_weights(strat):
-    mixed = DensityMatrix(ComplexMatrix(np.eye(4) / 4))
+    mixed = DensityMatrix(np.eye(4) / 4)
     table = iid_rounds(strat, mixed, 100, 3000, 16)
     n = table.settings.size
     counts = np.bincount(table.settings.ravel(), minlength=3) / n
@@ -182,6 +198,16 @@ def test_strategy_constructor_rejects_inconsistency():
     good = build_singlet_strategy()
     with pytest.raises(ValueError):
         HomogeneousStrategy(good.tests, target, 0.5)  # wrong lambda
-    bad_tests = (StrategyTest("ALL", I4, 1.0),)
+    bad_tests = (StrategyTest("ALL", np.eye(4), 1.0),)
     with pytest.raises(ValueError):
         HomogeneousStrategy(bad_tests, target, 1 / 3)
+
+
+def test_strategy_test_rejects_bad_projectors():
+    from qsverify.strategy import StrategyTest
+
+    nonherm = np.diag([1.0, 0, 0, 0]).astype(complex)
+    nonherm[0, 1] = 1e-3
+    for proj in (np.eye(2), np.eye(4) * 2, nonherm):
+        with pytest.raises(ValueError):
+            StrategyTest("BAD", proj, 1.0)
