@@ -34,24 +34,28 @@ is
                      = [(1-kappa) g_{zhat+1} + kappa g_zhat] / delta   otherwise.
 
 Numerics: B_{z,k} is evaluated on its better-conditioned side (tail or
-complement), by compensated direct summation for z <= 100 and, above that
-or where a direct term may have underflowed, by an anchor term computed in
-truncated big-integer arithmetic from the exact dyadic factorization of the
-float p, scaled by a float ratio recurrence.  The anchored scheme keeps the
-absolute error within a few machine epsilons even where a log-gamma
-formulation would lose ~1e-12 to cancellation; see the tests for the
-measured bounds.  The anchor's binomial coefficient is exact from
+complement), by compensated direct summation for z <= 100, with the
+binomial coefficients read from lazily built rows of floats, and, above
+that or where a direct term may have underflowed, by an anchor term
+computed in truncated big-integer arithmetic from the exact dyadic
+factorization of the float p, scaled by a float ratio recurrence.  The
+anchored scheme keeps the relative error within a few machine epsilons even
+where a log-gamma formulation would lose ~1e-12 to cancellation; see the
+tests for the measured bounds.  The anchor's binomial coefficient is exact from
 ``math.comb`` for small min(j, z - j) and a truncated prime-power product
 above, so its cost stays near 0.1 s even at z = 10^7.
 
 J(N, k, delta) is found by bisection to floating-point interval exhaustion.
-The absolute-error contract |computed - true B| <= TAIL_ABS_ERROR = 1e-13,
-measured by the tests on a grid up to z = TAIL_ABS_ERROR_Z_MAX, decides in
-advance every comparison B(mid) > delta whose midpoint lies outside a window
-[a, b] with computed B(a) > delta + 2e and B(b) < delta - 2e; a short
-safeguarded Newton phase finds that window, and the bisection skips those
-comparisons.  Given the contract, the result is bitwise the full
-bisection's, at well under half its binom_tail evaluations.
+The relative-error contract |computed - true B| <= e_r B, with
+e_r = TAIL_REL_ERROR = 1e-13 (e_r (1 - B) + 2^-53 where the tail is one
+minus its complement), measured by the tests on a grid up to
+z = TAIL_ERROR_Z_MAX (worst 1.1e-14), decides in advance every comparison
+B(mid) > delta whose midpoint lies outside a window [a, b] with computed
+B(a) > delta + m and B(b) < delta - m, m = 3 e_r delta for delta <= 1/2; a
+short safeguarded Newton phase finds that window, and the bisection skips
+those comparisons.  Given the contract, the result is bitwise the full
+bisection's, at a median of 13 binom_tail evaluations per solve against its
+55 (see tests/test_solve_j_window.py).
 
 zhat is searched with a tie tolerance relative to delta (ZHAT_TIE_TOL).
 The search starts at the normal approximation of the z with
@@ -82,7 +86,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 SOLVE_J_MAX_ITER = 200
-SOLVE_J_RESIDUAL_TOL = 1e-12
+SOLVE_J_RESIDUAL_TOL = 1e-12  # relative to delta
 ZHAT_TIE_TOL = 1e-14       # h_z >= delta - this * delta counts as h_z >= delta
 BOUND_CLAMP_TOL = 1e-12    # certificate outside [0,1] by more than this is a bug
 
@@ -97,12 +101,19 @@ _DIRECT_SUM_MIN = (_DIRECT_Z_MAX + 1) * math.comb(_DIRECT_Z_MAX, _DIRECT_Z_MAX /
 _COMB_DIRECT_MAX = 2000
 _COMB_CACHE_SIZE = 64      # memoized anchor binomials
 
-# |binom_tail(z, k, p) - B_{z,k}(p)| <= TAIL_ABS_ERROR for z <= TAIL_ABS_ERROR_Z_MAX,
-# measured by test_binom_tail_absolute_error_contract (a few 1e-15 at most);
-# solve_J relies on it.
-TAIL_ABS_ERROR = 1e-13
-TAIL_ABS_ERROR_Z_MAX = 10_000_000
+# For z <= TAIL_ERROR_Z_MAX, |binom_tail(z, k, p) - B| <= TAIL_REL_ERROR *
+# max(B, TAIL_ERROR_FLOOR) where the tail is summed, and <= TAIL_REL_ERROR *
+# (1 - B) + 2**-53 where it is one minus the summed complement.  Measured by
+# test_binom_tail_relative_error_contract: worst 1.1e-14 (direct sums at
+# z = 100, from rounding 1 - p), 2.2e-15 for anchored sums; solve_J relies on
+# it.  Below the floor the terms reach subnormal doubles.
+TAIL_REL_ERROR = 1e-13
+TAIL_ERROR_FLOOR = 2.0**-1000
+TAIL_ERROR_Z_MAX = 10_000_000
 _NEWTON_MAX_STEPS = 40
+# The window's Newton phase stops once the computed tail is within this many
+# margins of delta; see _decided_window.
+_NEWTON_STOP = 2.0**16
 
 SOLVE_J_CACHE_SIZE = 4096      # memoized (n, k, delta) roots
 KNOT_TAIL_CACHE_SIZE = 16384   # memoized (z, k, nu) knot tails
@@ -218,10 +229,22 @@ def _direct_window_sum(z: int, lo: int, hi: int, p: float) -> float:
     Below _DIRECT_SUM_MIN a term may have underflowed inside its powers while
     itself a normal double; the anchored scheme evaluates such a window.
     """
-    total = math.fsum(math.comb(z, j) * p**j * (1.0 - p) ** (z - j) for j in range(lo, hi + 1))
+    row = _comb_row(z)
+    q = 1.0 - p
+    total = math.fsum([row[j] * p**j * q ** (z - j) for j in range(lo, hi + 1)])
     if total < _DIRECT_SUM_MIN:
         return _anchored_window_sum(z, lo, hi, p)
     return total
+
+
+@functools.lru_cache(maxsize=_DIRECT_Z_MAX + 1)
+def _comb_row(z: int) -> tuple[float, ...]:
+    """float(C(z, j)) for j = 0 .. z.
+
+    int * float converts the int with correct rounding, so a term built from
+    this row has the bits of one built from ``math.comb`` itself.
+    """
+    return tuple(float(math.comb(z, j)) for j in range(z + 1))
 
 
 _POW_PREC_BITS = 320
@@ -368,23 +391,42 @@ def _normal_upper_quantile(delta: float) -> float:
 def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     """[a, b] outside which every bisection test B_{n,k}(mid) > delta is decided.
 
-    The computed tail satisfies B(a) > delta + 2e and B(b) < delta - 2e,
-    with e = TAIL_ABS_ERROR.  The true B is decreasing and the computed one
-    is within e of it, so a computed B(mid) is > delta for every mid <= a and
-    < delta for every mid >= b.  A side with no certified edge stays at 0 or
-    1, which decides nothing; above TAIL_ABS_ERROR_Z_MAX, where the error
-    bound is not measured, the window is [0, 1].
+    The computed tail satisfies B(a) > delta + m and B(b) < delta - m.
+    With e = TAIL_REL_ERROR and delta <= 1/2 the margin is m = 3 e delta.
+    The true B is decreasing, and (1 - e) B, the least the contract lets a
+    computed B read, increases with B; so for every mid <= a
+
+        computed B(mid) >= (1 - e) B(a) >= (1 - e) (delta + 3 e delta) / (1 + e)
+                         >= delta + e (1 - 4 e) delta > delta:
+
+    one e delta covers the error of B(a), one that of B(mid), and the third
+    the second-order terms and the rounding of delta + m.  The bound for
+    mid >= b mirrors it.  Below TAIL_ERROR_FLOOR the contract is absolute,
+    e times the floor, and the same count takes m = 3 e TAIL_ERROR_FLOOR.
+    Above 1/2 the computed tail is one minus the complement, off by at most
+    e (1 - B) + 2^-53, and the count gives m = 3 (e (1 - delta) + 2^-53).
+    A side with no certified edge stays at 0 or 1, which decides nothing;
+    above TAIL_ERROR_Z_MAX, where the error bound is not measured, the
+    window is [0, 1].
 
     The edges come from safeguarded Newton on log B, which is concave (B is
     the survival function of Beta(k+1, n-k)), so once an iterate lies right
-    of the root the rest approach it monotonically.  The slope
-    d log B / dx = -n b_{n-1,k}(x) / B(x) uses a log-gamma pmf: it only
-    steers, and every edge is checked with binom_tail itself.
+    of the root the rest approach it monotonically.  Newton stops at an x
+    whose computed B is within _NEWTON_STOP m of delta, and the tangent
+    there places each edge where B should read delta -+ 2m.  B and 1 - B
+    are both log-concave, so |B''| <= B'^2 / min(B, 1 - B) and the tangent
+    misses by at most ((_NEWTON_STOP + 2) m)^2 / (2 min(B, 1 - B)), under
+    1e-3 m for delta <= 1/2.  The slope d log B / dx = -n b_{n-1,k}(x) / B(x)
+    uses a log-gamma pmf: it only steers, and every edge is checked with
+    binom_tail itself.
     """
     a, b = 0.0, 1.0
-    if n > TAIL_ABS_ERROR_Z_MAX:
+    if n > TAIL_ERROR_Z_MAX:
         return a, b
-    margin = 2.0 * TAIL_ABS_ERROR
+    if delta <= 0.5:
+        margin = 3.0 * TAIL_REL_ERROR * max(delta, TAIL_ERROR_FLOOR)
+    else:
+        margin = 3.0 * (TAIL_REL_ERROR * (1.0 - delta) + 2.0**-53)
     log_delta = math.log(delta)
     slope = functools.partial(_tail_slope, n, k)
 
@@ -402,21 +444,22 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
             a = x
         elif tail < delta - margin:
             b = x
-        else:
-            break
         d = slope(x)
+        if abs(tail - delta) <= _NEWTON_STOP * margin:
+            break
         step = tail * (math.log(tail) - log_delta) / d if tail > 0.0 and d > 0.0 else math.inf
         x = x + step
     else:
         return a, b
-    # The computed B(x) is within 2e of delta, so an edge needs |B'| w > 4e;
-    # each edge is kept only if binom_tail certifies it.
-    d = slope(x)
-    width = 2.0 * margin / d if d > 0.0 else math.inf
-    if a < x - width and binom_tail(n, k, x - width) > delta + margin:
-        a = x - width
-    if x + width < b and binom_tail(n, k, x + width) < delta - margin:
-        b = x + width
+    # The tangent at x aims each edge at delta -+ 2m, a margin m beyond what
+    # it must certify; each edge is kept only if binom_tail certifies it.
+    if d > 0.0:
+        left = x - (delta - tail + 2.0 * margin) / d
+        right = x + (tail - delta + 2.0 * margin) / d
+        if a < left and binom_tail(n, k, left) > delta + margin:
+            a = left
+        if right < b and binom_tail(n, k, right) < delta - margin:
+            b = right
     return a, b
 
 
@@ -427,11 +470,11 @@ def solve_J(n: int, k: int, delta: float) -> float:
     B_{n,k} is continuous and strictly decreasing in x with B(0) = 1 and
     B(1) = 0, so plain bisection always converges; it is run to floating-point
     interval exhaustion (well under the iteration cap) and the residual is
-    verified afterwards.  A bisection test whose midpoint lies outside
-    ``_decided_window`` is skipped, since the TAIL_ABS_ERROR contract already
-    decides its outcome; given that measured contract, the result is bitwise
-    the one of the full bisection.  Memoized on (n, k, delta); errors are not
-    cached.
+    verified afterwards, relative to delta.  A bisection test whose midpoint
+    lies outside ``_decided_window`` is skipped, since the TAIL_REL_ERROR
+    contract already decides its outcome; given that measured contract, the
+    result is bitwise the one of the full bisection.  Memoized on
+    (n, k, delta); errors are not cached.
     """
     if k < 0 or n < k + 1:
         raise ValueError(f"need n >= k + 1 >= 1, got n = {n}, k = {k}")
@@ -462,11 +505,15 @@ def solve_J(n: int, k: int, delta: float) -> float:
     if math.isnan(tail):
         tail = binom_tail(n, k, x)
     residual = abs(tail - delta)
+    tol = SOLVE_J_RESIDUAL_TOL * delta
     # Next to a steep root, such as one within a float step of 1, one ulp of x
     # moves B by more than the tolerance; so much residual is allowed there.
-    if residual > SOLVE_J_RESIDUAL_TOL and not (
-        0.0 < x < 1.0
-        and residual <= SOLVE_J_RESIDUAL_TOL + _tail_slope(n, k, x) * math.ulp(x)
+    # A root at 1 is the float next to a true root in (1 - 2^-53, 1); for
+    # k < n - 1, |B'| is largest at the lower end of that step, so it is
+    # measured there.
+    lower = min(x, 1.0 - 2.0**-53)
+    if residual > tol and not (
+        0.0 < x and residual <= tol + _tail_slope(n, k, lower) * math.ulp(lower)
     ):
         raise NumericalConsistencyError(
             f"bisection residual {residual} for B_{{{n},{k}}}(x) = {delta}"

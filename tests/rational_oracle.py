@@ -70,11 +70,13 @@ def dqsv_fidelity_exact(k: int, n: int, delta: Fraction, lam: Fraction) -> Fract
 def binom_tail_highprec(z: int, k: int, p: float, dps: int = 50):
     """Lower binomial tail of the float p at ``dps`` digits via mpmath.
 
-    Sums the smaller of the two tails with a term recurrence outward from
-    the window's largest term, and stops on each side once a term falls
-    below 10**-dps of the running sum (the pmf is log-concave, so the rest
-    is smaller still); it stays accurate and fast for any (z, k, p) at the
-    sizes used in tests, up to z = 10^7.
+    Sums the tail that excludes the mode floor((z + 1) p), the smaller one,
+    with a term recurrence outward from the window's largest term, and stops
+    on each side once a term falls below 10**-dps of the running sum (the
+    pmf is log-concave, so the rest is smaller still).  A tail far below 1
+    is thus summed directly rather than left as 1 minus a sum near 1, so the
+    result carries ``dps`` digits relative to the tail itself; it stays fast
+    for any (z, k, p) at the sizes used in tests, up to z = 10^7.
     """
     import mpmath as mp
 
@@ -89,8 +91,10 @@ def binom_tail_highprec(z: int, k: int, p: float, dps: int = 50):
             return mp.mpf(0)
         eps = mp.mpf(10) ** -dps
 
+        mode = int(mp.floor((z + 1) * pm))
+
         def window(lo, hi):
-            top = min(max(int(mp.floor((z + 1) * pm)), lo), hi)
+            top = min(max(mode, lo), hi)
             acc = first = mp.binomial(z, top) * pm**top * qm ** (z - top)
             term = first
             for j in range(top, lo, -1):
@@ -106,6 +110,6 @@ def binom_tail_highprec(z: int, k: int, p: float, dps: int = 50):
                     break
             return acc
 
-        if k + 1 <= z - k:
+        if k < mode:
             return window(0, k)
         return 1 - window(k + 1, z)

@@ -11,8 +11,7 @@ from qsverify import certificates
 from qsverify.certificates import (
     Certificate,
     CertificateQuery,
-    TAIL_ABS_ERROR,
-    TAIL_ABS_ERROR_Z_MAX,
+    TAIL_ERROR_Z_MAX,
     SOLVE_J_RESIDUAL_TOL,
     NumericalConsistencyError,
     _comb,
@@ -24,6 +23,7 @@ from qsverify.certificates import (
     sqsv_certificate,
 )
 from rational_oracle import binom_tail_exact, binom_tail_highprec, dqsv_fidelity_exact
+from tail_contract import contract_error
 
 
 # ---------------------------------------------------------------------------
@@ -85,20 +85,46 @@ def test_binom_tail_below_underflow_matches_exact_rationals():
         assert all(a > b > 0.0 for a, b in zip(tails, tails[1:])), k
 
 
-def test_binom_tail_absolute_error_contract():
-    # |error| <= TAIL_ABS_ERROR for z up to TAIL_ABS_ERROR_Z_MAX, measured
-    # against a 50-digit oracle; solve_J's decided window rests on it.
+def test_binom_tail_relative_error_contract():
+    # The relative contract of tail_contract.contract_error for z up to
+    # TAIL_ERROR_Z_MAX, measured against a 50-digit oracle; solve_J's
+    # decided window rests on it.  The second grid places p where the tail
+    # is 1e-30, 1e-100 and 1e-300, and at the floats next to those points.
     cases = []
-    for z in (10, 100, 101, 500, 1000, 2500, 4001, 10_000, 10**5, 10**6, TAIL_ABS_ERROR_Z_MAX):
+    for z in (10, 100, 101, 500, 1000, 2500, 4001, 10_000, 10**5, 10**6, TAIL_ERROR_Z_MAX):
         for k in sorted({0, 1, z // 10, z // 3, z // 2, 2 * z // 3, z - 1}):
             if 0 <= k < z:
-                cases.append((z, k))
-    assert max(z for z, _ in cases) == TAIL_ABS_ERROR_Z_MAX
-    for z, k in cases:
-        for p in (1e-6, 0.01, 1 / 3, 0.5, 2 / 3, 0.95):
-            got = binom_tail(z, k, p)
-            want = binom_tail_highprec(z, k, p)
-            assert abs(got - float(want)) <= TAIL_ABS_ERROR, (z, k, p)
+                cases += [(z, k, p) for p in (1e-6, 1e-3, 0.01, 1 / 3, 0.5, 2 / 3, 0.95)]
+    assert max(z for z, _, _ in cases) == TAIL_ERROR_Z_MAX
+    for z in (10, 99, 100, 101, 1000, 10_000):
+        for k in sorted({0, 1, z // 3, z // 2, z - 2}):
+            for delta in (1e-30, 1e-100, 1e-300):
+                x = solve_J(z, k, delta)
+                cases += [(z, k, p) for p in (x, math.nextafter(x, 0.0), math.nextafter(x, 1.0))]
+    smallest = 1.0
+    for z, k, p in cases:
+        got = binom_tail(z, k, p)
+        want = binom_tail_highprec(z, k, p)
+        assert abs(got - want) <= contract_error(got, want), (z, k, p)
+        if want > 0:
+            smallest = min(smallest, want)
+    assert smallest < 1e-299
+
+
+def test_direct_sum_rows_keep_the_math_comb_bits():
+    # The rows hold float(C(z, j)); int * float rounds the int the same way,
+    # so each term, and the compensated sum, keeps the bits of the sum over
+    # math.comb(z, j) * p**j * (1.0 - p) ** (z - j) it replaces.
+    rng = np.random.default_rng(16)
+    for _ in range(3000):
+        z = int(rng.integers(1, certificates._DIRECT_Z_MAX + 1))
+        lo, hi = sorted(int(j) for j in rng.integers(0, z + 1, size=2))
+        u = float(rng.uniform()) ** int(rng.integers(1, 40))
+        p = u if rng.uniform() < 0.5 else 1.0 - u
+        want = math.fsum(math.comb(z, j) * p**j * (1.0 - p) ** (z - j) for j in range(lo, hi + 1))
+        if want < certificates._DIRECT_SUM_MIN:
+            want = certificates._anchored_window_sum(z, lo, hi, p)
+        assert certificates._direct_window_sum(z, lo, hi, p) == want, (z, lo, hi, p)
 
 
 def test_comb_prime_product_matches_math_comb():
@@ -203,7 +229,7 @@ def test_solve_j_residuals_general_k():
 
 def test_solve_j_roots_next_to_one():
     # Within a few float steps of 1 the tail is so steep that one ulp of x
-    # moves it by more than SOLVE_J_RESIDUAL_TOL.  The root must agree with
+    # moves it by more than SOLVE_J_RESIDUAL_TOL times delta.  The root must agree with
     # the mirrored root 1 - J_{n, n-1-k}(1 - delta), solved where x is small,
     # and its true residual must stay within the tolerance plus one ulp's
     # worth of slope.
@@ -212,9 +238,8 @@ def test_solve_j_roots_next_to_one():
         x = solve_J(n, k, delta)
         assert abs(x - (1.0 - solve_J(n, n - 1 - k, 1.0 - delta))) <= 2.0 * math.ulp(1.0)
         err = abs(float(binom_tail_highprec(n, k, x)) - delta)
-        assert SOLVE_J_RESIDUAL_TOL < err <= SOLVE_J_RESIDUAL_TOL + (
-            certificates._tail_slope(n, k, x) * math.ulp(x)
-        )
+        tol = SOLVE_J_RESIDUAL_TOL * delta
+        assert tol < err <= tol + certificates._tail_slope(n, k, x) * math.ulp(x)
 
 
 def test_solve_j_rejects_bad_arguments():
@@ -260,6 +285,21 @@ def test_sqsv_bound_at_tiny_delta_is_within_an_ulp_of_exact():
     assert binom_tail_exact(98, 62, Fraction(math.nextafter(j, 1.0))) <= Fraction(delta)
     assert binom_tail_exact(98, 62, Fraction(math.nextafter(j, 0.0))) > Fraction(delta)
     assert fidelity == pytest.approx(8.30e-10, rel=1e-3)
+
+
+def test_solve_j_matches_exact_rational_oracle_tiny_delta():
+    # The residual check is relative to delta, so it still means something
+    # here; the exact root must lie within a relative 1e-12 of J.  At
+    # (10, 0, 1e-300) the root is 1 - 1e-30, and J is the float 1.
+    rows = [(n, k) for n in (10, 60, 98, 100) for k in (0, 3, n // 3, n - 2)]
+    rows += [(136, 20), (250, 80), (700, 3)]
+    for n, k in rows:
+        for delta in (1e-30, 1e-100, 1e-300):
+            x = solve_J(n, k, delta)
+            above, below = x * (1.0 - 1e-12), min(x * (1.0 + 1e-12), 1.0)
+            assert binom_tail_exact(n, k, Fraction(above)) > Fraction(delta), (n, k, delta)
+            assert binom_tail_exact(n, k, Fraction(below)) < Fraction(delta), (n, k, delta)
+    assert solve_J(10, 0, 1e-300) == 1.0
 
 
 # ---------------------------------------------------------------------------

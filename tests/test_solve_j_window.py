@@ -25,6 +25,7 @@ from qsverify.certificates import (
 )
 from qsverify.reproduce import default_fig5_grid, fig5_rows
 from rational_oracle import binom_tail_highprec
+from tail_contract import contract_error
 
 QUERY_TABLES = sorted(
     (Path(__file__).resolve().parents[1] / "bench" / "data").glob("queries-*.csv")
@@ -142,7 +143,7 @@ def test_case_sets_are_populated():
     assert {n for n, _, _ in fig5_cases()} == {n for n in default_fig5_grid() if n >= 3}
     assert len(query_table_cases()) > 500
     assert len(clopper_pearson_cases()) == sum(2 * n for n in CP_TRIALS)
-    assert max(n for n, _, _ in large_trial_cases()) == certificates.TAIL_ABS_ERROR_Z_MAX
+    assert max(n for n, _, _ in large_trial_cases()) == certificates.TAIL_ERROR_Z_MAX
 
 
 def test_solve_j_equals_reference_bisection(solved):
@@ -151,13 +152,20 @@ def test_solve_j_equals_reference_bisection(solved):
 
 
 def test_solve_j_binom_tail_calls_per_miss(solved):
-    # The plain bisection takes 55-59 calls per solve on this set.
-    assert statistics.median(used for _, used, _ in solved.values()) <= 30
+    # The plain bisection takes 55-59 calls per solve on this set; with the
+    # relative tail contract the median solve takes 13.
+    assert statistics.median(used for _, used, _ in solved.values()) <= 15
 
 
 def test_window_edges_are_certified(solved):
-    margin = 2.0 * certificates.TAIL_ABS_ERROR
+    # Three contract errors at delta: one for each edge's own tail, one for
+    # the skipped midpoint's, and one for the second-order terms.
+    e = certificates.TAIL_REL_ERROR
     for n, k, delta in list(solved)[::37]:
+        if delta <= 0.5:
+            margin = 3.0 * e * max(delta, certificates.TAIL_ERROR_FLOOR)
+        else:
+            margin = 3.0 * (e * (1.0 - delta) + 2.0**-53)
         a, b = certificates._decided_window(n, k, delta)
         x = solved[n, k, delta][0]
         assert 0.0 <= a < b <= 1.0
@@ -167,18 +175,19 @@ def test_window_edges_are_certified(solved):
 
 
 def test_window_edges_meet_the_tail_contract(solved):
-    # The skipped comparisons are decided only if binom_tail is within
-    # TAIL_ABS_ERROR of the true tail at the window edges themselves.
+    # The skipped comparisons are decided only if binom_tail is within the
+    # relative contract of the true tail at the window edges themselves.
     sample = list(solved)[::53] + sorted(large_trial_cases())
     for n, k, delta in sample:
         for edge in certificates._decided_window(n, k, delta):
             if 0.0 < edge < 1.0:
-                err = abs(binom_tail(n, k, edge) - float(binom_tail_highprec(n, k, edge)))
-                assert err <= certificates.TAIL_ABS_ERROR, (n, k, delta, edge)
+                tail = binom_tail(n, k, edge)
+                exact = binom_tail_highprec(n, k, edge)
+                assert abs(tail - exact) <= contract_error(tail, exact), (n, k, delta, edge)
 
 
 def test_no_window_beyond_the_tail_contract():
-    n = certificates.TAIL_ABS_ERROR_Z_MAX + 1
+    n = certificates.TAIL_ERROR_Z_MAX + 1
     assert certificates._decided_window(n, 3, 0.05) == (0.0, 1.0)
     assert solve_J(n, 3, 0.05) == reference_bisection(n, 3, 0.05)
 
