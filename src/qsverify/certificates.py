@@ -86,7 +86,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 SOLVE_J_MAX_ITER = 200
-SOLVE_J_RESIDUAL_TOL = 1e-12  # relative to delta
+SOLVE_J_RESIDUAL_TOL = 1e-12  # relative to max(delta, TAIL_ERROR_FLOOR)
 ZHAT_TIE_TOL = 1e-14       # h_z >= delta - this * delta counts as h_z >= delta
 BOUND_CLAMP_TOL = 1e-12    # certificate outside [0,1] by more than this is a bug
 
@@ -388,6 +388,13 @@ def _normal_upper_quantile(delta: float) -> float:
     return -u if delta > 0.5 else u
 
 
+def _window_margin(delta: float) -> float:
+    """The margin m of ``_decided_window``: three contract errors at delta."""
+    if delta <= 0.5:
+        return 3.0 * TAIL_REL_ERROR * max(delta, TAIL_ERROR_FLOOR)
+    return 3.0 * (TAIL_REL_ERROR * (1.0 - delta) + 2.0**-53)
+
+
 def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     """[a, b] outside which every bisection test B_{n,k}(mid) > delta is decided.
 
@@ -423,10 +430,7 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     a, b = 0.0, 1.0
     if n > TAIL_ERROR_Z_MAX:
         return a, b
-    if delta <= 0.5:
-        margin = 3.0 * TAIL_REL_ERROR * max(delta, TAIL_ERROR_FLOOR)
-    else:
-        margin = 3.0 * (TAIL_REL_ERROR * (1.0 - delta) + 2.0**-53)
+    margin = _window_margin(delta)
     log_delta = math.log(delta)
     slope = functools.partial(_tail_slope, n, k)
 
@@ -453,12 +457,15 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
         return a, b
     # The tangent at x aims each edge at delta -+ 2m, a margin m beyond what
     # it must certify; each edge is kept only if binom_tail certifies it.
+    # Below about 2e-8 TAIL_ERROR_FLOOR the stop test admits a tail far from
+    # delta and the tangent may leave [0, 1], so only edges inside (a, b) are
+    # tried.
     if d > 0.0:
         left = x - (delta - tail + 2.0 * margin) / d
         right = x + (tail - delta + 2.0 * margin) / d
-        if a < left and binom_tail(n, k, left) > delta + margin:
+        if a < left < b and binom_tail(n, k, left) > delta + margin:
             a = left
-        if right < b and binom_tail(n, k, right) < delta - margin:
+        if a < right < b and binom_tail(n, k, right) < delta - margin:
             b = right
     return a, b
 
@@ -470,7 +477,7 @@ def solve_J(n: int, k: int, delta: float) -> float:
     B_{n,k} is continuous and strictly decreasing in x with B(0) = 1 and
     B(1) = 0, so plain bisection always converges; it is run to floating-point
     interval exhaustion (well under the iteration cap) and the residual is
-    verified afterwards, relative to delta.  A bisection test whose midpoint
+    verified afterwards, relative to max(delta, TAIL_ERROR_FLOOR).  A bisection test whose midpoint
     lies outside ``_decided_window`` is skipped, since the TAIL_REL_ERROR
     contract already decides its outcome; given that measured contract, the
     result is bitwise the one of the full bisection.  Memoized on
@@ -505,19 +512,19 @@ def solve_J(n: int, k: int, delta: float) -> float:
     if math.isnan(tail):
         tail = binom_tail(n, k, x)
     residual = abs(tail - delta)
-    tol = SOLVE_J_RESIDUAL_TOL * delta
-    # Next to a steep root, such as one within a float step of 1, one ulp of x
-    # moves B by more than the tolerance; so much residual is allowed there.
-    # A root at 1 is the float next to a true root in (1 - 2^-53, 1); for
-    # k < n - 1, |B'| is largest at the lower end of that step, so it is
-    # measured there.
-    lower = min(x, 1.0 - 2.0**-53)
-    if residual > tol and not (
-        0.0 < x and residual <= tol + _tail_slope(n, k, lower) * math.ulp(lower)
-    ):
-        raise NumericalConsistencyError(
-            f"bisection residual {residual} for B_{{{n},{k}}}(x) = {delta}"
-        )
+    # Below TAIL_ERROR_FLOOR the tail contract is absolute, and so is this.
+    tol = SOLVE_J_RESIDUAL_TOL * max(delta, TAIL_ERROR_FLOOR)
+    # Next to a steep root, such as one within a few float steps of 1, one
+    # step of x moves B by more than the tolerance; so much residual is
+    # allowed there.  The true root lies in [lo, hi], and |B'| = n b_{n-1,k}
+    # is unimodal, so its largest value on that step is at an end inside
+    # (0, 1); at hi = 1 it is at lo for k < n - 1.
+    if residual > tol:
+        ends = [p for p in (lo, hi) if 0.0 < p < 1.0]
+        if not ends or residual > tol + max(_tail_slope(n, k, p) for p in ends) * (hi - lo):
+            raise NumericalConsistencyError(
+                f"bisection residual {residual} for B_{{{n},{k}}}(x) = {delta}"
+            )
     return x
 
 

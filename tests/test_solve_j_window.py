@@ -160,12 +160,8 @@ def test_solve_j_binom_tail_calls_per_miss(solved):
 def test_window_edges_are_certified(solved):
     # Three contract errors at delta: one for each edge's own tail, one for
     # the skipped midpoint's, and one for the second-order terms.
-    e = certificates.TAIL_REL_ERROR
     for n, k, delta in list(solved)[::37]:
-        if delta <= 0.5:
-            margin = 3.0 * e * max(delta, certificates.TAIL_ERROR_FLOOR)
-        else:
-            margin = 3.0 * (e * (1.0 - delta) + 2.0**-53)
+        margin = certificates._window_margin(delta)
         a, b = certificates._decided_window(n, k, delta)
         x = solved[n, k, delta][0]
         assert 0.0 <= a < b <= 1.0
@@ -190,6 +186,17 @@ def test_no_window_beyond_the_tail_contract():
     n = certificates.TAIL_ERROR_Z_MAX + 1
     assert certificates._decided_window(n, 3, 0.05) == (0.0, 1.0)
     assert solve_J(n, 3, 0.05) == reference_bisection(n, 3, 0.05)
+
+
+def test_solve_j_at_subnormal_delta():
+    # Below TAIL_ERROR_FLOOR the contract and the residual check are absolute.
+    # (2000, 0, 1e-318) once failed a residual check relative to delta,
+    # (20, 0, 1e-310) one that took the slope at the root's end of its float
+    # step rather than the steeper end, and at (100, 3, 1e-310) the window's
+    # tangent left [0, 1].
+    for n, k in [(2000, 0), (1000, 10), (100, 3), (50, 0), (20, 0)]:
+        for delta in (1e-310, 1e-318, 5e-324):
+            assert solve_J(n, k, delta) == reference_bisection(n, k, delta), (n, k, delta)
 
 
 def test_solve_j_evaluates_each_point_once(monkeypatch):
