@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .certificates import (
@@ -32,6 +33,7 @@ from .certificates import (
     certificate,
     dqsv_intermediates,
     solve_J,
+    sqsv_certificate,
 )
 from .exact import (
     MAX_ENUM_TESTS,
@@ -303,13 +305,7 @@ def _cmd_certify(args) -> int:
         except ValueError:  # the degenerate zero certificate has none
             payload["intermediates"] = None
         else:
-            payload["intermediates"] = {
-                "h": inter.h,
-                "g": inter.g,
-                "zhat": inter.zhat,
-                "kappa": inter.kappa,
-                "zeta_tilde": inter.zeta_tilde,
-            }
+            payload["intermediates"] = asdict(inter)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -428,10 +424,10 @@ def _check_sqsv_suite(grid_size: int) -> dict:
     step = 1.0 / (grid_size - 1)
     for n, k, delta, lam in cases:
         scan = sqsv_worst_case_scan(n, k, delta, lam, grid_size)
-        analytic = min(1.0, solve_J(n, k, delta) / (1 - lam))
-        if abs(scan - analytic) > step + 1e-12:
+        bound = sqsv_certificate(CertificateQuery("sqsv", n, k, delta, lam)).infidelity_bound
+        if abs(scan - bound) > step + 1e-12:
             failures.append(
-                {"case": f"scan({n},{k},{delta},{lam})", "scan": scan, "analytic": analytic}
+                {"case": f"scan({n},{k},{delta},{lam})", "scan": scan, "certificate": bound}
             )
     return {"suite": "sqsv", "checks": len(cases), "violations": failures}
 

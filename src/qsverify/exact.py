@@ -1,4 +1,4 @@
-"""Exact reference statistics for small verification runs.
+"""Exact reference statistics for verification runs.
 
 For a mixture of product sequences the joint distribution of test outcomes
 factorizes, so the acceptance probability and the conditional fidelity of the
@@ -13,14 +13,16 @@ so one Poisson-binomial dynamic program over failure counts, with prefix and
 suffix passes for the uniformly random untested system, gives p_k and f_k
 without any matrix.  The soundness sweep draws its random mixtures directly
 as such tables, using the closed-form fidelities of the states it samples.
-It runs in blocks of trials: the draws of a block stay in trial order, on
-exact-size requests to the generator, and one DP runs over all their
-branches stacked, so a seed still gives the report, and leaves the generator
-in the state, of checking one trial at a time.
+It runs in blocks of trials: the draws of a block stay in trial order, and
+one DP runs over all their branches stacked.  Each mixture reads its doubles
+from one request long enough for any draw, then rewinds the generator and
+consumes exactly the doubles it read, so a seed still gives the report, and
+leaves the generator in the state, of checking one trial at a time.
 
-Two oracles keep the matrices: the 2^N pattern enumeration reads tr(Omega s)
-from every density matrix (and checks the homogeneity identity on it), and
-the SQSV worst-case scan builds the extremal state of each infidelity.
+Two oracles keep the matrices: the 2^N pattern enumeration, the one routine
+here with a size budget, reads tr(Omega s) from every density matrix (and
+checks the homogeneity identity on it), and the SQSV worst-case scan builds
+the extremal state of each infidelity.
 
 Everything here is pure and reentrant; sweeps take a caller-owned Generator.
 """
@@ -51,7 +53,6 @@ from .strategy import (
     pass_probability,
 )
 
-MAX_SYSTEMS = 16          # combinatorial budget for the exact statistics
 MAX_ENUM_TESTS = 12       # budget for the brute-force pattern enumeration
 SWEEP_SLACK_TOL = 1e-9    # certificates may exceed the truth by at most this
 IDENTITY_TOL = 4 * HOMOGENEITY_TOL  # |tr(Omega s) - lambda - nu F| on a 4x4 state
@@ -125,11 +126,7 @@ def _exact_from_fidelities(
 def exact_stats(
     m: ProductSequenceMixture, k: int, strat: HomogeneousStrategy
 ) -> ExactStats:
-    """Exact (p_k, f_k, F_k) for a mixture of at most MAX_SYSTEMS systems."""
-    if m.num_systems > MAX_SYSTEMS:
-        raise ValueError(
-            f"{m.num_systems} systems exceed the exact-computation budget of {MAX_SYSTEMS}"
-        )
+    """Exact (p_k, f_k, F_k) in O(B L k) time and memory: B branches, L = N + 1."""
     if k < 0 or k > m.num_systems - 2:
         raise ValueError(f"k = {k} outside [0, N - 1] for N = {m.num_systems - 1}")
     fid = m.tabulate(partial(overlap, strat.target))[m.index]
@@ -208,41 +205,33 @@ def _random_fidelities(
 
     Copy by copy the stream holds u < 0.5 for a Werner state, then, unless
     Werner, phi = 2 pi u', then f = 0.25 + 0.75 u''.  A copy takes 2 or 3
-    doubles, so ``rng.random`` is asked each time for the fewest doubles the
-    copies still left must take, and a walk assigns them.  As
-    ``Generator.uniform(lo, hi)`` is lo + (hi - lo) u on the same double, the
-    stream and every value equal those of one scalar draw per number.
+    doubles, so 3 per copy always suffice: the walk reads them from one
+    request, and the generator is then reset to its saved state and asked
+    for exactly the doubles read.  As ``Generator.uniform(lo, hi)`` is
+    lo + (hi - lo) u on the same double, the stream and every value equal
+    those of one scalar draw per number.
     """
     n_branches = int(rng.integers(1, 9))
     weights = rng.dirichlet(np.ones(n_branches))
     copies = n_branches * (n + 1)
-    u: list[float] = []
+    state = rng.bit_generator.state
+    u = rng.random(3 * copies).tolist()
     starts: list[int] = []  # the first double of each copy
     fid: list[float] = []
     pos = 0
-    short = 2 * copies
-    while short:
-        u += rng.random(short).tolist()
-        last = len(u) - 2  # a copy starting at pos reads u[pos + 1], a rotated one u[pos + 2]
-        for _ in range(copies - len(fid)):
-            if pos > last:
-                break
-            if u[pos] < 0.5:
-                v = (4.0 * (0.25 + 0.75 * u[pos + 1]) - 1.0) / 3.0
-                fid.append(v + (1.0 - v) / 4.0)  # cos(0) = 1
-                starts.append(pos)
-                pos += 2
-            elif pos < last:
-                v = (4.0 * (0.25 + 0.75 * u[pos + 2]) - 1.0) / 3.0
-                phi = 2.0 * math.pi * u[pos + 1]
-                fid.append(v * math.cos(phi / 2.0) ** 2 + (1.0 - v) / 4.0)
-                starts.append(pos)
-                pos += 3
-            else:
-                break
-        left = copies - len(fid)
-        # The next copy takes 3 doubles if its first, already drawn, says rotated.
-        short = 2 * left + (pos < len(u) and u[pos] >= 0.5) - (len(u) - pos) if left else 0
+    for _ in range(copies):
+        starts.append(pos)
+        if u[pos] < 0.5:
+            v = (4.0 * (0.25 + 0.75 * u[pos + 1]) - 1.0) / 3.0
+            fid.append(v + (1.0 - v) / 4.0)  # cos(0) = 1
+            pos += 2
+        else:
+            v = (4.0 * (0.25 + 0.75 * u[pos + 2]) - 1.0) / 3.0
+            phi = 2.0 * math.pi * u[pos + 1]
+            fid.append(v * math.cos(phi / 2.0) ** 2 + (1.0 - v) / 4.0)
+            pos += 3
+    rng.bit_generator.state = state
+    rng.random(pos)
 
     def labels() -> list[str]:
         desc = [
@@ -276,8 +265,6 @@ def dqsv_soundness_sweep(
     formatted only for the records kept.  The report and the generator's
     final state are those of drawing and checking one trial at a time.
     """
-    if n > MAX_ENUM_TESTS:
-        raise ValueError(f"n = {n} exceeds the sweep budget of {MAX_ENUM_TESTS}")
     if not 0 <= k <= n - 1:
         raise ValueError(f"k = {k} outside [0, N - 1] for N = {n}")
     if not 0.0 < lam < 1.0:

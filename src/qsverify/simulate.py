@@ -202,36 +202,32 @@ def _draw_chunk(
     return [np.concatenate(col) for col in zip(*slices)]
 
 
-def _chunk_drawer(m: ProductSequenceMixture, n: int, strat: HomogeneousStrategy, protocol: str):
-    """Check the protocol's preconditions, tabulate the source once, and
-    return ``draw(plan, chunk, rows)``, which is ``_draw_chunk`` on the tables."""
+def _chunks(
+    m: ProductSequenceMixture, n: int, strat: HomogeneousStrategy, protocol: str,
+    plan: RandomPlan, rounds: int,
+):
+    """Check the protocol's preconditions, tabulate the source once, and yield
+    ``_draw_chunk`` for each chunk that holds rounds 0 .. rounds-1, lazily:
+    an acceptance run's cap may be far beyond the rounds it runs.  No rounds
+    yields chunk 0 with no rows, so every column keeps its shape."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "dqsv" and m.num_systems != n + 1:
         raise ValueError(f"mixture has {m.num_systems} systems, need exactly {n + 1}")
     if protocol == "sqsv" and m.num_systems < n:
         raise ValueError(f"mixture has {m.num_systems} systems, need at least {n}")
-    probs = m.tabulate(partial(test_pass_probabilities, strat))
-    fids = m.tabulate(partial(overlap, strat.target))
-    return partial(
-        _draw_chunk, m.index, probs, fids, np.cumsum(m.weights), np.cumsum(strat.weights), n,
-        protocol == "dqsv",
+    args = (
+        m.index, m.tabulate(partial(test_pass_probabilities, strat)),
+        m.tabulate(partial(overlap, strat.target)), np.cumsum(m.weights),
+        np.cumsum(strat.weights), n, protocol == "dqsv", plan,
     )
+    for c in range(max(1, -(-rounds // CHUNK_ROUNDS))):
+        yield _draw_chunk(*args, c, min(CHUNK_ROUNDS, max(rounds, 0) - c * CHUNK_ROUNDS))
 
 
-def _chunks(rounds: int):
-    """(chunk, rows) for the chunks that hold rounds 0 .. rounds-1, lazily:
-    an acceptance run's cap may be far beyond the rounds it runs."""
-    return (
-        (c, min(CHUNK_ROUNDS, rounds - c * CHUNK_ROUNDS))
-        for c in range(-(-rounds // CHUNK_ROUNDS))
-    )
-
-
-def _table(parts: list, draw, plan: RandomPlan) -> RoundTable:
-    """The chunks' columns joined in round order; no chunks is the empty table."""
-    cols = [np.concatenate(col) for col in zip(*parts)] if parts else draw(plan, 0, 0)
-    return RoundTable(*cols[:7])
+def _table(parts) -> RoundTable:
+    """The chunks' ``RoundTable`` columns joined in round order."""
+    return RoundTable(*(np.concatenate(col) for col in zip(*parts)))
 
 
 def run_rounds(
@@ -247,8 +243,7 @@ def run_rounds(
     SQSV tests the first n systems of each drawn sequence and needs at least
     n; DQSV leaves one uniformly chosen system of exactly n + 1 untested.
     """
-    draw = _chunk_drawer(m, n, strat, protocol)
-    return _table([draw(plan, c, rows)[:7] for c, rows in _chunks(rounds)], draw, plan)
+    return _table(cols[:7] for cols in _chunks(m, n, strat, protocol, plan, rounds))
 
 
 def rounds_until_accepted(
@@ -265,18 +260,18 @@ def rounds_until_accepted(
     threshold k to ``target_acceptances``, or ``max_rounds`` rounds (default
     1000 * target) if that comes first.  Round i is the same as in
     ``run_rounds``."""
-    draw = _chunk_drawer(m, n, strat, protocol)
     cap = max_rounds if max_rounds is not None else 1000 * target_acceptances
     parts, accepted = [], 0
-    for c, rows in _chunks(cap):
+    for cols in _chunks(m, n, strat, protocol, plan, cap):
+        passed = cols[1] <= k  # cols[1] is the failure count
+        hits = accepted + np.cumsum(passed)
+        # Up to the round that reaches the target; none if it is met already.
+        stop = int(np.searchsorted(hits, target_acceptances)) + (accepted < target_acceptances)
+        parts.append([col[:stop] for col in cols[:7]])
+        accepted += int(passed[:stop].sum())
         if accepted >= target_acceptances:
             break
-        cols = draw(plan, c, rows)[:7]
-        hits = accepted + np.cumsum(cols[1] <= k)  # cols[1] is the failure count
-        stop = int(np.searchsorted(hits, target_acceptances)) + 1
-        parts.append([col[:stop] for col in cols])
-        accepted = int(hits[-1])
-    return _table(parts, draw, plan)
+    return _table(parts)
 
 
 def _fidelity_estimate(passed: int, tests: int, lam: float) -> tuple[float, float]:
@@ -356,12 +351,11 @@ def scaling_experiment(
     if n_grid != sorted(n_grid) or n_grid[0] < 1:
         raise ValueError("n_grid must be ascending positive integers")
     max_n = n_grid[-1]
-    draw = _chunk_drawer(honest_iid(max(max_n, 2), noise), max_n, strat, "sqsv")
     at = np.array(n_grid) - 1
-    ks = np.concatenate(
-        [np.cumsum(~draw(plan, c, rows)[7], axis=1)[:, at] for c, rows in _chunks(rounds)]
-        or [np.zeros((0, len(n_grid)), dtype=int)]
-    )
+    ks = np.concatenate([
+        np.cumsum(~cols[7], axis=1)[:, at]
+        for cols in _chunks(honest_iid(max(max_n, 2), noise), max_n, strat, "sqsv", plan, rounds)
+    ])
     # Each distinct (n, k) pair is certified once, coded as k (max_n + 1) + n.
     # At k = n every test failed and no certificate is defined: eps stays 1.
     codes, inverse = np.unique(ks * (max_n + 1) + np.array(n_grid), return_inverse=True)

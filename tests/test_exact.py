@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 from functools import partial
 
@@ -7,6 +8,7 @@ import pytest
 
 from matrix_mixtures import random_mixture, random_mixture_and_labels
 from qsverify.certificates import (
+    Certificate,
     CertificateQuery,
     NumericalConsistencyError,
     binom_tail,
@@ -163,11 +165,21 @@ def test_bruteforce_checks_homogeneity_identity(strat):
 
 
 def test_budget_enforced(strat):
-    big = honest_iid(17)
-    with pytest.raises(ValueError):
-        exact_stats(big, 0, strat)
-    with pytest.raises(ValueError):
+    # Only the 2^N enumeration has a budget; the DP takes any N.
+    with pytest.raises(ValueError, match="enumeration budget"):
         exact_stats_bruteforce(honest_iid(15), 0, strat)
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("phi", [math.pi, 2.0])
+def test_rho2_k0_closed_form_at_paper_scale(strat, n, phi):
+    # k = 0 accepts iff the rotated copy is the leftover or passes its test,
+    # which it does with q = lambda + (1 - lambda) c, c = cos^2(phi / 2).
+    c = math.cos(phi / 2.0) ** 2
+    q = strat.lam + (1.0 - strat.lam) * c
+    st = exact_stats(rho2(n, phi), 0, strat)
+    assert st.p_k == pytest.approx((1.0 + n * q) / (n + 1), rel=0, abs=1e-12)
+    assert st.F_k == pytest.approx(1.0 - (1.0 - c) / (1.0 + n * q), rel=0, abs=1e-12)
 
 
 def test_exact_stats_two_system_mixed_source(strat):
@@ -184,6 +196,23 @@ def test_worst_case_scan_matches_analytic():
         scan = sqsv_worst_case_scan(n, k, delta, lam, 2000)
         analytic = min(1.0, solve_J(n, k, delta) / (1.0 - lam))
         assert abs(scan - analytic) <= step + 1e-9
+
+
+def test_oracle_check_sqsv_checks_the_shipped_certificate(monkeypatch, capsys):
+    # A certificate loosened by 1% still obeys a restated formula; the scan
+    # must be compared with what sqsv_certificate returns.
+    from qsverify import cli
+
+    assert cli.main(["oracle-check", "sqsv"]) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == []
+    certify = cli.sqsv_certificate
+
+    def loosened(q):
+        return Certificate(q, 0.99 * certify(q).fidelity_bound)
+
+    monkeypatch.setattr(cli, "sqsv_certificate", loosened)
+    assert cli.main(["oracle-check", "sqsv"]) == cli.EXIT_ORACLE_VIOLATION
+    assert len(json.loads(capsys.readouterr().out)["violations"]) == 4
 
 
 def test_worst_case_scan_example_value():
@@ -280,8 +309,16 @@ def test_sweep_rejects_lambda_before_drawing(lam):
 
 
 def test_sweep_budget():
+    # The sweep enumerates nothing, so only k and lambda bound it.
     rng = np.random.default_rng(11)
-    with pytest.raises(ValueError):
-        dqsv_soundness_sweep(13, 0, 1 / 3, 1, rng)
     with pytest.raises(ValueError, match="k = 4"):
         dqsv_soundness_sweep(4, 4, 1 / 3, 1, rng)
+
+
+@pytest.mark.parametrize("n, k, trials", [(30, 2, 300), (100, 5, 200)])
+def test_soundness_sweep_at_paper_scale(n, k, trials):
+    report = dqsv_soundness_sweep(n, k, 1 / 3, trials, np.random.default_rng(n))
+    assert report["checked"] + report["skipped_degenerate"] == trials
+    assert report["checked"] > 0
+    assert report["violations"] == []
+    assert report["min_slack"] >= -SWEEP_SLACK_TOL

@@ -311,6 +311,24 @@ def test_rounds_until_accepted_stops_at_target(strat):
         assert np.array_equal(capped.failures, fixed.failures[:cap])
 
 
+def test_no_rounds_give_empty_columns(strat):
+    # A target already met, or a cap of 0, runs no round, and an empty run
+    # keeps every column's dtype and width.
+    m = rho2(6, math.pi, NoiseSpec(0.95))
+    want = run_rounds(m, 6, strat, 1, "dqsv", RandomPlan(24))
+    runs = [
+        run_rounds(m, 6, strat, 0, "dqsv", RandomPlan(24)),
+        rounds_until_accepted(m, 6, 0, strat, 0, "dqsv", RandomPlan(24)),
+        rounds_until_accepted(m, 6, 0, strat, 0, "dqsv", RandomPlan(24), max_rounds=500),
+        rounds_until_accepted(m, 6, 0, strat, 5, "dqsv", RandomPlan(24), max_rounds=0),
+    ]
+    for table in runs:
+        assert len(table) == 0
+        for name in COLUMNS:
+            a, b = getattr(table, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape[1:] == b.shape[1:], name
+
+
 def test_slice_size_does_not_change_rounds(strat, monkeypatch):
     # A chunk's uniforms are drawn in row slices of about SLICE_VALUES numbers;
     # consecutive draws continue one stream, so any slice size gives the same

@@ -2,9 +2,9 @@
 
 ``sweep_reference`` keeps the per-trial draw and loop verbatim.  Both run on
 generators seeded alike, and the reports (argmin record and labels included)
-and the generators' final states must be equal: for every n the sweep admits,
-over more than one block, and on bit generators other than PCG64, so the
-draws do not hinge on one generator's buffering.
+and the generators' final states must be equal: for every n <= 12 the
+reference admits, over more than one block, and on bit generators other than
+PCG64, so the draws do not hinge on one generator's buffering.
 """
 
 import tracemalloc
