@@ -37,6 +37,7 @@ from .certificates import (
 )
 from .exact import (
     MAX_ENUM_TESTS,
+    MAX_SWEEP_TESTS,
     dqsv_soundness_sweep,
     exact_stats,
     exact_stats_bruteforce,
@@ -47,6 +48,7 @@ from .reproduce import (
     FIG3_N,
     FIG3_SCHEMA,
     FIG4_COLUMNS,
+    FIG4_K,
     FIG4_SCHEMA,
     FIG5_COLUMNS,
     FIG5_SCHEMA,
@@ -362,7 +364,7 @@ def _cmd_reproduce(args) -> int:
         schema, columns = FIG3_SCHEMA, FIG3_COLUMNS
     elif args.figure == "fig4":
         rows = fig4_rows(prep_fidelity=fidelity)
-        config.update({"prep_fidelity": fidelity, "k": 1})
+        config.update({"prep_fidelity": fidelity, "k": FIG4_K})
         schema, columns = FIG4_SCHEMA, FIG4_COLUMNS
     else:
         rows = fig5_rows(
@@ -528,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle-check", help="run a verification suite")
     orc.add_argument("suite", choices=("binom", "sqsv", "dqsv-sweep", "factorization"))
     orc.add_argument("--seed", type=_SEED, default=0, help=seed_help)
-    orc.add_argument("--n", type=_int_in(1, MAX_ENUM_TESTS), default=6)
+    orc.add_argument("--n", type=_int_in(1, MAX_SWEEP_TESTS), default=6)
     orc.add_argument("--k", type=_int_in(0), default=1)
     orc.add_argument("--lambda", dest="lam", type=parse_lambda, default="1/3")
     orc.add_argument("--trials", type=_int_in(1), default=1000)

@@ -9,12 +9,18 @@ certificate formulas they are meant to validate.
 Everything runs on the (branch, system) table of target fidelities F.  For a
 homogeneous strategy the single-test pass probability is the homogeneity
 identity tr(Omega s) = lambda + nu F (checked by the strategy's constructor),
-so one Poisson-binomial dynamic program over failure counts, with prefix and
-suffix passes for the uniformly random untested system, gives p_k and f_k
-without any matrix.  The soundness sweep draws its random mixtures directly
-as such tables, using the closed-form fidelities of the states it samples.
-It runs in blocks of trials: the draws of a block stay in trial order, and
-one DP runs over all their branches stacked.  Each mixture reads its doubles
+so a Poisson-binomial dynamic program over failure counts gives p_k and f_k
+without any matrix.  The untested system is uniform over the L = N + 1
+positions; with T the failures of all L systems and Y_i those of system i,
+
+    sum_i 1{T - Y_i <= k} = L 1{T <= k} + (k + 1) 1{T = k + 1},
+
+so one forward pass per row, truncated at T = k + 1, serves every choice of
+the untested system: O(B L k) time and O(B k) memory beyond the (B, L)
+table.  The soundness sweep draws its random mixtures directly as such
+tables, using the closed-form fidelities of the states it samples.  It runs
+in blocks of trials: the draws of a block stay in trial order, and one pass
+runs over all their branches stacked.  Each mixture reads its doubles
 from one request long enough for any draw, then rewinds the generator and
 consumes exactly the doubles it read, so a seed still gives the report, and
 leaves the generator in the state, of checking one trial at a time.
@@ -57,6 +63,7 @@ MAX_ENUM_TESTS = 12       # budget for the brute-force pattern enumeration
 SWEEP_SLACK_TOL = 1e-9    # certificates may exceed the truth by at most this
 IDENTITY_TOL = 4 * HOMOGENEITY_TOL  # |tr(Omega s) - lambda - nu F| on a 4x4 state
 SWEEP_BLOCK_TRIALS = 128  # soundness-sweep trials per stacked DP; bounds its memory
+MAX_SWEEP_TESTS = 1000    # CLI limit on the sweep's N: 1000 trials at k = 1 take seconds
 
 
 @dataclass(frozen=True)
@@ -72,46 +79,42 @@ class ExactStats:
             raise ValueError(f"need 0 <= f_k <= p_k, got f_k={self.f_k}, p_k={self.p_k}")
 
 
-def _accept_table(fid: np.ndarray, k: int, lam: float) -> np.ndarray:
-    """accept[r, i] = P[at most k failures among the systems of row r other than i].
+def _row_stats(fid: np.ndarray, k: int, lam: float) -> np.ndarray:
+    """(2, R) array: per row of the (R, L) fidelity table, P[accept] and
+    E[F_leftover; accept].
 
-    System i of row r passes its test with a = lam + nu F[r, i].  The
-    failure-count distributions of the systems before and after i, truncated
-    at k, come from one prefix and one suffix pass over the systems,
-    vectorized over rows: O(R L k) for the (R, L) fidelity table.  Rows are
-    independent, so one call serves the branches of many mixtures at once.
+    System i fails its test with q_i = 1 - clip(lam + nu F_i) and passes with
+    1 - q_i, as ``binom_tail`` forms them.  One forward pass over the systems
+    carries P[T = c] and G[c] = E[F summed over the failed systems; T = c]
+    for c <= k + 1; by the identity in the module docstring a row accepts
+    with P[T <= k] + (k + 1)/L P[T = k + 1] and its numerator is
+    (sum F P[T <= k] + G[k + 1])/L.  The work is elementwise across rows, so
+    a row's bits do not depend on the rows stacked with it.
     """
     rows, length = fid.shape
-    q = 1.0 - np.clip(lam + (1.0 - lam) * fid, 0.0, 1.0)
-
-    def add_system(dist: np.ndarray, qi: np.ndarray) -> np.ndarray:
-        out = dist * (1.0 - qi)[:, None]
-        out[:, 1:] += dist[:, :-1] * qi[:, None]
-        return out
-
-    # before[i] counts the failures of systems 0..i-1, after[i] of i..L-1.
-    before = np.zeros((length + 1, rows, k + 1))
-    after = np.zeros((length + 1, rows, k + 1))
-    before[0, :, 0] = 1.0
-    after[length, :, 0] = 1.0
+    prob = np.zeros((rows, k + 2))
+    prob[:, 0] = 1.0
+    gain = np.zeros((rows, k + 2))  # gain[:, 0] stays 0: no system failed
+    total = np.zeros(rows)
     for i in range(length):
-        before[i + 1] = add_system(before[i], q[:, i])
-        j = length - 1 - i
-        after[j] = add_system(after[j + 1], q[:, j])
-    # accept[r, i] = sum_c before[i][r, c] * P[after[i + 1][r] <= k - c].
-    after_cdf = np.cumsum(after[1:], axis=2)[:, :, ::-1]
-    return np.einsum("ibc,ibc->bi", before[:-1], after_cdf)
+        f = fid[:, i]
+        q = 1.0 - np.clip(lam + (1.0 - lam) * f, 0.0, 1.0)
+        a, qc = (1.0 - q)[:, None], q[:, None]
+        gain[:, 1:] = gain[:, 1:] * a + (gain[:, :-1] + f[:, None] * prob[:, :-1]) * qc
+        prob[:, 1:] = prob[:, 1:] * a + prob[:, :-1] * qc
+        prob[:, 0] *= a[:, 0]
+        total += f
+    below = prob[:, 0].copy()  # P[T <= k], summed in order, row by row
+    for c in range(1, k + 1):
+        below += prob[:, c]
+    accept = below + (k + 1) * prob[:, k + 1] / length
+    return np.stack([accept, (total * below + gain[:, k + 1]) / length])
 
 
-def _mixture_stats(weights: np.ndarray, fid: np.ndarray, accept: np.ndarray) -> ExactStats:
-    """(p_k, f_k, F_k) of one mixture from its rows of fid and accept.
-
-    The untested system is uniform over the L positions.  The means are
-    taken over this mixture's rows alone: over a stack of many mixtures,
-    numpy may sum a row in another order and change its last bits.
-    """
-    p_tot = float(weights @ accept.mean(axis=1))
-    f_tot = float(weights @ (accept * fid).mean(axis=1))
+def _mixture_stats(weights: np.ndarray, accept: np.ndarray, numer: np.ndarray) -> ExactStats:
+    """(p_k, f_k, F_k) of one mixture from its rows of ``_row_stats``."""
+    p_tot = float(weights @ accept)
+    f_tot = float(weights @ numer)
     F = f_tot / p_tot if p_tot > 0.0 else None
     return ExactStats(p_k=min(p_tot, 1.0), f_k=min(f_tot, 1.0), F_k=F)
 
@@ -120,13 +123,14 @@ def _exact_from_fidelities(
     weights: np.ndarray, fid: np.ndarray, k: int, lam: float
 ) -> ExactStats:
     """Exact (p_k, f_k, F_k) from branch weights and the (B, L) fidelity table."""
-    return _mixture_stats(weights, fid, _accept_table(fid, k, lam))
+    return _mixture_stats(weights, *_row_stats(fid, k, lam))
 
 
 def exact_stats(
     m: ProductSequenceMixture, k: int, strat: HomogeneousStrategy
 ) -> ExactStats:
-    """Exact (p_k, f_k, F_k) in O(B L k) time and memory: B branches, L = N + 1."""
+    """Exact (p_k, f_k, F_k) in O(B L k) time and O(B k) memory beyond the
+    (B, L) fidelity table: B branches, L = N + 1."""
     if k < 0 or k > m.num_systems - 2:
         raise ValueError(f"k = {k} outside [0, N - 1] for N = {m.num_systems - 1}")
     fid = m.tabulate(partial(overlap, strat.target))[m.index]
@@ -260,7 +264,7 @@ def dqsv_soundness_sweep(
     full as counterexamples.
 
     Trials run in blocks of SWEEP_BLOCK_TRIALS: a block draws its mixtures in
-    trial order, stacks their fidelity tables into one prefix/suffix DP, and
+    trial order, stacks their fidelity tables into one forward pass, and
     then reduces and certifies each mixture on its own rows.  Labels are
     formatted only for the records kept.  The report and the generator's
     final state are those of drawing and checking one trial at a time.
@@ -280,10 +284,10 @@ def dqsv_soundness_sweep(
             _random_fidelities(n, rng)
             for _ in range(min(SWEEP_BLOCK_TRIALS, trials - first))
         ]
-        accept = _accept_table(np.concatenate([fid for _, fid, _ in block]), k, lam)
+        stacked = _row_stats(np.concatenate([fid for _, fid, _ in block]), k, lam)
         row = 0
-        for trial, (weights, fid, labels) in enumerate(block, first):
-            stats = _mixture_stats(weights, fid, accept[row:row + len(weights)])
+        for trial, (weights, _, labels) in enumerate(block, first):
+            stats = _mixture_stats(weights, *stacked[:, row:row + len(weights)])
             row += len(weights)
             if stats.p_k <= tail or stats.F_k is None:
                 skipped += 1

@@ -39,10 +39,16 @@ from .sources import NoiseSpec, rho1, rho2, unconditional_fidelity
 from .strategy import build_singlet_strategy
 
 FIG3_SCHEMA = "qsverify.fig3/2"
-FIG4_SCHEMA = "qsverify.fig4/2"
+FIG4_SCHEMA = "qsverify.fig4/3"
 FIG5_SCHEMA = "qsverify.fig5/2"
 
 FIG3_N = 100
+FIG4_K = 1
+FIG4_N_FIXED = 5  # the N of the phase grid
+FIG4_PHI_GRID = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi)
+FIG4_N_GRID = tuple(range(2, 11))
+FIG4_PHI_FIXED = math.pi  # the phase of the size grid
+FIG5_N_MAX = 1000
 
 FIG3_COLUMNS = [
     "k",
@@ -71,13 +77,13 @@ FIG5_COLUMNS = [
 def fig3_rows(
     seed: int = 42,
     rounds: int = 200,
-    n: int = FIG3_N,
     k_max: int = 10,
     prep_fidelity: float = 1.0,
 ) -> list[dict]:
     """Per-k comparison of both protocols on the two-branch correlated source."""
     strat = build_singlet_strategy()
     lam = strat.lam
+    n = FIG3_N
     source = rho1(n, NoiseSpec(prep_fidelity))
     sq = run_rounds(
         source, n, strat, rounds, "sqsv", RandomPlan.for_experiment(seed, "fig3-sqsv")
@@ -91,16 +97,12 @@ def fig3_rows(
         d_sum = summarize(dq, k, strat, "dqsv")
         row = {"k": k}
         for proto, summ in (("sqsv", s_sum), ("dqsv", d_sum)):
-            p_hat = summ.p_hat
-            p_lo = summ.p_hat_ci[0]
-            row[f"{proto}_p_hat"] = p_hat
-            row[f"{proto}_p_lo95"] = p_lo
-            for tag, d in (("p_hat", p_hat), ("p_lo95", p_lo)):
-                if d > 0.0:
-                    bound = certificate(CertificateQuery(proto, n, k, d, lam)).fidelity_bound
-                else:
-                    bound = float("nan")
-                row[f"{proto}_bound_at_{tag}"] = bound
+            for tag, d in (("p_hat", summ.p_hat), ("p_lo95", summ.p_hat_ci[0])):
+                row[f"{proto}_{tag}"] = d
+                row[f"{proto}_bound_at_{tag}"] = (
+                    certificate(CertificateQuery(proto, n, k, d, lam)).fidelity_bound
+                    if d > 0.0 else float("nan")
+                )
         row["uncond_fidelity_truth"] = s_sum.unconditional_fidelity_truth
         row["uncond_fidelity_measured"] = s_sum.unconditional_fidelity_measured
         row["uncond_measured_stderr"] = s_sum.unconditional_measured_stderr
@@ -112,27 +114,16 @@ def fig3_rows(
     return rows
 
 
-def fig4_rows(
-    k: int = 1,
-    n_fixed: int = 5,
-    phi_grid: tuple[float, ...] = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi),
-    n_grid: tuple[int, ...] = tuple(range(2, 11)),
-    phi_fixed: float = math.pi,
-    prep_fidelity: float = 1.0,
-) -> list[dict]:
+def fig4_rows(prep_fidelity: float = 1.0) -> list[dict]:
     """Exact certificates-versus-truth grids for the rotated-copy source."""
     strat = build_singlet_strategy()
-    lam = strat.lam
-    prep = NoiseSpec(prep_fidelity)
-    rows = []
+    k = FIG4_K
 
     def one(grid: str, n: int, phi: float) -> dict:
-        source = rho2(n, phi, prep)
+        source = rho2(n, phi, NoiseSpec(prep_fidelity))
         stats = exact_stats(source, k, strat)
-        uncond = unconditional_fidelity(source, strat.target)
-        delta = min(1.0, stats.p_k)
-        sq = sqsv_certificate(CertificateQuery("sqsv", n, k, delta, lam)).fidelity_bound
-        dq = dqsv_certificate(CertificateQuery("dqsv", n, k, delta, lam)).fidelity_bound
+        query = (n, k, stats.p_k, strat.lam)
+        dq = dqsv_certificate(CertificateQuery("dqsv", *query)).fidelity_bound
         return {
             "grid": grid,
             "n": n,
@@ -140,20 +131,18 @@ def fig4_rows(
             "k": k,
             "p_k_exact": stats.p_k,
             "F_k_exact": stats.F_k,
-            "uncond_fidelity_exact": uncond,
-            "sqsv_bound_at_p_k": sq,
+            "uncond_fidelity_exact": unconditional_fidelity(source, strat.target),
+            "sqsv_bound_at_p_k": sqsv_certificate(CertificateQuery("sqsv", *query)).fidelity_bound,
             "dqsv_bound_at_p_k": dq,
             "dqsv_slack": (stats.F_k - dq) if stats.F_k is not None else float("nan"),
         }
 
-    for phi in phi_grid:
-        rows.append(one("phi", n_fixed, phi))
-    for n in n_grid:
-        rows.append(one("n", n, phi_fixed))
-    return rows
+    return [one("phi", FIG4_N_FIXED, phi) for phi in FIG4_PHI_GRID] + [
+        one("n", n, FIG4_PHI_FIXED) for n in FIG4_N_GRID
+    ]
 
 
-def default_fig5_grid(n_max: int = 1000) -> list[int]:
+def default_fig5_grid(n_max: int = FIG5_N_MAX) -> list[int]:
     grid = sorted(set(np.unique(np.round(np.logspace(0, math.log10(n_max), 28))).astype(int)))
     for anchor in (10, 100, n_max):
         if anchor <= n_max and anchor not in grid:
@@ -166,7 +155,6 @@ def fig5_rows(
     fidelity: float = 0.99,
     delta: float = 0.05,
     avg_rounds: int = 80,
-    n_grid: list[int] | None = None,
 ) -> list[dict]:
     """Certificate infidelity versus N on an honest noisy run.
 
@@ -174,26 +162,22 @@ def fig5_rows(
     columns aggregate over.
     """
     strat = build_singlet_strategy()
-    if n_grid is None:
-        n_grid = default_fig5_grid()
     result = scaling_experiment(
-        NoiseSpec(fidelity), delta, n_grid, strat,
+        NoiseSpec(fidelity), delta, default_fig5_grid(), strat,
         RandomPlan.for_experiment(seed, "fig5"), rounds=avg_rounds,
     )
-    rows = []
-    for j, n in enumerate(result["n_grid"]):
-        rows.append(
-            {
-                "n": n,
-                "k_single": int(result["k"][0, j]),
-                "eps_sqsv_single": float(result["eps_sqsv"][0, j]),
-                "eps_dqsv_single": float(result["eps_dqsv"][0, j]),
-                "k_mean": float(result["k"][:, j].mean()),
-                "eps_sqsv_avg": float(result["eps_sqsv"][:, j].mean()),
-                "eps_dqsv_avg": float(result["eps_dqsv"][:, j].mean()),
-            }
-        )
-    return rows
+    return [
+        {
+            "n": n,
+            "k_single": int(result["k"][0, j]),
+            "eps_sqsv_single": float(result["eps_sqsv"][0, j]),
+            "eps_dqsv_single": float(result["eps_dqsv"][0, j]),
+            "k_mean": float(result["k"][:, j].mean()),
+            "eps_sqsv_avg": float(result["eps_sqsv"][:, j].mean()),
+            "eps_dqsv_avg": float(result["eps_dqsv"][:, j].mean()),
+        }
+        for j, n in enumerate(result["n_grid"])
+    ]
 
 
 def _format_cell(value) -> str:

@@ -202,6 +202,13 @@ def _draw_chunk(
     return [np.concatenate(col) for col in zip(*slices)]
 
 
+def _check_counts(**counts: int | None) -> None:
+    """Raise ValueError naming the first negative count; None is unset."""
+    for name, value in counts.items():
+        if value is not None and value < 0:
+            raise ValueError(f"{name} = {value} must be non-negative")
+
+
 def _chunks(
     m: ProductSequenceMixture, n: int, strat: HomogeneousStrategy, protocol: str,
     plan: RandomPlan, rounds: int,
@@ -222,7 +229,7 @@ def _chunks(
         np.cumsum(strat.weights), n, protocol == "dqsv", plan,
     )
     for c in range(max(1, -(-rounds // CHUNK_ROUNDS))):
-        yield _draw_chunk(*args, c, min(CHUNK_ROUNDS, max(rounds, 0) - c * CHUNK_ROUNDS))
+        yield _draw_chunk(*args, c, min(CHUNK_ROUNDS, rounds - c * CHUNK_ROUNDS))
 
 
 def _table(parts) -> RoundTable:
@@ -243,6 +250,7 @@ def run_rounds(
     SQSV tests the first n systems of each drawn sequence and needs at least
     n; DQSV leaves one uniformly chosen system of exactly n + 1 untested.
     """
+    _check_counts(rounds=rounds)
     return _table(cols[:7] for cols in _chunks(m, n, strat, protocol, plan, rounds))
 
 
@@ -260,6 +268,7 @@ def rounds_until_accepted(
     threshold k to ``target_acceptances``, or ``max_rounds`` rounds (default
     1000 * target) if that comes first.  Round i is the same as in
     ``run_rounds``."""
+    _check_counts(target_acceptances=target_acceptances, max_rounds=max_rounds)
     cap = max_rounds if max_rounds is not None else 1000 * target_acceptances
     parts, accepted = [], 0
     for cols in _chunks(m, n, strat, protocol, plan, cap):
@@ -347,6 +356,7 @@ def scaling_experiment(
     per-round arrays so callers can report single-round or round-averaged
     scalings.
     """
+    _check_counts(rounds=rounds)
     n_grid = [int(x) for x in n_grid]
     if n_grid != sorted(n_grid) or n_grid[0] < 1:
         raise ValueError("n_grid must be ascending positive integers")

@@ -208,7 +208,7 @@ def test_simulate_round_stream_is_pinned(tmp_path, capsys, name):
 # them as they are or bump the figure's schema version.
 PINNED_FIGURES = {
     "fig3": "2d6d5f96de8b963c63d5a43afaa25ca7970b604f716c921f55d83972141ee454",
-    "fig4": "4e548e2daf8e04ec5c674fb7ae1f277d24c33402b1036b9860376102e717f312",
+    "fig4": "ac6abf78c35b4c917c06ead193742ab65d18b0913ed968da53abac98a19fe48d",
     "fig5": "816cabb9f26ac692879672abb60748b448f1ffe597d153b4ddaa4cf861c97f71",
 }
 
@@ -446,7 +446,7 @@ def test_threads_flag_is_rejected():
         (("oracle-check", "dqsv-sweep", "--seed", "-1"), "--seed"),
         (("oracle-check", "dqsv-sweep", "--seed", str(2**64)), "--seed"),
         (("oracle-check", "dqsv-sweep", "--n", "0"), "--n"),
-        (("oracle-check", "dqsv-sweep", "--n", "13"), "--n"),
+        (("oracle-check", "dqsv-sweep", "--n", "1001"), "--n"),
         (("oracle-check", "dqsv-sweep", "--n", "1"), "--k"),
         (("oracle-check", "dqsv-sweep", "--k", "-1"), "--k"),
         (("oracle-check", "dqsv-sweep", "--n", "6", "--k", "6"), "--k"),
@@ -595,7 +595,7 @@ def test_reproduce_fig4_columns(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "reproduce", "fig4", "--out-dir", str(tmp_path))
     assert code == 0
     lines = (tmp_path / "fig4.csv").read_text().splitlines()
-    assert lines[0] == "# schema=qsverify.fig4/2"
+    assert lines[0] == "# schema=qsverify.fig4/3"
     header = lines[1].split(",")
     assert header[:4] == ["grid", "n", "phi", "k"]
     assert len(lines) == 2 + 5 + 9  # 5 phase points + 9 size points
@@ -657,6 +657,14 @@ def test_oracle_check_sweep_small(capsys):
     report = json.loads(out)
     assert report["violations"] == []
     assert report["checked"] > 0
+
+
+def test_oracle_check_sweep_beyond_the_enumeration_budget(capsys):
+    # The sweep enumerates nothing, so its --n reaches past MAX_ENUM_TESTS.
+    code, out, _ = run_cli(capsys, "oracle-check", "dqsv-sweep", "--n", "100", "--trials", "20")
+    assert code == 0
+    report = json.loads(out)
+    assert report["n"] == 100 and report["violations"] == []
 
 
 def test_oracle_check_factorization_small(capsys):

@@ -1,11 +1,13 @@
 import copy
 import json
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
+import leftover_oracle
 from matrix_mixtures import random_mixture, random_mixture_and_labels
 from qsverify.certificates import (
     Certificate,
@@ -18,6 +20,7 @@ from qsverify.certificates import (
 from qsverify.exact import (
     SWEEP_SLACK_TOL,
     _random_fidelities,
+    _row_stats,
     dqsv_soundness_sweep,
     exact_stats,
     exact_stats_bruteforce,
@@ -179,7 +182,37 @@ def test_rho2_k0_closed_form_at_paper_scale(strat, n, phi):
     q = strat.lam + (1.0 - strat.lam) * c
     st = exact_stats(rho2(n, phi), 0, strat)
     assert st.p_k == pytest.approx((1.0 + n * q) / (n + 1), rel=0, abs=1e-12)
-    assert st.F_k == pytest.approx(1.0 - (1.0 - c) / (1.0 + n * q), rel=0, abs=1e-12)
+    assert st.F_k == pytest.approx(1.0 - (1.0 - c) / (1.0 + n * q), rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("lam", [0.1, 1 / 3, 0.9])
+def test_row_stats_match_a_dp_per_leftover(lam):
+    # Random tables with exact 0 and 1 entries mixed in, against a plain DP
+    # over the other L - 1 systems for every leftover.
+    rng = np.random.default_rng(int(lam * 1000))
+    for _ in range(40):
+        rows, length = int(rng.integers(1, 9)), int(rng.integers(2, 61))
+        k = int(rng.integers(0, min(5, length - 2) + 1))
+        fid = rng.random((rows, length))
+        fid[rng.random((rows, length)) < 0.2] = 0.0
+        fid[rng.random((rows, length)) < 0.2] = 1.0
+        got = _row_stats(fid, k, lam)
+        want = leftover_oracle.row_stats(fid, k, lam)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=0)
+
+
+def test_exact_stats_memory_is_linear_in_the_table(strat):
+    # The (B, L) fidelity table is 8 MB at N = 1000; the forward pass adds
+    # O(B k) on top of it.
+    m = rho2(1000, math.pi)
+    tracemalloc.start()
+    try:
+        exact_stats(m, 5, strat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def test_exact_stats_two_system_mixed_source(strat):

@@ -329,6 +329,21 @@ def test_no_rounds_give_empty_columns(strat):
             assert a.dtype == b.dtype and a.shape[1:] == b.shape[1:], name
 
 
+@pytest.mark.parametrize(
+    "name, run",
+    [
+        ("rounds", lambda m, s, p: run_rounds(m, 6, s, -3, "dqsv", p)),
+        ("target_acceptances", lambda m, s, p: rounds_until_accepted(m, 6, 0, s, -1, "dqsv", p)),
+        ("max_rounds", lambda m, s, p: rounds_until_accepted(m, 6, 0, s, 5, "dqsv", p, -2)),
+        ("rounds", lambda m, s, p: scaling_experiment(NoiseSpec(0.99), 0.05, [2, 6], s, p, -1)),
+    ],
+    ids=["run_rounds", "target_acceptances", "max_rounds", "scaling_experiment"],
+)
+def test_negative_counts_raise_naming_the_argument(strat, name, run):
+    with pytest.raises(ValueError, match=f"^{name} = -"):
+        run(rho2(6, 3 * math.pi / 4), strat, RandomPlan(7))
+
+
 def test_slice_size_does_not_change_rounds(strat, monkeypatch):
     # A chunk's uniforms are drawn in row slices of about SLICE_VALUES numbers;
     # consecutive draws continue one stream, so any slice size gives the same
