@@ -667,6 +667,30 @@ def test_oracle_check_sweep_beyond_the_enumeration_budget(capsys):
     assert report["n"] == 100 and report["violations"] == []
 
 
+# The sha256 of `oracle-check` stdout: each suite's report, bit for bit.  The
+# last sweep sits where binom_tail(n, k, 1 - lambda) rounds to 1, so every
+# trial is skipped.
+PINNED_ORACLE_CHECKS = {
+    ("binom",): "030df9ec25b1c066b332ab2d8d22f9187ef637bec803949f783812dd12ccc44c",
+    ("sqsv",): "65a57b1cd8956713278128dbc375560b3daf9815866352a8715a74ef75b8db1c",
+    ("factorization", "--budget", "8"):
+        "81b05d22febd2ac4692c869b914b038f600d319ed8cc2caaf25702bb25d76dea",
+    ("dqsv-sweep", "--n", "12", "--k", "1", "--trials", "200", "--seed", "3"):
+        "bec45ad2ed8630376db3aa3764edbb6fa5f48c18122278dbeb176fd103737e94",
+    ("dqsv-sweep", "--n", "6", "--k", "2", "--trials", "400", "--seed", "9"):
+        "17448da4fb76da622b18e90669e8e3fd6e2ae34333c3bde944642a27dab53f44",
+    ("dqsv-sweep", "--n", "100", "--k", "99", "--trials", "50", "--seed", "1"):
+        "7a2f12fec8ce25acf7e567307b41208634325b753bf14a0cb0e9c00bb821e03e",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_ORACLE_CHECKS), ids=" ".join)
+def test_oracle_check_reports_are_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, "oracle-check", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_ORACLE_CHECKS[argv]
+
+
 def test_oracle_check_factorization_small(capsys):
     code, out, _ = run_cli(capsys, "oracle-check", "factorization", "--budget", "4")
     assert code == 0
