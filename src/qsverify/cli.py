@@ -7,6 +7,11 @@ simulate      run a Monte Carlo experiment from a config file and/or flags
 reproduce     regenerate one of the packaged datasets (fig3, fig4, fig5)
 oracle-check  run one of the self-verification suites
 
+A ``simulate`` config is read key by key: the source model and the stopping
+mode name the keys they read, and any other key exits 2 naming it.  How many
+systems a protocol draws is ``simulate.check_system_count``'s rule; each
+figure's schema, columns and default fidelity are ``reproduce.FIGURES``'s.
+
 Exit codes: 0 success, 2 invalid arguments or config, 3 internal numerical
 consistency failure, 4 zero accepted rounds when conditional estimates were
 requested, 5 oracle-check violation.
@@ -44,14 +49,9 @@ from .exact import (
     sqsv_worst_case_scan,
 )
 from .reproduce import (
-    FIG3_COLUMNS,
     FIG3_N,
-    FIG3_SCHEMA,
-    FIG4_COLUMNS,
     FIG4_K,
-    FIG4_SCHEMA,
-    FIG5_COLUMNS,
-    FIG5_SCHEMA,
+    FIGURES,
     fig3_rows,
     fig4_rows,
     fig5_rows,
@@ -60,6 +60,7 @@ from .reproduce import (
 )
 from .simulate import (
     RandomPlan,
+    check_system_count,
     rounds_until_accepted,
     run_rounds,
     summarize,
@@ -151,7 +152,8 @@ def _float_in(lo: float, hi: float, open_lo: bool = False):
 
 _SEED = _int_in(0, 2**64 - 1)
 _CONFIG_KEYS = ("protocol", "n", "k", "seed", "rounds", "stopping", "format", "out_dir", "source")
-_STOPPING_KEYS = ("mode", "rounds", "target_acceptances", "max_rounds")
+# The stopping keys each mode reads besides ``mode``; fixed mode reads the top-level ``rounds``.
+_STOPPING_KEYS = {"fixed": (), "acceptances": ("target_acceptances", "max_rounds")}
 # The source keys each model reads besides ``model``.
 _SOURCE_KEYS = {
     "honest": ("fidelity",),
@@ -207,34 +209,29 @@ def _build_source(cfg: dict, n: int, protocol: str):
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"source.fidelity: {exc}"]) from exc
     try:
-        if model == "honest":
-            return honest_iid(n + 1 if protocol == "dqsv" else max(n, 2), noise)
-        if model == "rho1":
-            return rho1(n, noise)
-        if model == "rho2":
+        if model == "custom":
+            branches = cfg.get("branches")
+            if not isinstance(branches, list) or not branches:
+                raise ConfigError([
+                    f"source.branches: expected a non-empty list of branches, got {branches!r}"
+                ])
+            source = mixture_from_spec(cfg)
+        elif model == "rho2":
             if "phi" not in cfg:
                 raise ConfigError(["source.phi: required for rho2"])
             try:
                 phi = parse_angle(cfg["phi"])
             except ValueError as exc:
                 raise ConfigError([f"source.phi: {exc}"]) from exc
-            return rho2(n, phi, noise)
-        branches = cfg.get("branches")
-        if not isinstance(branches, list) or not branches:
-            raise ConfigError([
-                f"source.branches: expected a non-empty list of branches, got {branches!r}"
-            ])
-        source = mixture_from_spec(cfg)
+            source = rho2(n, phi, noise)
+        else:
+            source = honest_iid(n + 1, noise) if model == "honest" else rho1(n, noise)
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"source: {exc}"]) from exc
-    want = n + 1 if protocol == "dqsv" else n
-    if (protocol == "dqsv" and source.num_systems != want) or (
-        protocol == "sqsv" and source.num_systems < want
-    ):
-        raise ConfigError([
-            f"source.branches: sequences have {source.num_systems} systems, "
-            f"need {'exactly' if protocol == 'dqsv' else 'at least'} {want}"
-        ])
+    try:
+        check_system_count(source.num_systems, n, protocol)
+    except ValueError as exc:
+        raise ConfigError([f"source.branches: {exc}"]) from exc
     return source
 
 
@@ -260,18 +257,21 @@ def _validate_simulate_config(cfg: dict) -> dict:
     if not isinstance(stopping, dict):
         errors.append(f"stopping: expected a mapping, got {stopping!r}")
         stopping = {}
-    errors += _unknown_keys("stopping.", stopping, _STOPPING_KEYS)
     mode = out["stopping_mode"] = stopping.get("mode", "fixed")
+    if not isinstance(mode, str) or mode not in _STOPPING_KEYS:
+        errors.append(f"stopping.mode: expected fixed|acceptances, got {mode!r}")
+    else:
+        errors += _unknown_keys("stopping.", stopping, ("mode", *_STOPPING_KEYS[mode]))
     if mode == "fixed":
-        out["rounds"] = check("rounds", cfg.get("rounds", stopping.get("rounds")), _int_in(1))
+        out["rounds"] = check("rounds", cfg.get("rounds"), _int_in(1))
     elif mode == "acceptances":
+        if "rounds" in cfg:
+            errors.append("rounds: not read in stopping mode acceptances")
         out["target_acceptances"] = check(
             "stopping.target_acceptances", stopping.get("target_acceptances"), _int_in(1)
         )
         cap = stopping.get("max_rounds")
         out["max_rounds"] = cap if cap is None else check("stopping.max_rounds", cap, _int_in(1))
-    else:
-        errors.append(f"stopping.mode: expected fixed|acceptances, got {mode!r}")
     out["format"] = cfg.get("format", "json")
     if out["format"] not in ("json", "csv"):
         errors.append(f"format: expected json|csv, got {out['format']!r}")
@@ -352,26 +352,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    schema, columns, default_fidelity = FIGURES[args.figure]
+    fidelity = default_fidelity if args.fidelity is None else args.fidelity
     config = {"figure": args.figure, "seed": args.seed}
-    fidelity = args.fidelity
-    if fidelity is None:
-        fidelity = 0.99 if args.figure == "fig5" else 1.0
     if args.figure == "fig3":
         rows = fig3_rows(
             seed=args.seed, rounds=args.rounds, k_max=args.k_max, prep_fidelity=fidelity
         )
         config.update({"rounds": args.rounds, "prep_fidelity": fidelity, "k_max": args.k_max})
-        schema, columns = FIG3_SCHEMA, FIG3_COLUMNS
     elif args.figure == "fig4":
         rows = fig4_rows(prep_fidelity=fidelity)
         config.update({"prep_fidelity": fidelity, "k": FIG4_K})
-        schema, columns = FIG4_SCHEMA, FIG4_COLUMNS
     else:
         rows = fig5_rows(
             seed=args.seed, fidelity=fidelity, delta=args.delta, avg_rounds=args.avg_rounds,
         )
         config.update({"fidelity": fidelity, "delta": args.delta, "avg_rounds": args.avg_rounds})
-        schema, columns = FIG5_SCHEMA, FIG5_COLUMNS
     config["files"] = [f"{args.figure}.csv"]
     with _output_dir(args.out_dir) as out_dir:
         write_csv(out_dir / f"{args.figure}.csv", schema, columns, rows)
@@ -515,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=_cmd_simulate)
 
     rep = sub.add_parser("reproduce", help="regenerate a packaged dataset")
-    rep.add_argument("figure", choices=("fig3", "fig4", "fig5"))
+    rep.add_argument("figure", choices=FIGURES)
     rep.add_argument("--seed", type=_SEED, default=42, help=seed_help)
     rep.add_argument("--rounds", type=_int_in(1), default=200)
     # Below 1/4 a depolarized copy is no longer a state.

@@ -267,7 +267,8 @@ def dqsv_soundness_sweep(
     trial order, stacks their fidelity tables into one forward pass, and
     then reduces and certifies each mixture on its own rows.  Labels are
     formatted only for the records kept.  The report and the generator's
-    final state are those of drawing and checking one trial at a time.
+    final state are those of drawing and checking one trial at a time, also
+    where the tail rounds to 1 and the trials are only drawn, not evaluated.
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"k = {k} outside [0, N - 1] for N = {n}")
@@ -284,6 +285,9 @@ def dqsv_soundness_sweep(
             _random_fidelities(n, rng)
             for _ in range(min(SWEEP_BLOCK_TRIALS, trials - first))
         ]
+        if tail >= 1.0:  # p_k <= 1 <= tail: every trial is skipped
+            skipped += len(block)
+            continue
         stacked = _row_stats(np.concatenate([fid for _, fid, _ in block]), k, lam)
         row = 0
         for trial, (weights, _, labels) in enumerate(block, first):

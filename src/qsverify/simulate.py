@@ -209,6 +209,16 @@ def _check_counts(**counts: int | None) -> None:
             raise ValueError(f"{name} = {value} must be non-negative")
 
 
+def check_system_count(num_systems: int, n: int, protocol: str) -> None:
+    """Raise ValueError unless ``protocol`` can run n tests on sequences of
+    ``num_systems`` systems: DQSV draws exactly n + 1, SQSV at least n."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if (num_systems != n + 1) if protocol == "dqsv" else (num_systems < n):
+        need = f"exactly {n + 1}" if protocol == "dqsv" else f"at least {n}"
+        raise ValueError(f"sequences have {num_systems} systems, need {need}")
+
+
 def _chunks(
     m: ProductSequenceMixture, n: int, strat: HomogeneousStrategy, protocol: str,
     plan: RandomPlan, rounds: int,
@@ -217,12 +227,7 @@ def _chunks(
     ``_draw_chunk`` for each chunk that holds rounds 0 .. rounds-1, lazily:
     an acceptance run's cap may be far beyond the rounds it runs.  No rounds
     yields chunk 0 with no rows, so every column keeps its shape."""
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    if protocol == "dqsv" and m.num_systems != n + 1:
-        raise ValueError(f"mixture has {m.num_systems} systems, need exactly {n + 1}")
-    if protocol == "sqsv" and m.num_systems < n:
-        raise ValueError(f"mixture has {m.num_systems} systems, need at least {n}")
+    check_system_count(m.num_systems, n, protocol)
     args = (
         m.index, m.tabulate(partial(test_pass_probabilities, strat)),
         m.tabulate(partial(overlap, strat.target)), np.cumsum(m.weights),
@@ -364,7 +369,7 @@ def scaling_experiment(
     at = np.array(n_grid) - 1
     ks = np.concatenate([
         np.cumsum(~cols[7], axis=1)[:, at]
-        for cols in _chunks(honest_iid(max(max_n, 2), noise), max_n, strat, "sqsv", plan, rounds)
+        for cols in _chunks(honest_iid(max_n + 1, noise), max_n, strat, "sqsv", plan, rounds)
     ])
     # Each distinct (n, k) pair is certified once, coded as k (max_n + 1) + n.
     # At k = n every test failed and no certificate is defined: eps stays 1.

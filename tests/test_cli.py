@@ -389,6 +389,40 @@ def test_simulate_rejects_unread_config_keys(tmp_path, capsys, monkeypatch, text
     assert [p.name for p in tmp_path.iterdir()] == ["bad.yaml"]
 
 
+ACCEPTANCES = "stopping:\n  mode: acceptances\n  target_acceptances: 4\n"
+
+# Each count is read by one stopping mode; setting it under the other exits 2.
+STOPPING_MODE_CASES = {
+    "rounds-under-acceptances": (ACCEPTANCES + "rounds: 10\n", (),
+                                 "rounds: not read in stopping mode acceptances"),
+    "flag-rounds-under-acceptances": (ACCEPTANCES, ("--rounds", "10"),
+                                      "rounds: not read in stopping mode acceptances"),
+    "target-under-fixed": ("rounds: 10\nstopping:\n  target_acceptances: 4\n", (),
+                           "stopping.target_acceptances: unknown key"),
+    "max-rounds-under-fixed": ("rounds: 10\nstopping:\n  mode: fixed\n  max_rounds: 3\n", (),
+                               "stopping.max_rounds: unknown key"),
+    "stopping-rounds": ("stopping:\n  rounds: 7\n", (), "stopping.rounds: unknown key"),
+    "stopping-rounds-under-acceptances": (ACCEPTANCES + "  rounds: 7\n", (),
+                                          "stopping.rounds: unknown key"),
+}
+
+
+@pytest.mark.parametrize("case", list(STOPPING_MODE_CASES))
+def test_counts_of_the_other_stopping_mode_exit_2(tmp_path, capsys, case):
+    text, flags, message = STOPPING_MODE_CASES[case]
+    (tmp_path / "run.yaml").write_text(
+        "protocol: sqsv\nn: 4\nk: 0\nsource:\n  model: honest\n" + text
+    )
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(tmp_path / "run.yaml"),
+        "--out-dir", str(tmp_path / "o"), *flags,
+    )
+    assert code == 2
+    assert message in err
+    assert out == "" and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "target, argv",
     [

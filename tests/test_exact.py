@@ -332,6 +332,29 @@ def test_soundness_sweep_skips_sources_at_the_tail(monkeypatch):
     assert report["violations"] == []
 
 
+def test_degenerate_sweep_draws_but_runs_no_forward_pass(monkeypatch):
+    # At (100, 99) the tail B_{100,99}(1 - lambda) rounds to 1, so no p_k can
+    # exceed it: every trial is skipped.  The sweep still draws each mixture,
+    # leaving the generator where checking them would, but runs no DP.  At
+    # (60, 59) the tail reads 1 - 2.7e-11 and the trials are evaluated.
+    from qsverify import exact
+
+    assert binom_tail(100, 99, 1.0 - 1 / 3) == 1.0
+    assert binom_tail(60, 59, 1.0 - 1 / 3) < 1.0
+    calls = []
+    row_stats = exact._row_stats
+    monkeypatch.setattr(exact, "_row_stats", lambda *a: calls.append(a) or row_stats(*a))
+    rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+    report = dqsv_soundness_sweep(100, 99, 1 / 3, 300, rng)
+    assert calls == []
+    assert report["checked"] == 0 and report["skipped_degenerate"] == 300
+    for _ in range(300):
+        _random_fidelities(100, twin)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    dqsv_soundness_sweep(60, 59, 1 / 3, 5, rng)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("lam", [0.0, 1.0, 1.5, float("nan")])
 def test_sweep_rejects_lambda_before_drawing(lam):
     rng = np.random.default_rng(13)

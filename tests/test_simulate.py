@@ -528,6 +528,20 @@ def test_rounds_csv_format(tmp_path, strat):
     assert len(first[6]) == 12
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_sqsv_ignores_systems_beyond_the_first_n(strat, n):
+    # SQSV tests the first n systems of each sequence, so an honest source of
+    # n + 1 systems gives the rounds of one of max(n, 2), the smallest that
+    # honest_iid builds.
+    plan = RandomPlan(31)
+    want = run_rounds(honest_iid(max(n, 2), NoiseSpec(0.8)), n, strat, 600, "sqsv", plan)
+    got = run_rounds(honest_iid(n + 1, NoiseSpec(0.8)), n, strat, 600, "sqsv", plan)
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
 def test_protocol_preconditions(strat):
     m = honest_iid(5)
     plan = RandomPlan(16)
