@@ -34,16 +34,17 @@ is
                      = [(1-kappa) g_{zhat+1} + kappa g_zhat] / delta   otherwise.
 
 Numerics: B_{z,k} is evaluated on its better-conditioned side (tail or
-complement), by compensated direct summation for z <= 100, with the
-binomial coefficients read from lazily built rows of floats, and, above
-that or where a direct term may have underflowed, by an anchor term
-computed in truncated big-integer arithmetic from the exact dyadic
-factorization of the float p, scaled by a float ratio recurrence.  The
-anchored scheme keeps the relative error within a few machine epsilons even
-where a log-gamma formulation would lose ~1e-12 to cancellation; see the
-tests for the measured bounds.  The anchor's binomial coefficient is exact from
-``math.comb`` for small min(j, z - j) and a truncated prime-power product
-above, so its cost stays near 0.1 s even at z = 10^7.
+complement; the one a median estimate calls the smaller is summed first, the
+other only near 1/2 or after a wrong guess, keeping the tail-first bits), by
+compensated direct summation for z <= 100, with the binomial coefficients read
+from lazily built rows of floats, and, above that or where a direct term may
+have underflowed, by an anchor term computed in truncated big-integer
+arithmetic from the exact dyadic factorization of the float p, scaled by a
+float ratio recurrence.  The anchored scheme keeps the relative error within a
+few machine epsilons even where a log-gamma formulation would lose ~1e-12 to
+cancellation; see the tests for the measured bounds.  The anchor's binomial
+coefficient is exact from ``math.comb`` for small min(j, z - j) and a truncated
+prime-power product above, so its cost stays near 0.1 s even at z = 10^7.
 
 J(N, k, delta) is found by bisection to floating-point interval exhaustion.
 The relative-error contract |computed - true B| <= e_r B, with
@@ -110,6 +111,7 @@ _COMB_CACHE_SIZE = 64      # memoized anchor binomials
 TAIL_REL_ERROR = 1e-13
 TAIL_ERROR_FLOOR = 2.0**-1000
 TAIL_ERROR_Z_MAX = 10_000_000
+_SIDE_GUARD = 2.0**-20     # a complement summed first is returned below 1/2 - this
 _NEWTON_MAX_STEPS = 40
 # The window's Newton phase stops once the computed tail is within this many
 # margins of delta; see _decided_window.
@@ -201,6 +203,10 @@ def binom_tail(z: int, k: int, p: float) -> float:
 
     z, k are non-negative integers; 0 <= p <= 1.  B_{0,k} = 1 and the
     convention x^0 = 1 holds even at x = 0, so B_{z,k}(0) = 1.
+
+    The tail if it sums to <= 1/2, else 1 - the summed complement; the window
+    a median estimate calls the smaller is summed first.  A complement below
+    1/2 - _SIDE_GUARD >> TAIL_REL_ERROR is returned at once: the tail sums > 1/2.
     """
     z = operator.index(z)
     k = operator.index(k)
@@ -216,11 +222,15 @@ def binom_tail(z: int, k: int, p: float) -> float:
     if p == 1.0:
         return 0.0
     window_sum = _direct_window_sum if z <= _DIRECT_Z_MAX else _anchored_window_sum
+    high = None
+    if (z + 0.4) * p < k + 0.7:  # median z p - (1 - 2p)/5 < k + 1/2: B > 1/2 likely
+        high = window_sum(z, k + 1, z, p)
+        if high < 0.5 - _SIDE_GUARD:
+            return 1.0 - high
     low = window_sum(z, 0, k, p)
     if low <= 0.5:
         return low
-    # near 1 the complement is the well-conditioned side
-    return 1.0 - window_sum(z, k + 1, z, p)
+    return 1.0 - (window_sum(z, k + 1, z, p) if high is None else high)
 
 
 def _direct_window_sum(z: int, lo: int, hi: int, p: float) -> float:

@@ -14,7 +14,8 @@ figure's schema, columns and default fidelity are ``reproduce.FIGURES``'s.
 
 Exit codes: 0 success, 2 invalid arguments or config, 3 internal numerical
 consistency failure, 4 zero accepted rounds when conditional estimates were
-requested, 5 oracle-check violation.
+requested, 5 oracle-check violation.  If stdout closes early (``| head``),
+the rest of the output is dropped and the command still ends with its code.
 
 Lambda may be given as a decimal or as a fraction token such as ``1/3``
 (parsed to the nearest double, avoiding user rounding drift); phase angles
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -165,6 +167,16 @@ _SOURCE_KEYS = {
 
 def _unknown_keys(prefix: str, mapping: dict, known) -> list[str]:
     return [f"{prefix}{key}: unknown key" for key in mapping if key not in known]
+
+
+def _emit(text: str) -> None:
+    """Print to stdout; once the reader has gone, point stdout at os.devnull."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 @contextlib.contextmanager
@@ -308,7 +320,7 @@ def _cmd_certify(args) -> int:
             payload["intermediates"] = None
         else:
             payload["intermediates"] = asdict(inter)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -342,9 +354,9 @@ def _cmd_simulate(args) -> int:
         (out_dir / "summary.json").write_text(summary_to_json(summary) + "\n", encoding="utf-8")
         write_rounds_csv(out_dir / "rounds.csv", table, conf["k"], strat)
     if conf["format"] == "json":
-        print(summary_to_json(summary))
+        _emit(summary_to_json(summary))
     else:
-        print(f"rounds={summary.rounds},accepted={summary.accepted},p_hat={summary.p_hat:.12g}")
+        _emit(f"rounds={summary.rounds},accepted={summary.accepted},p_hat={summary.p_hat:.12g}")
     if conf["protocol"] == "dqsv" and summary.accepted == 0:
         print("no accepted rounds: conditional estimates are absent", file=sys.stderr)
         return EXIT_NO_ACCEPTED
@@ -372,7 +384,7 @@ def _cmd_reproduce(args) -> int:
     with _output_dir(args.out_dir) as out_dir:
         write_csv(out_dir / f"{args.figure}.csv", schema, columns, rows)
         write_manifest(out_dir / "manifest.json", config)
-    print(f"wrote {args.figure}.csv and manifest.json to {out_dir}")
+    _emit(f"wrote {args.figure}.csv and manifest.json to {out_dir}")
     return EXIT_OK
 
 
@@ -465,8 +477,6 @@ def _cmd_oracle_check(args) -> int:
     elif args.suite == "factorization":
         report = _check_factorization_suite(args.budget)
     else:
-        if args.k > args.n - 1:
-            raise ConfigError([f"--k: must lie in [0, n - 1] = [0, {args.n - 1}], got {args.k}"])
         try:
             report = dqsv_soundness_sweep(
                 args.n, args.k, args.lam, args.trials, np.random.default_rng(args.seed)
@@ -474,7 +484,7 @@ def _cmd_oracle_check(args) -> int:
         except (TypeError, ValueError) as exc:
             raise ConfigError([str(exc)]) from exc
         report["suite"] = "dqsv-sweep"
-    print(json.dumps(report, indent=2, sort_keys=True, default=float))
+    _emit(json.dumps(report, indent=2, sort_keys=True, default=float))
     if report.get("violations"):
         return EXIT_ORACLE_VIOLATION
     return EXIT_OK

@@ -3,11 +3,17 @@
 Where the tail itself is summed the bound is relative, TAIL_REL_ERROR times
 the tail (times TAIL_ERROR_FLOOR below the floor); where the tail is one
 minus its summed complement it is TAIL_REL_ERROR times the complement plus
-the rounding of the subtraction, 2**-53.  ``binom_tail`` sums the tail when
-the result is at most 1/2.
+the rounding of the subtraction, 2**-53.  ``binom_tail`` returns the summed
+tail when it is at most 1/2 and one minus the summed complement otherwise.
+It sums first the window that a median estimate says is the smaller, and
+returns a complement summed first only below 1/2 - 2**-20; both window sums
+meet the relative bound (test_tail_side), so the tail would then have read
+above 1/2 too, and each result is the one of summing the tail first.
 """
 
-from qsverify.certificates import TAIL_ERROR_FLOOR, TAIL_REL_ERROR
+import math
+
+from qsverify.certificates import TAIL_ERROR_FLOOR, TAIL_ERROR_Z_MAX, TAIL_REL_ERROR, solve_J
 
 
 def contract_error(tail: float, exact) -> float:
@@ -15,3 +21,22 @@ def contract_error(tail: float, exact) -> float:
     if tail <= 0.5:
         return TAIL_REL_ERROR * max(float(exact), TAIL_ERROR_FLOOR)
     return TAIL_REL_ERROR * float(1 - exact) + 2.0**-53
+
+
+def contract_grid() -> list[tuple[int, int, float]]:
+    """The (z, k, p) on which the contract is measured, up to TAIL_ERROR_Z_MAX.
+
+    The second part places p where the tail is 1e-30, 1e-100 and 1e-300, and
+    at the floats next to those points.
+    """
+    cases = []
+    for z in (10, 100, 101, 500, 1000, 2500, 4001, 10_000, 10**5, 10**6, TAIL_ERROR_Z_MAX):
+        for k in sorted({0, 1, z // 10, z // 3, z // 2, 2 * z // 3, z - 1}):
+            if 0 <= k < z:
+                cases += [(z, k, p) for p in (1e-6, 1e-3, 0.01, 1 / 3, 0.5, 2 / 3, 0.95)]
+    for z in (10, 99, 100, 101, 1000, 10_000):
+        for k in sorted({0, 1, z // 3, z // 2, z - 2}):
+            for delta in (1e-30, 1e-100, 1e-300):
+                x = solve_J(z, k, delta)
+                cases += [(z, k, p) for p in (x, math.nextafter(x, 0.0), math.nextafter(x, 1.0))]
+    return cases

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qsverify
 from qsverify import certificates, cli
 from qsverify.cli import main, parse_lambda
 
@@ -481,9 +486,9 @@ def test_threads_flag_is_rejected():
         (("oracle-check", "dqsv-sweep", "--seed", str(2**64)), "--seed"),
         (("oracle-check", "dqsv-sweep", "--n", "0"), "--n"),
         (("oracle-check", "dqsv-sweep", "--n", "1001"), "--n"),
-        (("oracle-check", "dqsv-sweep", "--n", "1"), "--k"),
+        (("oracle-check", "dqsv-sweep", "--n", "1"), "k"),
         (("oracle-check", "dqsv-sweep", "--k", "-1"), "--k"),
-        (("oracle-check", "dqsv-sweep", "--n", "6", "--k", "6"), "--k"),
+        (("oracle-check", "dqsv-sweep", "--n", "6", "--k", "6"), "k"),
         (("oracle-check", "dqsv-sweep", "--lambda", "0"), "lambda"),
         (("oracle-check", "dqsv-sweep", "--lambda", "1.5"), "lambda"),
         (("oracle-check", "dqsv-sweep", "--lambda", "nan"), "lambda"),
@@ -743,3 +748,45 @@ def test_oracle_check_ignores_sweep_flags(capsys, argv):
     code, out, _ = run_cli(capsys, "oracle-check", *argv)
     assert code == 0
     assert json.loads(out)["violations"] == []
+
+
+def test_sweep_k_range_is_the_sweeps_error(capsys):
+    # The CLI leaves k <= n - 1 to dqsv_soundness_sweep and reports its error.
+    code, out, err = run_cli(capsys, "oracle-check", "dqsv-sweep", "--n", "6", "--k", "6")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: k = 6 outside [0, N - 1] for N = 6"]
+
+
+_VIOLATING_BINOM_SUITE = (
+    "import sys; from qsverify import cli; "
+    "cli._check_binom_suite = lambda: {'suite': 'binom', 'violations': ['forced']}; "
+    "sys.exit(cli.main(['oracle-check', 'binom']))"
+)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("-m", "qsverify.cli", "certify", "--protocol", "sqsv", "--n", "10", "--k", "1",
+          "--delta", "0.05", "--lambda", "1/3"), 0),
+        (("-m", "qsverify.cli", "oracle-check", "binom"), 0),
+        (("-c", _VIOLATING_BINOM_SUITE), 5),
+    ],
+    ids=["certify", "oracle-check-binom", "oracle-violation"],
+)
+def test_closed_stdout_ends_without_traceback(args, code):
+    # The read end of stdout's pipe is closed before the child starts, so
+    # its first write fails; it still exits with the command's own code.
+    src = str(Path(qsverify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *args], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr.decode() == ""
+    assert proc.returncode == code
