@@ -77,14 +77,11 @@ float of the first evaluation and a bad argument raises on every call.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 SOLVE_J_MAX_ITER = 200
 SOLVE_J_RESIDUAL_TOL = 1e-12  # relative to max(delta, TAIL_ERROR_FLOOR)
@@ -266,7 +263,10 @@ def _pow_reduced(base: int, exp: int) -> tuple[int, int]:
     Square-and-multiply with the mantissa kept at ~_POW_PREC_BITS bits; each
     truncation loses at most 2**-(_POW_PREC_BITS-1) relative, and there are
     O(log exp) of them, so the result is far more accurate than a double.
+    A power of at most _POW_PREC_BITS bits is never truncated: it is exact.
     """
+    if base.bit_length() * exp <= _POW_PREC_BITS:
+        return base**exp, 0
     result_m, result_e = 1, 0
     m, e = base, 0
     while exp:
@@ -364,19 +364,29 @@ def _anchored_window_sum(z: int, lo: int, hi: int, p: float) -> float:
         # The largest term underflows; the whole window is far below any
         # tolerance of interest.
         return 0.0
+    # The ratio C(z, j-1) q / (C(z, j) p) = j q_num / ((z - j + 1) p_num) is a
+    # quotient of two integers stepped by q_num and p_num, so it is correctly
+    # rounded from the same integers as when each product is formed afresh.
+    cutoff = t0 * _TERM_CUTOFF
     terms = [t0]
     t = t0
-    for j in range(j0, lo, -1):
-        t *= (j * q_num) / ((z - j + 1) * p_num)
+    num, den = j0 * q_num, (z - j0 + 1) * p_num
+    for _ in range(j0 - lo):
+        t *= num / den
         terms.append(t)
-        if t < t0 * _TERM_CUTOFF:
+        if t < cutoff:
             break
+        num -= q_num
+        den += p_num
     t = t0
-    for j in range(j0, hi):
-        t *= ((z - j) * p_num) / ((j + 1) * q_num)
+    num, den = (z - j0) * p_num, (j0 + 1) * q_num
+    for _ in range(hi - j0):
+        t *= num / den
         terms.append(t)
-        if t < t0 * _TERM_CUTOFF:
+        if t < cutoff:
             break
+        num -= p_num
+        den += q_num
     return math.fsum(terms)
 
 
@@ -473,10 +483,16 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     if d > 0.0:
         left = x - (delta - tail + 2.0 * margin) / d
         right = x + (tail - delta + 2.0 * margin) / d
-        if a < left < b and binom_tail(n, k, left) > delta + margin:
-            a = left
-        if a < right < b and binom_tail(n, k, right) < delta - margin:
-            b = right
+        left_tail = math.nan
+        if a < left < b:
+            left_tail = binom_tail(n, k, left)
+            if left_tail > delta + margin:
+                a = left
+        # Next to a root within an ulp or so of 1 both edges round to one float.
+        if a < right < b:
+            right_tail = left_tail if right == left else binom_tail(n, k, right)
+            if right_tail < delta - margin:
+                b = right
     return a, b
 
 
@@ -682,7 +698,11 @@ def dqsv_certificate(q: CertificateQuery) -> Certificate:
             f"DQSV fidelity bound {fidelity} outside [0, 1] beyond tolerance"
         )
     if fidelity < 0.0 or fidelity > 1.0:
-        logger.debug("DQSV fidelity bound %.17g clamped to [0, 1]", fidelity)
+        import logging  # imported here, so that no command without a clamp loads it
+
+        logging.getLogger(__name__).debug(
+            "DQSV fidelity bound %.17g clamped to [0, 1]", fidelity
+        )
         fidelity = min(1.0, max(0.0, fidelity))
     return Certificate(q, fidelity)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -490,7 +491,9 @@ def _cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``main`` only reads it."""
     parser = argparse.ArgumentParser(
         prog="qsverify",
         description="Singlet verification certificates and protocol simulation",

@@ -142,10 +142,9 @@ def fig4_rows(prep_fidelity: float = FIGURES["fig4"][2]) -> list[dict]:
 
 
 def default_fig5_grid(n_max: int = FIG5_N_MAX) -> list[int]:
-    grid = sorted(set(np.unique(np.round(np.logspace(0, math.log10(n_max), 28))).astype(int)))
-    for anchor in (10, 100, n_max):
-        if anchor <= n_max and anchor not in grid:
-            grid.append(anchor)
+    # Deduplicated as Python ints: np.unique on floats would import numpy.ma.
+    grid = {int(v) for v in np.round(np.logspace(0, math.log10(n_max), 28))}
+    grid.update(anchor for anchor in (10, 100, n_max) if anchor <= n_max)
     return sorted(grid)
 
 

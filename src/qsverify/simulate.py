@@ -402,11 +402,18 @@ def summary_to_json(summary: ExperimentSummary) -> str:
 
 
 def write_rounds_csv(path, table: RoundTable, k: int, strat: HomogeneousStrategy):
-    """Per-round records with the frozen column set (see README)."""
+    """Per-round records with the frozen column set (see README).
+
+    Each distinct settings row is hashed once: a row is its n setting indices
+    as n bytes, which key the digests already made.
+    """
     labels = strat.labels
+    n = table.settings.shape[1]
+    settings = table.settings.astype(np.uint8).tobytes()
+    digests = {}
     rows = zip(
         table.branch.tolist(), table.failures.tolist(), table.leftover.tolist(),
-        table.leftover_fidelity.tolist(), table.settings.tolist(),
+        table.leftover_fidelity.tolist(),
     )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# schema={ROUNDS_CSV_SCHEMA}\n")
@@ -414,10 +421,11 @@ def write_rounds_csv(path, table: RoundTable, k: int, strat: HomogeneousStrategy
             "round,branch,failures,accepted,leftover_index,"
             "leftover_truth_fidelity,settings_digest\n"
         )
-        for i, (branch, failures, left, fid, settings) in enumerate(rows):
+        for i, (branch, failures, left, fid) in enumerate(rows):
             leftover = f"{left},{fid:.12g}" if left >= 0 else ","
-            digest = hashlib.sha1(",".join(map(labels.__getitem__, settings)).encode("ascii"))
-            fh.write(
-                f"{i},{branch},{failures},{int(failures <= k)},{leftover},"
-                f"{digest.hexdigest()[:12]}\n"
-            )
+            row = settings[i * n:(i + 1) * n]
+            digest = digests.get(row)
+            if digest is None:
+                text = ",".join(map(labels.__getitem__, row))
+                digest = digests[row] = hashlib.sha1(text.encode("ascii")).hexdigest()[:12]
+            fh.write(f"{i},{branch},{failures},{int(failures <= k)},{leftover},{digest}\n")

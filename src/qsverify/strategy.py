@@ -23,7 +23,6 @@ their weights and per-test pass probabilities.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +36,6 @@ from .linalg import (
     phased_singlet,
     projector,
 )
-
-logger = logging.getLogger(__name__)
 
 # Constructor invariant tolerances.
 WEIGHT_TOL = 1e-12
@@ -141,7 +138,9 @@ def pass_probability(strat: HomogeneousStrategy, s: DensityMatrix) -> float:
     """Single-test pass probability tr(Omega s), clamped to [0, 1]."""
     value = expectation(strat.omega, s)
     if value < -CLAMP_LOG_TOL or value > 1.0 + CLAMP_LOG_TOL:
-        logger.warning("pass probability %.17g clamped to [0, 1]", value)
+        import logging  # imported here, so that no command without a clamp loads it
+
+        logging.getLogger(__name__).warning("pass probability %.17g clamped to [0, 1]", value)
     return min(1.0, max(0.0, value))
 
 
@@ -150,7 +149,9 @@ def test_pass_probabilities(strat: HomogeneousStrategy, s: DensityMatrix) -> np.
     probs = np.array([expectation(t.proj, s) for t in strat.tests])
     bad = np.max(np.abs(probs - np.clip(probs, 0.0, 1.0)))
     if bad > CLAMP_LOG_TOL:
-        logger.warning("per-test probability clamped by %.3g", bad)
+        import logging  # imported here, so that no command without a clamp loads it
+
+        logging.getLogger(__name__).warning("per-test probability clamped by %.3g", bad)
     return np.clip(probs, 0.0, 1.0)
 
 

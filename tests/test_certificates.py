@@ -1,4 +1,5 @@
 import functools
+import logging
 import math
 from fractions import Fraction
 
@@ -624,3 +625,15 @@ def test_memo_is_bounded():
     for memo in (solve_J, _knot_tail):
         maxsize = memo.cache_info().maxsize
         assert isinstance(maxsize, int) and 0 < maxsize < 10**6
+
+
+@pytest.mark.parametrize("fidelity, clamped", [(1.0 + 1e-13, 1.0), (-1e-13, 0.0)])
+def test_dqsv_bound_within_clamp_tolerance_logs_debug(monkeypatch, caplog, fidelity, clamped):
+    # A bound within BOUND_CLAMP_TOL = 1e-12 outside [0, 1] is clamped and
+    # logged at DEBUG by the module's logger, which is made only on this branch.
+    q = CertificateQuery("dqsv", 50, 2, 0.05, 1 / 3)
+    monkeypatch.setattr(certificates, "_dqsv_core", lambda q: (0, 0.0, fidelity * q.delta))
+    with caplog.at_level(logging.DEBUG, logger="qsverify.certificates"):
+        assert dqsv_certificate(q).fidelity_bound == clamped
+    assert [(r.name, r.levelname) for r in caplog.records] == [("qsverify.certificates", "DEBUG")]
+    assert "clamped" in caplog.records[0].getMessage()

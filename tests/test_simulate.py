@@ -581,3 +581,13 @@ def test_scaling_experiment_solves_each_pair_once(strat, monkeypatch):
                 CertificateQuery(name, n, k, 0.05, strat.lam)
             ).infidelity_bound
             assert result[f"eps_{name}"][r, j] == expected
+
+
+def test_default_fig5_grid_is_pinned():
+    # 28 rounded log-spaced points deduplicated, plus the anchors 10 and 100.
+    grid = default_fig5_grid()
+    assert grid == [
+        1, 2, 3, 4, 5, 6, 8, 10, 13, 17, 22, 28, 36, 46, 60, 77, 100,
+        129, 167, 215, 278, 359, 464, 599, 774, 1000,
+    ]
+    assert all(type(n) is int for n in grid)

@@ -222,3 +222,16 @@ def test_solve_j_evaluates_each_point_once(monkeypatch):
         solve_J.__wrapped__(*case)
         after = points[start[0]:] if start else points
         assert len(after) == len(set(after)), case
+
+
+def test_coincident_window_edges_share_one_tail(monkeypatch):
+    # Next to the root 0x1.fff01fa1eb7a0p-1 both tangent edges round to that
+    # float; the right edge reuses the left edge's tail instead of a 33rd call.
+    points = []
+    monkeypatch.setattr(
+        certificates, "binom_tail", lambda z, k, p: points.append(p) or binom_tail(z, k, p)
+    )
+    x = solve_J.__wrapped__(2000, 1998, 0.025)
+    assert x == float.fromhex("0x1.fff01fa1eb7a0p-1")
+    assert len(points) == 32
+    assert x == reference_bisection(2000, 1998, 0.025)

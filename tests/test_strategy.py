@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from qsverify import strategy
 from qsverify.linalg import (
     DensityMatrix,
     expectation,
@@ -9,6 +12,7 @@ from qsverify.linalg import (
     projector,
 )
 from qsverify.strategy import (
+    CLAMP_LOG_TOL,
     build_homogeneous_strategy,
     build_singlet_strategy,
     fidelity_from_pass_rate,
@@ -211,3 +215,15 @@ def test_strategy_test_rejects_bad_projectors():
     for proj in (np.eye(2), np.eye(4) * 2, nonherm):
         with pytest.raises(ValueError):
             StrategyTest("BAD", proj, 1.0)
+
+
+@pytest.mark.parametrize("func", [pass_probability, strategy.test_pass_probabilities])
+def test_clamped_pass_probability_logs_a_warning(strat, monkeypatch, caplog, func):
+    # ``logging`` is imported only on this branch; the record must still reach
+    # the module's logger at WARNING.
+    monkeypatch.setattr(strategy, "expectation", lambda op, s: 1.0 + 10 * CLAMP_LOG_TOL)
+    with caplog.at_level(logging.WARNING, logger="qsverify.strategy"):
+        value = func(strat, DensityMatrix(np.eye(4) / 4))
+    assert np.all(np.asarray(value) == 1.0)
+    assert [(r.name, r.levelname) for r in caplog.records] == [("qsverify.strategy", "WARNING")]
+    assert "clamped" in caplog.records[0].getMessage()
