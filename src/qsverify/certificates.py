@@ -132,7 +132,7 @@ class CertificateQuery:
     """Parameters of a certificate request.
 
     protocol: "sqsv" or "dqsv"
-    n:        number of tests performed
+    n:        number of tests performed, at most TAIL_ERROR_Z_MAX
     k:        maximum number of failures accepted, 0 <= k <= n - 1
     delta:    significance level in (0, 1]
     lam:      strategy parameter lambda; [0, 1) for SQSV, (0, 1) for DQSV
@@ -158,6 +158,8 @@ class CertificateQuery:
             raise ValueError(f"k = {self.k} must be non-negative")
         if self.n < self.k + 1:
             raise ValueError(f"n = {self.n} must be at least k + 1 = {self.k + 1}")
+        if self.n > TAIL_ERROR_Z_MAX:
+            raise ValueError(f"n = {self.n} exceeds {TAIL_ERROR_Z_MAX}, the measured tail range")
         if not (0.0 < self.delta <= 1.0):
             raise ValueError(f"delta = {self.delta} outside (0, 1]")
         if self.protocol == PROTOCOL_SQSV:

@@ -7,10 +7,11 @@ simulate      run a Monte Carlo experiment from a config file and/or flags
 reproduce     regenerate one of the packaged datasets (fig3, fig4, fig5)
 oracle-check  run one of the self-verification suites
 
-A ``simulate`` config is read key by key: the source model and the stopping
-mode name the keys they read, and any other key exits 2 naming it.  How many
-systems a protocol draws is ``simulate.check_system_count``'s rule; each
-figure's schema, columns and default fidelity are ``reproduce.FIGURES``'s.
+Each figure and each suite is a subcommand that declares only the flags its
+function reads, and a figure's manifest records exactly those.  A ``simulate``
+config is read key by key: the source model and the stopping mode name the
+keys they read.  Any other flag or key exits 2 naming it.  How many systems a
+protocol draws is ``simulate.check_system_count``'s rule.
 
 Exit codes: 0 success, 2 invalid arguments or config, 3 internal numerical
 consistency failure, 4 zero accepted rounds when conditional estimates were
@@ -51,16 +52,7 @@ from .exact import (
     exact_stats_bruteforce,
     sqsv_worst_case_scan,
 )
-from .reproduce import (
-    FIG3_N,
-    FIG4_K,
-    FIGURES,
-    fig3_rows,
-    fig4_rows,
-    fig5_rows,
-    write_csv,
-    write_manifest,
-)
+from . import reproduce
 from .simulate import (
     RandomPlan,
     check_system_count,
@@ -154,6 +146,8 @@ def _float_in(lo: float, hi: float, open_lo: bool = False):
 
 
 _SEED = _int_in(0, 2**64 - 1)
+# The parsed entries that no figure or suite function takes as a parameter.
+_COMMAND_KEYS = ("command", "func", "figure", "suite", "out_dir")
 _CONFIG_KEYS = ("protocol", "n", "k", "seed", "rounds", "stopping", "format", "out_dir", "source")
 # The stopping keys each mode reads besides ``mode``; fixed mode reads the top-level ``rounds``.
 _STOPPING_KEYS = {"fixed": (), "acceptances": ("target_acceptances", "max_rounds")}
@@ -223,11 +217,6 @@ def _build_source(cfg: dict, n: int, protocol: str):
         raise ConfigError([f"source.fidelity: {exc}"]) from exc
     try:
         if model == "custom":
-            branches = cfg.get("branches")
-            if not isinstance(branches, list) or not branches:
-                raise ConfigError([
-                    f"source.branches: expected a non-empty list of branches, got {branches!r}"
-                ])
             source = mixture_from_spec(cfg)
         elif model == "rho2":
             if "phi" not in cfg:
@@ -300,6 +289,8 @@ def _validate_simulate_config(cfg: dict) -> dict:
 
 
 def _cmd_certify(args) -> int:
+    if args.intermediates and args.protocol != "dqsv":
+        raise ConfigError(["--intermediates: read only with --protocol dqsv"])
     try:
         query = CertificateQuery(args.protocol, args.n, args.k, args.delta, args.lam)
     except (TypeError, ValueError) as exc:
@@ -314,7 +305,7 @@ def _cmd_certify(args) -> int:
         "fidelity_bound": cert.fidelity_bound,
         "infidelity_bound": cert.infidelity_bound,
     }
-    if args.intermediates and args.protocol == "dqsv":
+    if args.intermediates:
         try:
             inter = dqsv_intermediates(query)
         except ValueError:  # the degenerate zero certificate has none
@@ -364,28 +355,22 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _function_flags(args) -> dict:
+    """The flags that the chosen figure or suite declares, keyed as its function's parameters."""
+    return {key: value for key, value in vars(args).items() if key not in _COMMAND_KEYS}
+
+
 def _cmd_reproduce(args) -> int:
-    schema, columns, default_fidelity = FIGURES[args.figure]
-    fidelity = default_fidelity if args.fidelity is None else args.fidelity
-    config = {"figure": args.figure, "seed": args.seed}
-    if args.figure == "fig3":
-        rows = fig3_rows(
-            seed=args.seed, rounds=args.rounds, k_max=args.k_max, prep_fidelity=fidelity
-        )
-        config.update({"rounds": args.rounds, "prep_fidelity": fidelity, "k_max": args.k_max})
-    elif args.figure == "fig4":
-        rows = fig4_rows(prep_fidelity=fidelity)
-        config.update({"prep_fidelity": fidelity, "k": FIG4_K})
-    else:
-        rows = fig5_rows(
-            seed=args.seed, fidelity=fidelity, delta=args.delta, avg_rounds=args.avg_rounds,
-        )
-        config.update({"fidelity": fidelity, "delta": args.delta, "avg_rounds": args.avg_rounds})
-    config["files"] = [f"{args.figure}.csv"]
+    schema, columns = reproduce.FIGURES[args.figure]
+    flags = _function_flags(args)
+    # Looked up per call, so that a wrapper set on the module after import is the one run.
+    rows = getattr(reproduce, f"{args.figure}_rows")(**flags)
+    name = f"{args.figure}.csv"
     with _output_dir(args.out_dir) as out_dir:
-        write_csv(out_dir / f"{args.figure}.csv", schema, columns, rows)
-        write_manifest(out_dir / "manifest.json", config)
-    _emit(f"wrote {args.figure}.csv and manifest.json to {out_dir}")
+        reproduce.write_csv(out_dir / name, schema, columns, rows)
+        reproduce.write_manifest(out_dir / "manifest.json",
+                                 {"figure": args.figure, **flags, "files": [name]})
+    _emit(f"wrote {name} and manifest.json to {out_dir}")
     return EXIT_OK
 
 
@@ -443,11 +428,11 @@ def _check_sqsv_suite(grid_size: int) -> dict:
     return {"suite": "sqsv", "checks": len(cases), "violations": failures}
 
 
-def _check_factorization_suite(n_max: int) -> dict:
+def _check_factorization_suite(budget: int) -> dict:
     failures = []
     checks = 0
     strat = build_singlet_strategy()
-    for n in range(2, n_max + 1):
+    for n in range(2, budget + 1):
         for source in (
             honest_iid(n + 1, NoiseSpec(0.9)),
             rho1(n, NoiseSpec(0.97)),
@@ -468,27 +453,23 @@ def _check_factorization_suite(n_max: int) -> dict:
     return {"suite": "factorization", "checks": checks, "violations": failures}
 
 
-def _cmd_oracle_check(args) -> int:
+def _check_dqsv_sweep_suite(n: int, k: int, lam: float, trials: int, seed: int) -> dict:
     import numpy as np
 
-    if args.suite == "binom":
-        report = _check_binom_suite()
-    elif args.suite == "sqsv":
-        report = _check_sqsv_suite(args.grid_size)
-    elif args.suite == "factorization":
-        report = _check_factorization_suite(args.budget)
-    else:
-        try:
-            report = dqsv_soundness_sweep(
-                args.n, args.k, args.lam, args.trials, np.random.default_rng(args.seed)
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError([str(exc)]) from exc
-        report["suite"] = "dqsv-sweep"
+    try:
+        report = dqsv_soundness_sweep(n, k, lam, trials, np.random.default_rng(seed))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError([str(exc)]) from exc
+    report["suite"] = "dqsv-sweep"
+    return report
+
+
+def _cmd_oracle_check(args) -> int:
+    # Looked up per call, as in _cmd_reproduce: dqsv-sweep runs _check_dqsv_sweep_suite.
+    check = globals()[f"_check_{args.suite.replace('-', '_')}_suite"]
+    report = check(**_function_flags(args))
     _emit(json.dumps(report, indent=2, sort_keys=True, default=float))
-    if report.get("violations"):
-        return EXIT_ORACLE_VIOLATION
-    return EXIT_OK
+    return EXIT_ORACLE_VIOLATION if report["violations"] else EXIT_OK
 
 
 @functools.cache
@@ -523,30 +504,43 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out-dir", default=None, help="output directory")
     sim.set_defaults(func=_cmd_simulate)
 
+    # Each figure's flags carry the names of its rows function's parameters.
     rep = sub.add_parser("reproduce", help="regenerate a packaged dataset")
-    rep.add_argument("figure", choices=FIGURES)
-    rep.add_argument("--seed", type=_SEED, default=42, help=seed_help)
-    rep.add_argument("--rounds", type=_int_in(1), default=200)
-    # Below 1/4 a depolarized copy is no longer a state.
-    rep.add_argument("--fidelity", type=_float_in(0.25, 1.0), default=None,
-                     help="per-copy preparation fidelity (default 0.99 for fig5, else 1)")
-    rep.add_argument("--k-max", type=_int_in(0, FIG3_N - 1), default=10)
-    rep.add_argument("--delta", type=_float_in(0.0, 1.0, open_lo=True), default=0.05)
-    rep.add_argument("--avg-rounds", type=_int_in(1), default=80)
-    rep.add_argument("--out-dir", default=".", help="output directory")
     rep.set_defaults(func=_cmd_reproduce)
+    figures = rep.add_subparsers(dest="figure", required=True)
+    fig3 = figures.add_parser("fig3", help="correlated source, both protocols per k")
+    fig4 = figures.add_parser("fig4", help="exact statistics of the rotated-copy source")
+    fig5 = figures.add_parser("fig5", help="certificate infidelity versus the number of tests")
+    for fig in (fig3, fig5):
+        fig.add_argument("--seed", type=_SEED, default=42, help=seed_help)
+    fig3.add_argument("--rounds", type=_int_in(1), default=200)
+    fig3.add_argument("--k-max", type=_int_in(0, reproduce.FIG3_N - 1), default=10)
+    # Below 1/4 a depolarized copy is no longer a state.
+    for fig, dest, default in ((fig3, "prep_fidelity", 1.0), (fig4, "prep_fidelity", 1.0),
+                               (fig5, "fidelity", 0.99)):
+        fig.add_argument("--fidelity", dest=dest, metavar="FIDELITY", default=default,
+                         type=_float_in(0.25, 1.0), help="per-copy preparation fidelity")
+    fig5.add_argument("--delta", type=_float_in(0.0, 1.0, open_lo=True), default=0.05)
+    fig5.add_argument("--avg-rounds", type=_int_in(1), default=80)
+    for fig in (fig3, fig4, fig5):
+        fig.add_argument("--out-dir", default=".", help="output directory")
 
+    # Each suite's flags carry the names of its _check_*_suite function's parameters.
     orc = sub.add_parser("oracle-check", help="run a verification suite")
-    orc.add_argument("suite", choices=("binom", "sqsv", "dqsv-sweep", "factorization"))
-    orc.add_argument("--seed", type=_SEED, default=0, help=seed_help)
-    orc.add_argument("--n", type=_int_in(1, MAX_SWEEP_TESTS), default=6)
-    orc.add_argument("--k", type=_int_in(0), default=1)
-    orc.add_argument("--lambda", dest="lam", type=parse_lambda, default="1/3")
-    orc.add_argument("--trials", type=_int_in(1), default=1000)
-    orc.add_argument("--grid-size", type=_int_in(1000), default=2000)
-    orc.add_argument("--budget", type=_int_in(2, MAX_ENUM_TESTS), default=8,
-                     help="max N for factorization")
     orc.set_defaults(func=_cmd_oracle_check)
+    suites = orc.add_subparsers(dest="suite", required=True)
+    suites.add_parser("binom", help="binomial tail spot checks and monotonicity")
+    sqsv = suites.add_parser("sqsv", help="SQSV certificate against a worst-case scan")
+    sqsv.add_argument("--grid-size", type=_int_in(1000), default=2000)
+    factorization = suites.add_parser("factorization", help="exact statistics against 2^N sums")
+    factorization.add_argument("--budget", type=_int_in(2, MAX_ENUM_TESTS), default=8,
+                               help="max N")
+    sweep = suites.add_parser("dqsv-sweep", help="DQSV soundness on random mixtures")
+    sweep.add_argument("--n", type=_int_in(1, MAX_SWEEP_TESTS), default=6)
+    sweep.add_argument("--k", type=_int_in(0), default=1)
+    sweep.add_argument("--lambda", dest="lam", type=parse_lambda, default="1/3")
+    sweep.add_argument("--trials", type=_int_in(1), default=1000)
+    sweep.add_argument("--seed", type=_SEED, default=0, help=seed_help)
     return parser
 
 

@@ -16,8 +16,8 @@ fig5  Honest noisy source: certificate infidelity versus the number of tests
 
 Each function returns plain row dictionaries; ``write_csv`` renders them with
 the schema-version header and the columns that ``FIGURES`` lists for the
-figure, next to its default preparation fidelity.  Output is bit-stable for a fixed seed: floats are
-formatted with 12 significant digits and no timestamps enter the data files.
+figure.  Output is bit-stable for a fixed seed: floats are formatted with 12
+significant digits and no timestamps enter the data files.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ FIG4_N_GRID = tuple(range(2, 11))
 FIG4_PHI_FIXED = math.pi  # the phase of the size grid
 FIG5_N_MAX = 1000
 
-# Per figure: the schema of its CSV, its columns and the default per-copy
-# preparation fidelity.
+# Per figure: the schema of its CSV and its columns.
 FIGURES = {
     "fig3": ("qsverify.fig3/2", [
         "k",
@@ -59,17 +58,17 @@ FIGURES = {
         "dqsv_bound_at_p_hat", "dqsv_bound_at_p_lo95",
         "cond_fidelity_truth", "cond_truth_stderr",
         "cond_fidelity_measured", "cond_measured_stderr",
-    ], 1.0),
+    ]),
     "fig4": ("qsverify.fig4/3", [
         "grid", "n", "phi", "k",
         "p_k_exact", "F_k_exact", "uncond_fidelity_exact",
         "sqsv_bound_at_p_k", "dqsv_bound_at_p_k", "dqsv_slack",
-    ], 1.0),
+    ]),
     "fig5": ("qsverify.fig5/2", [
         "n",
         "k_single", "eps_sqsv_single", "eps_dqsv_single",
         "k_mean", "eps_sqsv_avg", "eps_dqsv_avg",
-    ], 0.99),
+    ]),
 }
 
 
@@ -77,7 +76,7 @@ def fig3_rows(
     seed: int = 42,
     rounds: int = 200,
     k_max: int = 10,
-    prep_fidelity: float = FIGURES["fig3"][2],
+    prep_fidelity: float = 1.0,
 ) -> list[dict]:
     """Per-k comparison of both protocols on the two-branch correlated source."""
     strat = build_singlet_strategy()
@@ -113,7 +112,7 @@ def fig3_rows(
     return rows
 
 
-def fig4_rows(prep_fidelity: float = FIGURES["fig4"][2]) -> list[dict]:
+def fig4_rows(prep_fidelity: float = 1.0) -> list[dict]:
     """Exact certificates-versus-truth grids for the rotated-copy source."""
     strat = build_singlet_strategy()
     k = FIG4_K
@@ -150,7 +149,7 @@ def default_fig5_grid(n_max: int = FIG5_N_MAX) -> list[int]:
 
 def fig5_rows(
     seed: int = 42,
-    fidelity: float = FIGURES["fig5"][2],
+    fidelity: float = 0.99,
     delta: float = 0.05,
     avg_rounds: int = 80,
 ) -> list[dict]:

@@ -30,7 +30,6 @@ same under both stopping rules.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
@@ -407,6 +406,8 @@ def write_rounds_csv(path, table: RoundTable, k: int, strat: HomogeneousStrategy
     Each distinct settings row is hashed once: a row is its n setting indices
     as n bytes, which key the digests already made.
     """
+    import hashlib
+
     labels = strat.labels
     n = table.settings.shape[1]
     settings = table.settings.astype(np.uint8).tobytes()

@@ -242,6 +242,15 @@ def test_solve_j_rejects_bad_arguments():
         solve_J(3, 0, 1.5)
 
 
+@pytest.mark.parametrize("protocol", ["sqsv", "dqsv"])
+def test_query_n_stops_at_the_measured_tail_contract(protocol):
+    # Building a query sums no tail, so both sides of the limit are cheap.
+    limit = TAIL_ERROR_Z_MAX
+    assert CertificateQuery(protocol, limit, limit - 1, 0.05, 1 / 3).n == limit
+    with pytest.raises(ValueError, match=rf"^n = {limit + 1} exceeds {limit}"):
+        CertificateQuery(protocol, limit + 1, 0, 0.05, 1 / 3)
+
+
 def test_sqsv_certificate_examples():
     c = sqsv_certificate(CertificateQuery("sqsv", 10, 0, 0.05, 1 / 3))
     assert c.fidelity_bound == pytest.approx(0.611701, abs=2e-6)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,35 @@ def test_certify_intermediates_degenerate_is_null(capsys, monkeypatch):
     assert payload["intermediates"] is None
     # the degenerate test B_{10,0}(nu) >= delta is evaluated once, for the certificate
     assert len(calls) == 1
+
+
+def test_certify_intermediates_are_read_only_for_dqsv(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "certify", "--protocol", "sqsv", "--n", "10", "--k", "0",
+        "--delta", "0.05", "--lambda", "1/3", "--intermediates",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: --intermediates: read only with --protocol dqsv"]
+
+
+@pytest.mark.parametrize("protocol", ["sqsv", "dqsv"])
+def test_certify_refuses_n_beyond_the_tail_contract(capsys, protocol):
+    # The query is refused before any tail is summed: no sieve, no output.
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "certify", "--protocol", protocol, "--n", str(certificates.TAIL_ERROR_Z_MAX + 1),
+        "--k", "0", "--delta", "0.05", "--lambda", "1/3",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: n = {certificates.TAIL_ERROR_Z_MAX + 1} exceeds "
+        f"{certificates.TAIL_ERROR_Z_MAX}, the measured tail range"
+    ]
 
 
 def test_certify_validation_exit_code(capsys):
@@ -335,7 +365,7 @@ def test_simulate_invalid_config_diagnostics(tmp_path, capsys):
 
 
 CUSTOM_SOURCE_ERRORS = [
-    ("branches: 5", "source.branches: expected a non-empty list"),
+    ("branches: 5", "source: branches: expected a non-empty list"),
     ("branches: [1]", "source: branches[0]: expected a mapping of weight and states"),
     ("branches:\n    - {weight: 1, states: [singlet, bogus, singlet, singlet]}",
      "source: branches[0].states[1]: unknown state descriptor 'bogus'"),
@@ -439,7 +469,7 @@ def test_counts_of_the_other_stopping_mode_exit_2(tmp_path, capsys, case):
     ],
 )
 def test_numerical_consistency_failure_exits_3(tmp_path, capsys, monkeypatch, target, argv):
-    from qsverify import cli
+    from qsverify import cli, reproduce
 
     def fail(*args, **kwargs):
         raise cli.NumericalConsistencyError("injected")
@@ -448,7 +478,8 @@ def test_numerical_consistency_failure_exits_3(tmp_path, capsys, monkeypatch, ta
     (tmp_path / "run.yaml").write_text(
         "protocol: sqsv\nn: 4\nk: 0\nrounds: 10\nsource:\n  model: rho1\n"
     )
-    monkeypatch.setattr(cli, target, fail)
+    # The CLI reaches a figure's rows function through the reproduce module.
+    monkeypatch.setattr(reproduce if target.endswith("_rows") else cli, target, fail)
     code, _, err = run_cli(capsys, *argv)
     assert code == 3
     assert "numerical consistency failure: injected" in err
@@ -643,6 +674,26 @@ def test_reproduce_fig4_columns(tmp_path, capsys):
     assert "generated_at" in manifest
 
 
+# Each manifest records the flags its figure reads, defaults included, and
+# nothing else: fig4 reads no seed, and its k is a constant of the figure.
+MANIFESTS = {
+    "fig3": (("--rounds", "20", "--k-max", "1"),
+             {"seed": 42, "rounds": 20, "k_max": 1, "prep_fidelity": 1.0}),
+    "fig4": ((), {"prep_fidelity": 1.0}),
+    "fig5": (("--avg-rounds", "2"), {"seed": 42, "fidelity": 0.99, "delta": 0.05, "avg_rounds": 2}),
+}
+
+
+@pytest.mark.parametrize("figure", list(MANIFESTS))
+def test_manifest_records_the_flags_the_figure_reads(tmp_path, capsys, figure):
+    flags, read = MANIFESTS[figure]
+    code, _, _ = run_cli(capsys, "reproduce", figure, *flags, "--out-dir", str(tmp_path))
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest.pop("generated_at")
+    assert manifest == {"figure": figure, **read, "files": [f"{figure}.csv"]}
+
+
 def test_reproduce_fig5_ideal_closed_form_column(tmp_path, capsys):
     code, _, _ = run_cli(
         capsys, "reproduce", "fig5", "--fidelity", "1.0", "--avg-rounds", "3",
@@ -736,18 +787,44 @@ def test_oracle_check_factorization_small(capsys):
     assert json.loads(out)["violations"] == []
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("factorization", "--budget", "4", "--n", "1"),
-        ("binom", "--k", "7"),
-    ],
-)
-def test_oracle_check_ignores_sweep_flags(capsys, argv):
-    # --n and --k configure dqsv-sweep only; other suites do not range-check them.
-    code, out, _ = run_cli(capsys, "oracle-check", *argv)
-    assert code == 0
-    assert json.loads(out)["violations"] == []
+# Every flag that `reproduce` or `oracle-check` once took for all of its
+# figures or suites, with an in-range value, and the ones each figure or suite
+# reads.  Any other flag exits 2 before work starts.
+FORMER_FLAGS = {
+    "reproduce": {"--seed": "5", "--rounds": "7", "--fidelity": "0.9", "--k-max": "3",
+                  "--delta": "0.3", "--avg-rounds": "3", "--out-dir": "o"},
+    "oracle-check": {"--seed": "5", "--n": "6", "--k": "1", "--lambda": "1/3", "--trials": "5",
+                     "--grid-size": "2000", "--budget": "4"},
+}
+READ_FLAGS = {
+    ("reproduce", "fig3"): ("--seed", "--rounds", "--k-max", "--fidelity", "--out-dir"),
+    ("reproduce", "fig4"): ("--fidelity", "--out-dir"),
+    ("reproduce", "fig5"): ("--seed", "--fidelity", "--delta", "--avg-rounds", "--out-dir"),
+    ("oracle-check", "binom"): (),
+    ("oracle-check", "sqsv"): ("--grid-size",),
+    ("oracle-check", "factorization"): ("--budget",),
+    ("oracle-check", "dqsv-sweep"): ("--n", "--k", "--lambda", "--trials", "--seed"),
+}
+UNREAD_FLAGS = [
+    (command, name, flag)
+    for (command, name), read in READ_FLAGS.items()
+    for flag in FORMER_FLAGS[command] if flag not in read
+]
+
+
+@pytest.mark.parametrize("command, name, flag", UNREAD_FLAGS,
+                         ids=[f"{name} {flag}" for _, name, flag in UNREAD_FLAGS])
+def test_unread_figure_and_suite_flags_exit_2(tmp_path, capsys, monkeypatch, command, name,
+                                              flag):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, name, flag, FORMER_FLAGS[command][flag]]
+    if "--out-dir" in READ_FLAGS[command, name]:
+        argv += ["--out-dir", "o"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"unrecognized arguments: {flag}" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_k_range_is_the_sweeps_error(capsys):

@@ -1,9 +1,10 @@
 """Property tests: no command line and no config file makes ``main`` raise.
 
 Every input must end in one of the documented exit codes, either returned by
-``main`` or raised by argparse as ``SystemExit``. The flags of each subcommand
-are read from ``build_parser()``, so a new flag is fuzzed without editing this
-file. In-range values of the flags that set a run's length are capped small
+``main`` or raised by argparse as ``SystemExit``. The subcommands, nested ones
+such as ``reproduce fig3`` included, and the flags of each are read from
+``build_parser()``, so a new figure, suite or flag is fuzzed without editing
+this file. In-range values of the flags that set a run's length are capped small
 so that each example stays cheap.
 """
 
@@ -45,12 +46,6 @@ FUZZ = settings(
 RUN_YAML = "protocol: dqsv\nn: 4\nk: 1\nseed: 1\nrounds: 10\nsource: {model: rho2, phi: pi}\n"
 
 
-def _subcommands() -> dict:
-    parser = build_parser()
-    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices
-
-
 def _in_range(action: argparse.Action, text: str) -> bool:
     try:
         value = action.type(text) if action.type else text
@@ -74,9 +69,16 @@ def _value(action: argparse.Action):
 
 @st.composite
 def _argv(draw):
-    name, sub = draw(st.sampled_from(sorted(_subcommands().items())))
-    argv = [name]
-    for action in sub._actions:
+    """Subcommand names from the top level down, then the flags of the last one."""
+    argv, parser = [], build_parser()
+    while subcommands := [a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)]:
+        name = draw(_value(subcommands[0]))
+        argv.append(name)
+        if name not in subcommands[0].choices:
+            return argv
+        parser = subcommands[0].choices[name]
+    for action in parser._actions:
         if not action.option_strings:
             argv.append(draw(_value(action)))
         elif action.option_strings[0] == "-h":

@@ -4,7 +4,9 @@ Every case starts a fresh interpreter, runs ``import qsverify`` or one
 command through ``qsverify.cli.main`` at a small size, and lists the modules
 that ended up in ``sys.modules``.  ``numpy.ma``, ``logging`` and ``scipy``
 serve no command (``logging`` only a clamp, which these runs never reach),
-and PyYAML only reads ``simulate --config``.
+and PyYAML only reads ``simulate --config``.  ``hashlib`` (with OpenSSL)
+serves ``simulate``'s rounds.csv, and ``numpy.random`` imports it through
+``secrets``; the commands that draw no random numbers load neither.
 """
 
 import json
@@ -19,6 +21,7 @@ import qsverify
 
 NEVER = ("numpy.ma", "logging", "scipy")
 YAML = "yaml"
+UNSEEDED = ("import", "certify", "fig4")
 
 CHILD = """\
 import json, sys
@@ -73,3 +76,5 @@ def test_command_loads_only_what_it_runs(name, tmp_path):
     modules = result["modules"]
     assert [m for m in NEVER if _loaded(m, modules)] == []
     assert _loaded(YAML, modules) == (name == "simulate")
+    if name in UNSEEDED:
+        assert [m for m in ("numpy.random", "hashlib") if _loaded(m, modules)] == []
