@@ -47,16 +47,22 @@ coefficient is exact from ``math.comb`` for small min(j, z - j) and a truncated
 prime-power product above, so its cost stays near 0.1 s even at z = 10^7.
 
 J(N, k, delta) is found by bisection to floating-point interval exhaustion.
-The relative-error contract |computed - true B| <= e_r B, with
-e_r = TAIL_REL_ERROR = 1e-13 (e_r (1 - B) + 2^-53 where the tail is one
-minus its complement), measured by the tests on a grid up to
-z = TAIL_ERROR_Z_MAX (worst 1.1e-14), decides in advance every comparison
-B(mid) > delta whose midpoint lies outside a window [a, b] with computed
-B(a) > delta + m and B(b) < delta - m, m = 3 e_r delta for delta <= 1/2; a
-short safeguarded Newton phase finds that window, and the bisection skips
-those comparisons.  Given the contract, the result is bitwise the full
-bisection's, at a median of 13 binom_tail evaluations per solve against its
-55 (see tests/test_solve_j_window.py).
+An error bound e on the tail, |computed - true B| <= e B (e (1 - B) + 2^-53
+where the tail is one minus its complement), decides in advance every
+comparison B(mid) > delta whose midpoint lies outside a window [a, b] with
+computed B(a) > delta + m and B(b) < delta - m, m = 3 e delta for
+delta <= 1/2; a short safeguarded Newton phase finds that window, and the
+bisection skips those comparisons.  e is the smaller of two bounds for the
+side binom_tail returns near delta: the relative-error contract
+TAIL_REL_ERROR = 1e-13, measured by the tests on a grid up to
+z = TAIL_ERROR_Z_MAX (worst 1.1e-14), and the error of that window sum
+derived in advance from the operations its kernel performs,
+(z + 8) 2^-53 for a direct sum and (2 (hi - lo) + 3) 2^-53 + (z + 1) 1e-22
+for an anchored one over [lo, hi] (``_window_sum_error``).  The derived
+bound is the smaller for short windows (k up to about 450 on the lower
+side) and is itself tested against a 50-digit oracle.  Given these bounds,
+the result is bitwise the full bisection's, at a median of 12 binom_tail
+evaluations per solve against its 55 (see tests/test_solve_j_window.py).
 
 zhat is searched with a tie tolerance relative to delta (ZHAT_TIE_TOL).
 The search starts at the normal approximation of the z with
@@ -90,6 +96,7 @@ BOUND_CLAMP_TOL = 1e-12    # certificate outside [0,1] by more than this is a bu
 
 _DIRECT_Z_MAX = 100        # direct summation below, anchored scheme above
 _TERM_CUTOFF = 1e-22       # relative cutoff for the ratio recurrences
+_UNIT_ROUNDOFF = 2.0**-53  # u, the largest relative rounding error of a double
 # A direct term whose p**j or (1-p)**(z-j) underflowed is below C(z, j) 2**-1022,
 # so for z <= 100 such terms add up to less than 2**-53 of any sum above this.
 _DIRECT_SUM_MIN = (_DIRECT_Z_MAX + 1) * math.comb(_DIRECT_Z_MAX, _DIRECT_Z_MAX // 2) * 2.0**-969
@@ -104,7 +111,8 @@ _COMB_CACHE_SIZE = 64      # memoized anchor binomials
 # (1 - B) + 2**-53 where it is one minus the summed complement.  Measured by
 # test_binom_tail_relative_error_contract: worst 1.1e-14 (direct sums at
 # z = 100, from rounding 1 - p), 2.2e-15 for anchored sums; solve_J relies on
-# it.  Below the floor the terms reach subnormal doubles.
+# it where the derived bound of _window_sum_error is not tighter.  Below the
+# floor the terms reach subnormal doubles.
 TAIL_REL_ERROR = 1e-13
 TAIL_ERROR_FLOOR = 2.0**-1000
 TAIL_ERROR_Z_MAX = 10_000_000
@@ -410,49 +418,112 @@ def _normal_upper_quantile(delta: float) -> float:
     return -u if delta > 0.5 else u
 
 
-def _window_margin(delta: float) -> float:
-    """The margin m of ``_decided_window``: three contract errors at delta."""
+def _window_sum_error(z: int, lo: int, hi: int) -> float:
+    """Derived relative error of the window sum over [lo, hi] for 0 < p < 1.
+
+    With u = 2^-53, to first order:
+
+    * direct (z <= _DIRECT_Z_MAX): (z + 8) u.  A term j carries the
+      rounding of 1 - p raised to the power z - j, (z - j) u, 1 ulp (2 u)
+      from each of the two ``pow`` calls, u from the row entry and u from
+      each of its two products, and the correctly rounded ``math.fsum`` adds
+      u.  A factor that underflowed moves its term by at most C(z, j)
+      2^-1073, under 2^-100 of any sum above _DIRECT_SUM_MIN; a sum below it
+      is redone the anchored way, so the larger of the two bounds holds.
+    * anchored: (2 (hi - lo) + 3) u + (z + 1) _TERM_CUTOFF.  The anchor is
+      rounded once to a double (its big-integer truncations add under
+      2^-62), each ratio step rounds a quotient and a product, ``math.fsum``
+      rounds once, and at most z + 1 dropped terms each lie below the cutoff
+      relative to the anchor.
+
+    Where the bound is below TAIL_REL_ERROR, hi - lo < 450, and the terms'
+    subnormal roundings add at most (hi - lo)^2 2^-1076 < 2^-5 u
+    TAIL_ERROR_FLOOR in all, so it holds relative to max(sum,
+    TAIL_ERROR_FLOOR).  tests/test_tail_bound.py measures it.
+    """
+    anchored = _anchored_sum_error(z, lo, hi)
+    if z > _DIRECT_Z_MAX:
+        return anchored
+    return max((z + 8) * _UNIT_ROUNDOFF, anchored)
+
+
+def _anchored_sum_error(z: int, lo: int, hi: int) -> float:
+    """Derived relative error of ``_anchored_window_sum`` over [lo, hi]."""
+    return (2 * (hi - lo) + 3) * _UNIT_ROUNDOFF + (z + 1) * _TERM_CUTOFF
+
+
+def _window_margin(delta: float, n: int, k: int) -> float:
+    """The margin m of ``_decided_window``: three tail errors at delta.
+
+    The error is the derived bound of the side ``binom_tail`` returns near
+    delta, capped by TAIL_REL_ERROR: the lower window [0, k] below 1/2, the
+    complement [k + 1, n] above, and the larger of the two within
+    _SIDE_GUARD of 1/2.
+    """
+    lower = _window_sum_error(n, 0, k)
+    upper = _window_sum_error(n, k + 1, n)
+    if abs(delta - 0.5) < _SIDE_GUARD:
+        error = max(lower, upper)
+    else:
+        error = lower if delta < 0.5 else upper
+    error = min(TAIL_REL_ERROR, error)
     if delta <= 0.5:
-        return 3.0 * TAIL_REL_ERROR * max(delta, TAIL_ERROR_FLOOR)
-    return 3.0 * (TAIL_REL_ERROR * (1.0 - delta) + 2.0**-53)
+        return 3.0 * error * max(delta, TAIL_ERROR_FLOOR)
+    return 3.0 * (error * (1.0 - delta) + _UNIT_ROUNDOFF)
 
 
 def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     """[a, b] outside which every bisection test B_{n,k}(mid) > delta is decided.
 
-    The computed tail satisfies B(a) > delta + m and B(b) < delta - m.
-    With e = TAIL_REL_ERROR and delta <= 1/2 the margin is m = 3 e delta.
-    The true B is decreasing, and (1 - e) B, the least the contract lets a
-    computed B read, increases with B; so for every mid <= a
+    The computed tail satisfies B(a) > delta + m and B(b) < delta - m, with
+    m = _window_margin(delta, n, k).  Let e_L = min(TAIL_REL_ERROR,
+    _window_sum_error(n, 0, k)) bound the relative error of the lower window
+    sum and e_U that of the complement [k + 1, n] likewise: each is derived
+    in advance where it is below the measured contract.  Let e be the bound
+    of the side binom_tail returns near delta.  For delta <= 1/2 the margin
+    is m = 3 e delta.  The true B is decreasing, and (1 - e) B, the least a
+    computed B summed on that side can read, increases with B; so for every
+    mid <= a
 
         computed B(mid) >= (1 - e) B(a) >= (1 - e) (delta + 3 e delta) / (1 + e)
                          >= delta + e (1 - 4 e) delta > delta:
 
     one e delta covers the error of B(a), one that of B(mid), and the third
-    the second-order terms and the rounding of delta + m.  The bound for
-    mid >= b mirrors it.  Below TAIL_ERROR_FLOOR the contract is absolute,
-    e times the floor, and the same count takes m = 3 e TAIL_ERROR_FLOOR.
-    Above 1/2 the computed tail is one minus the complement, off by at most
-    e (1 - B) + 2^-53, and the count gives m = 3 (e (1 - delta) + 2^-53).
-    A side with no certified edge stays at 0 or 1, which decides nothing;
-    above TAIL_ERROR_Z_MAX, where the error bound is not measured, the
-    window is [0, 1].
+    the second-order terms and the rounding of delta + m (e >= 3 u, with
+    u = 2^-53).  The bound for mid >= b mirrors it.  The side: for
+    delta < 1/2 - _SIDE_GUARD, e = e_L.  The tails at b and right of it read
+    below 1/2 and are summed on the lower side; a tail that binom_tail
+    returns as one minus its complement, at a or left of it, exceeds
+    1/2 - TAIL_REL_ERROR, since its lower window summed above 1/2 and both
+    windows meet the measured contract, so it reads far above delta + m
+    whichever side is summed.  Above 1/2 + _SIDE_GUARD the mirror argument
+    takes e = e_U, and within _SIDE_GUARD of 1/2, where either side may be
+    returned, e = max(e_L, e_U).  Below TAIL_ERROR_FLOOR the bound is
+    absolute, e times the floor, and the same count takes
+    m = 3 e TAIL_ERROR_FLOOR.  Above 1/2 the computed tail is one minus the
+    complement, off by at most e (1 - B) + u, and the count gives
+    m = 3 (e (1 - delta) + u).  A side with no certified edge stays at 0 or
+    1, which decides nothing; above TAIL_ERROR_Z_MAX, where the error bound
+    is not measured, the window is [0, 1].
 
     The edges come from safeguarded Newton on log B, which is concave (B is
     the survival function of Beta(k+1, n-k)), so once an iterate lies right
     of the root the rest approach it monotonically.  Newton stops at an x
-    whose computed B is within _NEWTON_STOP m of delta, and the tangent
-    there places each edge where B should read delta -+ 2m.  B and 1 - B
-    are both log-concave, so |B''| <= B'^2 / min(B, 1 - B) and the tangent
-    misses by at most ((_NEWTON_STOP + 2) m)^2 / (2 min(B, 1 - B)), under
-    1e-3 m for delta <= 1/2.  The slope d log B / dx = -n b_{n-1,k}(x) / B(x)
-    uses a log-gamma pmf: it only steers, and every edge is checked with
-    binom_tail itself.
+    whose computed B is within _NEWTON_STOP m of delta, or whose step rounds
+    to nothing, and the tangent there places each edge where B should read
+    delta -+ 2m, and at least one float from the tangent's root.  B and
+    1 - B are both log-concave, so |B''| <= B'^2 / min(B, 1 - B) and the
+    tangent misses by at most ((_NEWTON_STOP + 2) m)^2 / (2 min(B, 1 - B)),
+    under 1e-3 m for delta <= 1/2.  Where one float step moves B by about m
+    or more, an edge may still round too near the root to certify; it is
+    tried once more, twice as far from the root.  The slope
+    d log B / dx = -n b_{n-1,k}(x) / B(x) uses a log-gamma pmf: it only
+    steers, and every edge is checked with binom_tail itself.
     """
     a, b = 0.0, 1.0
     if n > TAIL_ERROR_Z_MAX:
         return a, b
-    margin = _window_margin(delta)
+    margin = _window_margin(delta, n, k)
     log_delta = math.log(delta)
     slope = functools.partial(_tail_slope, n, k)
 
@@ -474,27 +545,30 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
         if abs(tail - delta) <= _NEWTON_STOP * margin:
             break
         step = tail * (math.log(tail) - log_delta) / d if tail > 0.0 and d > 0.0 else math.inf
+        if x + step == x:  # the tangent's root rounds to x
+            break
         x = x + step
     else:
         return a, b
     # The tangent at x aims each edge at delta -+ 2m, a margin m beyond what
     # it must certify; each edge is kept only if binom_tail certifies it.
-    # Below about 2e-8 TAIL_ERROR_FLOOR the stop test admits a tail far from
-    # delta and the tangent may leave [0, 1], so only edges inside (a, b) are
-    # tried.
+    # Where delta is below about _NEWTON_STOP m (2e-8 TAIL_ERROR_FLOOR or
+    # less) the stop test admits a tail far from delta and the tangent may
+    # leave [0, 1], so only edges inside (a, b) are tried.
     if d > 0.0:
-        left = x - (delta - tail + 2.0 * margin) / d
-        right = x + (tail - delta + 2.0 * margin) / d
-        left_tail = math.nan
-        if a < left < b:
-            left_tail = binom_tail(n, k, left)
-            if left_tail > delta + margin:
+        root, reach = x + (tail - delta) / d, 2.0 * margin / d
+        left = min(root - reach, math.nextafter(root, 0.0))
+        right = max(root + reach, math.nextafter(root, 1.0))
+        for _ in range(2):
+            if a < left < b and binom_tail(n, k, left) > delta + margin:
                 a = left
-        # Next to a root within an ulp or so of 1 both edges round to one float.
-        if a < right < b:
-            right_tail = left_tail if right == left else binom_tail(n, k, right)
-            if right_tail < delta - margin:
+                break
+            left = 2.0 * left - root
+        for _ in range(2):
+            if a < right < b and binom_tail(n, k, right) < delta - margin:
                 b = right
+                break
+            right = 2.0 * right - root
     return a, b
 
 
@@ -506,10 +580,11 @@ def solve_J(n: int, k: int, delta: float) -> float:
     B(1) = 0, so plain bisection always converges; it is run to floating-point
     interval exhaustion (well under the iteration cap) and the residual is
     verified afterwards, relative to max(delta, TAIL_ERROR_FLOOR).  A bisection test whose midpoint
-    lies outside ``_decided_window`` is skipped, since the TAIL_REL_ERROR
-    contract already decides its outcome; given that measured contract, the
-    result is bitwise the one of the full bisection.  Memoized on
-    (n, k, delta); errors are not cached.
+    lies outside ``_decided_window`` is skipped, since the tail's error
+    bound (the derived one of ``_window_sum_error`` or the measured
+    TAIL_REL_ERROR contract, whichever is smaller) already decides its
+    outcome; given those bounds, the result is bitwise the one of the full
+    bisection.  Memoized on (n, k, delta); errors are not cached.
     """
     if k < 0 or n < k + 1:
         raise ValueError(f"need n >= k + 1 >= 1, got n = {n}, k = {k}")

@@ -78,6 +78,9 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_ACCEPTED = 4
 EXIT_ORACLE_VIOLATION = 5
+# certify --intermediates sums one knot tail for each of its n + 2 knots; at
+# n = 4000 the costliest k (about n/3) took about a second under CPython 3.11.
+INTERMEDIATES_N_MAX = 4000
 
 
 class ConfigError(Exception):
@@ -295,6 +298,11 @@ def _cmd_certify(args) -> int:
         query = CertificateQuery(args.protocol, args.n, args.k, args.delta, args.lam)
     except (TypeError, ValueError) as exc:
         raise ConfigError([str(exc)]) from exc
+    if args.intermediates and query.n > INTERMEDIATES_N_MAX:
+        raise ConfigError([
+            f"--intermediates: n = {query.n} exceeds {INTERMEDIATES_N_MAX}, "
+            "the largest table computed in about a second"
+        ])
     cert = certificate(query)
     payload = {
         "protocol": query.protocol,

@@ -67,16 +67,46 @@ def dqsv_fidelity_exact(k: int, n: int, delta: Fraction, lam: Fraction) -> Fract
     return zeta / delta
 
 
+def window_sum_highprec(z: int, lo: int, hi: int, p: float, dps: int = 50):
+    """sum_{j=lo}^{hi} C(z, j) p^j (1-p)^(z-j) for a float 0 < p < 1, at ``dps`` digits.
+
+    Sums outward from the window's largest term with a term recurrence, and
+    stops on each side once a term falls below 10**-dps of the running sum
+    (the pmf is log-concave, so the rest is smaller still).  The result
+    carries ``dps`` digits relative to the window sum itself, and stays fast
+    for any window at the sizes used in tests, up to z = 10^7.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        pm = mp.mpf(p)
+        qm = 1 - pm
+        eps = mp.mpf(10) ** -dps
+        mode = int(mp.floor((z + 1) * pm))
+        top = min(max(mode, lo), hi)
+        acc = first = mp.binomial(z, top) * pm**top * qm ** (z - top)
+        term = first
+        for j in range(top, lo, -1):
+            term *= mp.mpf(j) / (z - j + 1) * qm / pm
+            acc += term
+            if term < eps * acc:
+                break
+        term = first
+        for j in range(top, hi):
+            term *= mp.mpf(z - j) / (j + 1) * pm / qm
+            acc += term
+            if term < eps * acc:
+                break
+        return acc
+
+
 def binom_tail_highprec(z: int, k: int, p: float, dps: int = 50):
     """Lower binomial tail of the float p at ``dps`` digits via mpmath.
 
     Sums the tail that excludes the mode floor((z + 1) p), the smaller one,
-    with a term recurrence outward from the window's largest term, and stops
-    on each side once a term falls below 10**-dps of the running sum (the
-    pmf is log-concave, so the rest is smaller still).  A tail far below 1
-    is thus summed directly rather than left as 1 minus a sum near 1, so the
-    result carries ``dps`` digits relative to the tail itself; it stays fast
-    for any (z, k, p) at the sizes used in tests, up to z = 10^7.
+    with ``window_sum_highprec``.  A tail far below 1 is thus summed directly
+    rather than left as 1 minus a sum near 1, so the result carries ``dps``
+    digits relative to the tail itself.
     """
     import mpmath as mp
 
@@ -84,32 +114,10 @@ def binom_tail_highprec(z: int, k: int, p: float, dps: int = 50):
         return mp.mpf(1)
     with mp.workdps(dps):
         pm = mp.mpf(p)
-        qm = 1 - pm
         if pm == 0:
             return mp.mpf(1)
-        if qm == 0:
+        if pm == 1:
             return mp.mpf(0)
-        eps = mp.mpf(10) ** -dps
-
-        mode = int(mp.floor((z + 1) * pm))
-
-        def window(lo, hi):
-            top = min(max(mode, lo), hi)
-            acc = first = mp.binomial(z, top) * pm**top * qm ** (z - top)
-            term = first
-            for j in range(top, lo, -1):
-                term *= mp.mpf(j) / (z - j + 1) * qm / pm
-                acc += term
-                if term < eps * acc:
-                    break
-            term = first
-            for j in range(top, hi):
-                term *= mp.mpf(z - j) / (j + 1) * pm / qm
-                acc += term
-                if term < eps * acc:
-                    break
-            return acc
-
-        if k < mode:
-            return window(0, k)
-        return 1 - window(k + 1, z)
+        if k < int(mp.floor((z + 1) * pm)):
+            return window_sum_highprec(z, 0, k, p, dps)
+        return 1 - window_sum_highprec(z, k + 1, z, p, dps)

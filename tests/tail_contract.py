@@ -3,7 +3,10 @@
 Where the tail itself is summed the bound is relative, TAIL_REL_ERROR times
 the tail (times TAIL_ERROR_FLOOR below the floor); where the tail is one
 minus its summed complement it is TAIL_REL_ERROR times the complement plus
-the rounding of the subtraction, 2**-53.  ``binom_tail`` returns the summed
+the rounding of the subtraction, 2**-53.  ``contract_error`` takes a smaller
+relative error too: ``solve_J``'s window uses the derived bound of the
+summed window, ``certificates._window_sum_error``, where that is below
+TAIL_REL_ERROR, and test_tail_bound measures it.  ``binom_tail`` returns the summed
 tail when it is at most 1/2 and one minus the summed complement otherwise.
 It sums first the window that a median estimate says is the smaller, and
 returns a complement summed first only below 1/2 - 2**-20; both window sums
@@ -16,11 +19,12 @@ import math
 from qsverify.certificates import TAIL_ERROR_FLOOR, TAIL_ERROR_Z_MAX, TAIL_REL_ERROR, solve_J
 
 
-def contract_error(tail: float, exact) -> float:
-    """Allowed |tail - exact| for a computed ``tail`` of the true ``exact``."""
+def contract_error(tail: float, exact, error: float = TAIL_REL_ERROR) -> float:
+    """Allowed |tail - exact| for a computed ``tail`` of the true ``exact``,
+    at a relative ``error`` of the side summed."""
     if tail <= 0.5:
-        return TAIL_REL_ERROR * max(float(exact), TAIL_ERROR_FLOOR)
-    return TAIL_REL_ERROR * float(1 - exact) + 2.0**-53
+        return error * max(float(exact), TAIL_ERROR_FLOOR)
+    return error * float(1 - exact) + 2.0**-53
 
 
 def contract_grid() -> list[tuple[int, int, float]]:

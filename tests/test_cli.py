@@ -116,6 +116,28 @@ def test_certify_intermediates_are_read_only_for_dqsv(capsys):
     assert err.splitlines() == ["error: --intermediates: read only with --protocol dqsv"]
 
 
+def test_certify_intermediates_refuse_n_beyond_their_limit(capsys, monkeypatch):
+    # One knot tail per knot: the query is refused before any tail is summed.
+    def refuse(*args):
+        raise AssertionError("a tail was summed")
+
+    monkeypatch.setattr(certificates, "binom_tail", refuse)
+    n = cli.INTERMEDIATES_N_MAX + 1
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "certify", "--protocol", "dqsv", "--n", str(n), "--k", "5",
+        "--delta", "0.05", "--lambda", "1/3", "--intermediates",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: --intermediates: n = {n} exceeds {cli.INTERMEDIATES_N_MAX}, "
+        "the largest table computed in about a second"
+    ]
+
+
 @pytest.mark.parametrize("protocol", ["sqsv", "dqsv"])
 def test_certify_refuses_n_beyond_the_tail_contract(capsys, protocol):
     # The query is refused before any tail is summed: no sieve, no output.
