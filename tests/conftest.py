@@ -6,6 +6,7 @@ from qsverify import certificates
 def clear_certificate_caches() -> None:
     certificates.solve_J.cache_clear()
     certificates._knot_tail.cache_clear()
+    certificates._tail_ceiling.cache_clear()
 
 
 @pytest.fixture(autouse=True)

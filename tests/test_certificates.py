@@ -631,7 +631,7 @@ def test_memo_never_caches_errors(monkeypatch):
 
 
 def test_memo_is_bounded():
-    for memo in (solve_J, _knot_tail):
+    for memo in (solve_J, _knot_tail, certificates._tail_ceiling):
         maxsize = memo.cache_info().maxsize
         assert isinstance(maxsize, int) and 0 < maxsize < 10**6
 

@@ -101,14 +101,15 @@ def test_zhat_equals_reference_on_grid(case):
 
 
 def test_knot_tails_per_dqsv_query(monkeypatch, fresh_certificate_caches):
-    # Each table's DQSV rows in table order, one memo per stream: 3836 knot
+    # Each table's DQSV rows in table order, one memo per stream: 3153 knot
     # tails on cert-scaling, where the search over all of [k, n] took 11 075,
-    # and 2084 on exact-adversarial, where a plain binary search while
-    # n - k <= 16 took 2559.
+    # and 1761 on exact-adversarial, where a plain binary search while
+    # n - k <= 16 took 2559.  Summing B_{n,k}(nu) for every degenerate test
+    # as well took 3836 and 2084; the Chernoff decision spares most of them.
     calls = []
     tail = certificates.binom_tail
     monkeypatch.setattr(certificates, "binom_tail", lambda *a: calls.append(a) or tail(*a))
-    for name, rows, most in (("cert-scaling", 716, 5000), ("exact-adversarial", 741, 2559)):
+    for name, rows, most in (("cert-scaling", 716, 3153), ("exact-adversarial", 741, 1761)):
         fresh_certificate_caches()
         calls.clear()
         queries = table_queries(name)
