@@ -67,10 +67,10 @@ the result is bitwise the full bisection's, at a median of 12 binom_tail
 evaluations per solve against its 55, and 10 where k <= _MODEL_K_MAX (see
 tests/test_solve_j_window.py).
 
-The zero-certificate tests, whether B_{N,k}(nu) reaches delta, are first
-decided by the Chernoff bound B_{N,k}(nu) <= exp(-N D(k/N || nu)) for
-k < N nu, padded by the tail's error contract (``_tail_ceiling``); only a
-test it leaves open sums the tail.
+The zero-certificate tests read B_{N,k}(nu) from ``_zero_test_tail``: a
+delta above the Chernoff bound exp(-N D(k/N || nu)) for k < N nu, padded by
+the tail's error contract (``_tail_ceiling``), sums no tail.  SQSV is zero
+where B > delta, DQSV where delta <= B (``dqsv_intermediates`` gives None).
 
 zhat is searched with a tie tolerance relative to delta (ZHAT_TIE_TOL).
 The search starts at the normal approximation of the z with
@@ -142,6 +142,7 @@ _MODEL_STEP_TOL = 1e-12    # relative step in log(1 - x) at which the model stop
 
 SOLVE_J_CACHE_SIZE = 4096      # memoized (n, k, delta) roots
 KNOT_TAIL_CACHE_SIZE = 16384   # memoized (z, k, nu) knot tails
+INTERMEDIATES_N_MAX = 4000     # n + 2 knot tails: ~1 s at the costliest k (n/3), CPython 3.11
 
 
 class NumericalConsistencyError(RuntimeError):
@@ -715,10 +716,10 @@ def sqsv_certificate(q: CertificateQuery) -> Certificate:
     """Guaranteed single-copy fidelity under the IID assumption."""
     if q.protocol != PROTOCOL_SQSV:
         raise ValueError(f"expected an SQSV query, got {q.protocol!r}")
-    if not _tail_ceiling(q.n, q.k, q.nu) < q.delta and _knot_tail(q.n, q.k, q.nu) > q.delta:
+    if _zero_test_tail(q) > q.delta:
         # Then J > nu, so the bound is 0.  The root itself may lie too near 1
         # for bisection to meet its residual check.  A tie is left to solve_J,
-        # whose root there is nu up to rounding.
+        # whose root there is nu up to rounding, or 0 (bound 1) at delta = 1.
         return Certificate(q, 0.0)
     fidelity = max(0.0, 1.0 - solve_J(q.n, q.k, q.delta) / q.nu)
     return Certificate(q, fidelity)
@@ -765,14 +766,20 @@ def _knot_tail(z: int, k: int, nu: float) -> float:
     return binom_tail(z, k, nu)
 
 
+def _zero_test_tail(q: CertificateQuery) -> float:
+    """B_{n,k}(nu) for the zero-certificate tests; 0 where _tail_ceiling puts it below delta."""
+    return 0.0 if _tail_ceiling(q.n, q.k, q.nu) < q.delta else _knot_tail(q.n, q.k, q.nu)
+
+
 def _h(z: int, k: int, n: int, nu: float) -> float:
     if z <= k:
         return 1.0
-    return ((n - z + 1) * _knot_tail(z, k, nu) + z * _knot_tail(z - 1, k, nu)) / (n + 1)
+    tail = _knot_tail(z, k, nu) if z <= n else 0.0  # weighed by n - z + 1 = 0 at z = n + 1
+    return ((n - z + 1) * tail + z * _knot_tail(z - 1, k, nu)) / (n + 1)
 
 
 def _g(z: int, k: int, n: int, nu: float) -> float:
-    if z <= k:
+    if z <= k or z > n:  # z = n + 1 weighs its tail by 0
         return (n - z + 1) / (n + 1)
     return (n - z + 1) * _knot_tail(z, k, nu) / (n + 1)
 
@@ -847,21 +854,20 @@ def _dqsv_core(q: CertificateQuery) -> tuple[int, float, float]:
     return zh, kappa, zeta
 
 
-def dqsv_intermediates(q: CertificateQuery) -> DqsvIntermediates:
+def dqsv_intermediates(q: CertificateQuery) -> DqsvIntermediates | None:
     """Full h/g tables plus (zhat, kappa, zeta_tilde) for inspection.
 
-    Requires delta > B_{n,k}(nu); below that threshold the certificate is
-    identically zero and the interpolation data is undefined.
+    None where delta <= B_{n,k}(nu): the certificate is zero there and the
+    interpolation data is undefined.  An SQSV query, or n above
+    INTERMEDIATES_N_MAX, raises ValueError before any tail is summed.
     """
     if q.protocol != PROTOCOL_DQSV:
         raise ValueError(f"expected a DQSV query, got {q.protocol!r}")
-    if not _tail_ceiling(q.n, q.k, q.nu) < q.delta:
-        tail = _knot_tail(q.n, q.k, q.nu)
-        if q.delta <= tail:
-            raise ValueError(
-                f"delta = {q.delta} <= B_{{{q.n},{q.k}}}(nu) = {tail}: "
-                "degenerate certificate, no intermediates exist"
-            )
+    if q.n > INTERMEDIATES_N_MAX:  # refused before any of its n + 2 knot tails is summed
+        raise ValueError(f"n = {q.n} exceeds {INTERMEDIATES_N_MAX}, "
+                         "the largest table computed in about a second")
+    if q.delta <= _zero_test_tail(q):
+        return None
     zh, kappa, zeta = _dqsv_core(q)
     # One ascending pass: tails z - 1 and z are the memo's two latest entries,
     # so each is evaluated once even above KNOT_TAIL_CACHE_SIZE knots.
@@ -882,7 +888,7 @@ def dqsv_certificate(q: CertificateQuery) -> Certificate:
     """
     if q.protocol != PROTOCOL_DQSV:
         raise ValueError(f"expected a DQSV query, got {q.protocol!r}")
-    if not _tail_ceiling(q.n, q.k, q.nu) < q.delta and q.delta <= _knot_tail(q.n, q.k, q.nu):
+    if q.delta <= _zero_test_tail(q):
         return Certificate(q, 0.0)
     _, _, zeta = _dqsv_core(q)
     fidelity = zeta / q.delta

@@ -42,8 +42,13 @@ class NoiseSpec:
     fidelity: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.fidelity <= 1.0):
-            raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
+        check_fidelity(self.fidelity)
+
+
+def check_fidelity(fidelity: float) -> None:
+    """The preparation-fidelity rule: a depolarized copy is a state only in [1/4, 1]."""
+    if not (0.25 <= fidelity <= 1.0):
+        raise ValueError(f"fidelity {fidelity} outside [1/4, 1]; not a state below 1/4")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,10 +114,7 @@ def werner_state(fidelity: float) -> DensityMatrix:
 
 def depolarized_state(state: PureState, fidelity: float) -> DensityMatrix:
     """Mix |state><state| with I/4 so its own-projector fidelity is ``fidelity``."""
-    if not (0.25 <= fidelity <= 1.0):
-        raise ValueError(
-            f"fidelity {fidelity} outside [1/4, 1]; the depolarized form is not PSD below 1/4"
-        )
+    check_fidelity(fidelity)
     v = (4.0 * fidelity - 1.0) / 3.0
     return DensityMatrix(v * projector(state).data + (1.0 - v) * np.eye(4) / 4.0)
 

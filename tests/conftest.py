@@ -3,10 +3,24 @@ import pytest
 from qsverify import certificates
 
 
+def find_certificate_memos() -> list:
+    """Every memo in ``qsverify.certificates``: each callable with a
+    ``cache_clear`` and a ``cache_info``, as ``functools`` memos have."""
+    return [
+        value for value in vars(certificates).values()
+        if callable(getattr(value, "cache_clear", None))
+        and callable(getattr(value, "cache_info", None))
+    ]
+
+
 def clear_certificate_caches() -> None:
-    certificates.solve_J.cache_clear()
-    certificates._knot_tail.cache_clear()
-    certificates._tail_ceiling.cache_clear()
+    for memo in find_certificate_memos():
+        memo.cache_clear()
+
+
+@pytest.fixture
+def certificate_memos() -> list:
+    return find_certificate_memos()
 
 
 @pytest.fixture(autouse=True)

@@ -12,6 +12,7 @@ from qsverify import certificates
 from qsverify.certificates import (
     Certificate,
     CertificateQuery,
+    INTERMEDIATES_N_MAX,
     TAIL_ERROR_Z_MAX,
     SOLVE_J_RESIDUAL_TOL,
     NumericalConsistencyError,
@@ -328,11 +329,24 @@ def test_dqsv_hand_examples_n1():
 
 
 def test_dqsv_degenerate_branch():
+    # A zero certificate has no interpolation data: None, not an error.
     tail = binom_tail(10, 0, 2 / 3)
     c = dqsv_certificate(CertificateQuery("dqsv", 10, 0, tail / 2, 1 / 3))
     assert c.fidelity_bound == 0.0
-    with pytest.raises(ValueError):
-        dqsv_intermediates(CertificateQuery("dqsv", 10, 0, tail / 2, 1 / 3))
+    assert dqsv_intermediates(CertificateQuery("dqsv", 10, 0, tail / 2, 1 / 3)) is None
+
+
+def test_dqsv_intermediates_refuse_n_beyond_their_limit(monkeypatch):
+    # One knot tail per knot: the query is refused before any tail is summed.
+    def refuse(*args):
+        raise AssertionError("a tail was summed")
+
+    monkeypatch.setattr(certificates, "binom_tail", refuse)
+    n = INTERMEDIATES_N_MAX + 1
+    with pytest.raises(ValueError, match=f"^n = {n} exceeds {INTERMEDIATES_N_MAX}, "):
+        dqsv_intermediates(CertificateQuery("dqsv", n, 5, 0.05, 1 / 3))
+    with pytest.raises(ValueError, match="^expected a DQSV query, got 'sqsv'$"):
+        dqsv_intermediates(CertificateQuery("sqsv", 10, 0, 0.05, 1 / 3))
 
 
 def test_dqsv_delta_one_regression():
@@ -601,7 +615,7 @@ def test_memo_returns_the_uncached_values(monkeypatch):
 
 
 def test_memo_never_caches_errors(monkeypatch):
-    degenerate = CertificateQuery("dqsv", 10, 0, binom_tail(10, 0, 2 / 3) / 2, 1 / 3)
+    too_large = CertificateQuery("dqsv", INTERMEDIATES_N_MAX + 1, 0, 0.05, 1 / 3)
     for _ in range(3):
         with pytest.raises(ValueError):
             solve_J(3, 3, 0.5)
@@ -612,7 +626,7 @@ def test_memo_never_caches_errors(monkeypatch):
         with pytest.raises(ValueError):
             _knot_tail(5, 1, 1.5)
         with pytest.raises(ValueError):
-            dqsv_intermediates(degenerate)
+            dqsv_intermediates(too_large)
     # keys carry their types: a float n equal to a cached int n still fails
     solve_J(5, 1, 0.5)
     for _ in range(3):
@@ -630,10 +644,11 @@ def test_memo_never_caches_errors(monkeypatch):
     assert solve_J(7, 1, 0.3) == solve_J.__wrapped__(7, 1, 0.3)
 
 
-def test_memo_is_bounded():
-    for memo in (solve_J, _knot_tail, certificates._tail_ceiling):
+def test_memo_is_bounded(certificate_memos):
+    assert {solve_J, _knot_tail, certificates._tail_ceiling} <= set(certificate_memos)
+    for memo in certificate_memos:
         maxsize = memo.cache_info().maxsize
-        assert isinstance(maxsize, int) and 0 < maxsize < 10**6
+        assert isinstance(maxsize, int) and 0 < maxsize < 10**6, memo
 
 
 @pytest.mark.parametrize("fidelity, clamped", [(1.0 + 1e-13, 1.0), (-1e-13, 0.0)])

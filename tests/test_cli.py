@@ -113,7 +113,7 @@ def test_certify_intermediates_are_read_only_for_dqsv(capsys):
     )
     assert code == 2
     assert out == ""
-    assert err.splitlines() == ["error: --intermediates: read only with --protocol dqsv"]
+    assert err.splitlines() == ["error: --intermediates: expected a DQSV query, got 'sqsv'"]
 
 
 def test_certify_intermediates_refuse_n_beyond_their_limit(capsys, monkeypatch):
@@ -122,7 +122,7 @@ def test_certify_intermediates_refuse_n_beyond_their_limit(capsys, monkeypatch):
         raise AssertionError("a tail was summed")
 
     monkeypatch.setattr(certificates, "binom_tail", refuse)
-    n = cli.INTERMEDIATES_N_MAX + 1
+    n = certificates.INTERMEDIATES_N_MAX + 1
     start = time.perf_counter()
     code, out, err = run_cli(
         capsys,
@@ -133,7 +133,7 @@ def test_certify_intermediates_refuse_n_beyond_their_limit(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.splitlines() == [
-        f"error: --intermediates: n = {n} exceeds {cli.INTERMEDIATES_N_MAX}, "
+        f"error: --intermediates: n = {n} exceeds {certificates.INTERMEDIATES_N_MAX}, "
         "the largest table computed in about a second"
     ]
 
@@ -369,6 +369,10 @@ def test_simulate_invalid_config_diagnostics(tmp_path, capsys):
          "source.phi: angle 'pi/0' divides by zero"),
         (head.replace("honest", "rho1") + "  fidelity: .inf\nrounds: 10\n",
          "source.fidelity: expected a finite number, got inf"),
+        (head.replace("honest", "rho1") + "  fidelity: 1.5\nrounds: 10\n",
+         "source.fidelity: fidelity 1.5 outside [1/4, 1]"),
+        (head.replace("honest", "rho1") + "  fidelity: 0.1\nrounds: 10\n",
+         "source.fidelity: fidelity 0.1 outside [1/4, 1]"),
         (head.replace("honest", "custom") + "  branches:\n"
          "    - {weight: 1, states: null}\nrounds: 10\n",
          "source: branches[0].states: expected a list of descriptor strings"),

@@ -4,11 +4,12 @@
 ``binom_tail(n, k, p)`` never exceeds (inf where no bound is known).  A
 delta above it decides the three tests that ask whether B_{n,k}(nu) reaches
 delta (``sqsv_certificate``, ``dqsv_certificate`` and
-``dqsv_intermediates``) without a tail sum.  The random
-draws reach n = 10^5 and include p = 1, k >= n p, delta down to the
-smallest subnormal, and delta one float on either side of the computed tail
-and of the unpadded bound.  On the benchmark's query tables (read only)
-every certificate equals the one computed with the decision switched off.
+``dqsv_intermediates``, all through ``_zero_test_tail``) without a tail
+sum.  The random draws reach n = 10^5 and include p = 1, k >= n p, delta
+down to the smallest subnormal, and delta one float on either side of the
+computed tail and of the unpadded bound.  On the benchmark's query tables
+(read only) every certificate equals the one computed with the decision
+switched off.
 """
 
 import csv
@@ -25,6 +26,7 @@ from qsverify.certificates import (
     binom_tail,
     certificate,
     dqsv_certificate,
+    dqsv_intermediates,
     sqsv_certificate,
 )
 
@@ -136,3 +138,15 @@ def test_decided_queries_sum_no_tail_at_n(monkeypatch):
     sqsv_certificate(CertificateQuery("sqsv", n, k, delta, lam))
     dqsv_certificate(CertificateQuery("dqsv", n, k, delta, lam))
     assert (n, k, nu) not in calls
+
+
+@pytest.mark.parametrize("n, k, lam", [(2474, 1941, 1 / 3), (975, 606, 0.5433446407900329)])
+def test_delta_one_where_the_tail_rounds_to_one(n, k, lam):
+    # A tie B_{n,k}(nu) = delta = 1: SQSV's zero test is strict (B > delta),
+    # so it keeps the exact bound 1 (J = 0 at delta = 1); DQSV's is
+    # delta <= B, so it returns 0, and the intermediates are None.
+    assert binom_tail(n, k, 1.0 - lam) == 1.0
+    assert sqsv_certificate(CertificateQuery("sqsv", n, k, 1.0, lam)).fidelity_bound == 1.0
+    dqsv = CertificateQuery("dqsv", n, k, 1.0, lam)
+    assert dqsv_certificate(dqsv).fidelity_bound == 0.0
+    assert dqsv_intermediates(dqsv) is None

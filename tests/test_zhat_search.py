@@ -20,6 +20,7 @@ from qsverify.certificates import (
     _knot_tail,
     _zhat,
     dqsv_certificate,
+    dqsv_intermediates,
 )
 from qsverify.reproduce import fig5_rows
 from zhat_reference import reference_zhat
@@ -101,15 +102,17 @@ def test_zhat_equals_reference_on_grid(case):
 
 
 def test_knot_tails_per_dqsv_query(monkeypatch, fresh_certificate_caches):
-    # Each table's DQSV rows in table order, one memo per stream: 3153 knot
+    # Each table's DQSV rows in table order, one memo per stream: 3151 knot
     # tails on cert-scaling, where the search over all of [k, n] took 11 075,
-    # and 1761 on exact-adversarial, where a plain binary search while
+    # and 1711 on exact-adversarial, where a plain binary search while
     # n - k <= 16 took 2559.  Summing B_{n,k}(nu) for every degenerate test
     # as well took 3836 and 2084; the Chernoff decision spares most of them.
+    # Summing B_{n+1,k}(nu), which h_{n+1} and g_{n+1} weigh by zero, took
+    # 3153 and 1761.
     calls = []
     tail = certificates.binom_tail
     monkeypatch.setattr(certificates, "binom_tail", lambda *a: calls.append(a) or tail(*a))
-    for name, rows, most in (("cert-scaling", 716, 3153), ("exact-adversarial", 741, 1761)):
+    for name, rows, most in (("cert-scaling", 716, 3151), ("exact-adversarial", 741, 1711)):
         fresh_certificate_caches()
         calls.clear()
         queries = table_queries(name)
@@ -117,3 +120,18 @@ def test_knot_tails_per_dqsv_query(monkeypatch, fresh_certificate_caches):
             dqsv_certificate(q)
         assert len(queries) == rows
         assert len(calls) <= most, name
+
+
+def test_no_knot_tail_beyond_n(monkeypatch):
+    # h_{n+1} and g_{n+1} weigh B_{n+1,k}(nu) by n - z + 1 = 0, so neither a
+    # certificate nor a full table sums it, and the table keeps its bits.
+    calls = []
+    tail = certificates.binom_tail
+    monkeypatch.setattr(certificates, "binom_tail", lambda *a: calls.append(a) or tail(*a))
+    for n, k, delta, lam in ((1, 0, 2 / 3, 1 / 3), (12, 2, 0.3, 1 / 3), (300, 2, 0.05, 0.6)):
+        q = CertificateQuery("dqsv", n, k, delta, lam)
+        dqsv_certificate(q)
+        inter = dqsv_intermediates(q)
+        assert (n + 1, k, q.nu) not in calls
+        assert inter.g[n + 1] == 0.0
+        assert inter.h[n + 1] == (n + 1) * tail(n, k, q.nu) / (n + 1)
