@@ -10,8 +10,10 @@ oracle-check  run one of the self-verification suites
 Each figure and each suite is a subcommand that declares only the flags its
 function reads, and a figure's manifest records exactly those.  A ``simulate``
 config is read key by key: the source model and the stopping mode name the
-keys they read.  Any other flag or key exits 2 naming it.  How many systems a
-protocol draws is ``simulate.check_system_count``'s rule.
+keys they read.  Any other flag or key exits 2 naming it.  A rule the library
+owns is read from it: ``sources.check_fidelity`` for ``--fidelity``, ``exact``'s
+constants for sizes, ``simulate.check_system_count`` for the systems a protocol
+draws.  Any other library ``ValueError`` exits 2 as ``error: <message>``.
 
 Exit codes: 0 success, 2 invalid arguments or config, 3 internal numerical
 consistency failure, 4 zero accepted rounds when conditional estimates were
@@ -47,6 +49,7 @@ from .certificates import (
 from .exact import (
     MAX_ENUM_TESTS,
     MAX_SWEEP_TESTS,
+    SCAN_MIN_GRID,
     dqsv_soundness_sweep,
     exact_stats,
     exact_stats_bruteforce,
@@ -64,6 +67,7 @@ from .simulate import (
 )
 from .sources import (
     NoiseSpec,
+    check_fidelity,
     honest_iid,
     mixture_from_spec,
     parse_angle,
@@ -105,47 +109,45 @@ def parse_lambda(text) -> float:
         ) from exc
 
 
-def _int_in(lo: int, hi: int | None = None):
-    """Parser for an integer in [lo, hi]: an argparse ``type=`` and a config-value check.
+def _read_int(raw) -> int:
+    """Only ints and strings convert: a YAML ``n: 3.7`` or ``n: yes`` is an
+    error, not a silent 3 or 1."""
+    if not isinstance(raw, bool) and isinstance(raw, (int, str)):
+        with contextlib.suppress(ValueError):
+            return int(raw)
+    raise ValueError(f"expected an integer, got {raw!r}")
 
-    Only ints and strings are converted: a YAML ``n: 3.7`` or ``n: yes`` is an
-    error, not a silent 3 or 1.
-    """
 
-    def parse(raw) -> int:
+def _read_float(raw) -> float:
+    with contextlib.suppress(ValueError):
+        return float(raw)
+    raise ValueError(f"expected a number, got {raw!r}")
+
+
+def _value(read, lo=None, hi=None, open_lo: bool = False):
+    """Parser of what ``read`` returns, in [lo, hi], in (lo, hi] with ``open_lo``,
+    or >= lo without hi: an argparse ``type=`` and a config-value check."""
+
+    def parse(raw):
         try:
-            if isinstance(raw, bool) or not isinstance(raw, (int, str)):
-                raise TypeError
-            value = int(raw)
-        except (TypeError, ValueError):
-            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
-        if hi is None and value < lo:
+            value = read(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if hi is None and lo is not None and value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
-        if hi is not None and not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"must lie in [{lo}, {hi}], got {value}")
-        return value
-
-    return parse
-
-
-def _float_in(lo: float, hi: float, open_lo: bool = False):
-    """Parser for a float in [lo, hi], or (lo, hi] with ``open_lo``; rejects nan."""
-
-    def parse(raw) -> float:
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
-        above_lo = value > lo if open_lo else value >= lo
-        if not (above_lo and value <= hi):
-            interval = f"{'(' if open_lo else '['}{lo:g}, {hi:g}]"
+        if hi is not None and not ((value > lo if open_lo else value >= lo) and value <= hi):
+            interval = f"{'(' if open_lo else '['}{lo}, {hi}]"
             raise argparse.ArgumentTypeError(f"must lie in {interval}, got {value}")
         return value
 
     return parse
 
 
-_SEED = _int_in(0, 2**64 - 1)
+_SEED = _value(_read_int, 0, 2**64 - 1)
+_COUNT = _value(_read_int, 1)
+_FAILURES = _value(_read_int, 0)
+_DELTA = _value(_read_float, 0, 1, open_lo=True)
+_FIDELITY = _value(lambda raw: check_fidelity(_read_float(raw)))
 # The parsed entries that no figure or suite function takes as a parameter.
 _COMMAND_KEYS = ("command", "func", "figure", "suite", "out_dir")
 _CONFIG_KEYS = ("protocol", "n", "k", "seed", "rounds", "stopping", "format", "out_dir", "source")
@@ -250,8 +252,8 @@ def _validate_simulate_config(cfg: dict) -> dict:
     out["protocol"] = cfg.get("protocol", "dqsv")
     if out["protocol"] not in PROTOCOLS:
         errors.append(f"protocol: expected sqsv|dqsv, got {out['protocol']!r}")
-    out["n"] = check("n", cfg.get("n"), _int_in(1))
-    out["k"] = check("k", cfg.get("k", 0), _int_in(0))
+    out["n"] = check("n", cfg.get("n"), _COUNT)
+    out["k"] = check("k", cfg.get("k", 0), _FAILURES)
     if out["n"] is not None and out["k"] is not None and out["n"] < out["k"] + 1:
         errors.append(f"n: must be >= k + 1 = {out['k'] + 1}, got {out['n']}")
     out["seed"] = check("seed", cfg.get("seed", 0), _SEED)
@@ -265,15 +267,15 @@ def _validate_simulate_config(cfg: dict) -> dict:
     else:
         errors += _unknown_keys("stopping.", stopping, ("mode", *_STOPPING_KEYS[mode]))
     if mode == "fixed":
-        out["rounds"] = check("rounds", cfg.get("rounds"), _int_in(1))
+        out["rounds"] = check("rounds", cfg.get("rounds"), _COUNT)
     elif mode == "acceptances":
         if "rounds" in cfg:
             errors.append("rounds: not read in stopping mode acceptances")
         out["target_acceptances"] = check(
-            "stopping.target_acceptances", stopping.get("target_acceptances"), _int_in(1)
+            "stopping.target_acceptances", stopping.get("target_acceptances"), _COUNT
         )
         cap = stopping.get("max_rounds")
-        out["max_rounds"] = cap if cap is None else check("stopping.max_rounds", cap, _int_in(1))
+        out["max_rounds"] = cap if cap is None else check("stopping.max_rounds", cap, _COUNT)
     out["format"] = cfg.get("format", "json")
     if out["format"] not in ("json", "csv"):
         errors.append(f"format: expected json|csv, got {out['format']!r}")
@@ -289,17 +291,9 @@ def _validate_simulate_config(cfg: dict) -> dict:
 
 
 def _cmd_certify(args) -> int:
-    try:
-        query = CertificateQuery(args.protocol, args.n, args.k, args.delta, args.lam)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([str(exc)]) from exc
-    payload = {
-        "protocol": query.protocol,
-        "n": query.n,
-        "k": query.k,
-        "delta": query.delta,
-        "lambda": query.lam,
-    }
+    query = CertificateQuery(args.protocol, args.n, args.k, args.delta, args.lam)
+    payload = asdict(query)
+    payload["lambda"] = payload.pop("lam")
     if args.intermediates:
         try:
             inter = dqsv_intermediates(query)
@@ -324,19 +318,14 @@ def _cmd_simulate(args) -> int:
     strat = build_singlet_strategy()
     plan = RandomPlan.for_experiment(conf["seed"], "simulate")
     meta = {"seed": conf["seed"], "source": conf["source_cfg"]}
-    try:
-        if conf["stopping_mode"] == "fixed":
-            table = run_rounds(
-                source, conf["n"], strat, conf["rounds"], conf["protocol"], plan
-            )
-        else:
-            table = rounds_until_accepted(
-                source, conf["n"], conf["k"], strat, conf["target_acceptances"],
-                conf["protocol"], plan, conf["max_rounds"],
-            )
-        summary = summarize(table, conf["k"], strat, conf["protocol"], meta=meta)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([str(exc)]) from exc
+    if conf["stopping_mode"] == "fixed":
+        table = run_rounds(source, conf["n"], strat, conf["rounds"], conf["protocol"], plan)
+    else:
+        table = rounds_until_accepted(
+            source, conf["n"], conf["k"], strat, conf["target_acceptances"],
+            conf["protocol"], plan, conf["max_rounds"],
+        )
+    summary = summarize(table, conf["k"], strat, conf["protocol"], meta=meta)
 
     with _output_dir(conf["out_dir"]) as out_dir:
         (out_dir / "summary.json").write_text(summary_to_json(summary) + "\n", encoding="utf-8")
@@ -452,10 +441,7 @@ def _check_factorization_suite(budget: int) -> dict:
 def _check_dqsv_sweep_suite(n: int, k: int, lam: float, trials: int, seed: int) -> dict:
     import numpy as np
 
-    try:
-        report = dqsv_soundness_sweep(n, k, lam, trials, np.random.default_rng(seed))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([str(exc)]) from exc
+    report = dqsv_soundness_sweep(n, k, lam, trials, np.random.default_rng(seed))
     report["suite"] = "dqsv-sweep"
     return report
 
@@ -480,9 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     cert = sub.add_parser("certify", help="print a fidelity certificate")
     cert.add_argument("--protocol", choices=PROTOCOLS, required=True)
-    cert.add_argument("--n", type=_int_in(1), required=True)
-    cert.add_argument("--k", type=_int_in(0), required=True)
-    cert.add_argument("--delta", type=_float_in(0.0, 1.0, open_lo=True), required=True)
+    cert.add_argument("--n", type=_COUNT, required=True)
+    cert.add_argument("--k", type=_FAILURES, required=True)
+    cert.add_argument("--delta", type=_DELTA, required=True)
     cert.add_argument("--lambda", dest="lam", type=parse_lambda, required=True,
                       help="decimal or fraction like 1/3")
     cert.add_argument("--intermediates", action="store_true")
@@ -492,9 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     sim.add_argument("--config", default=None, help="YAML config file")
     sim.add_argument("--protocol", choices=PROTOCOLS, default=None)
-    sim.add_argument("--n", type=_int_in(1), default=None)
-    sim.add_argument("--k", type=_int_in(0), default=None)
-    sim.add_argument("--rounds", type=_int_in(1), default=None)
+    sim.add_argument("--n", type=_COUNT, default=None)
+    sim.add_argument("--k", type=_FAILURES, default=None)
+    sim.add_argument("--rounds", type=_COUNT, default=None)
     sim.add_argument("--seed", type=_SEED, default=None, help=seed_help)
     sim.add_argument("--format", choices=("json", "csv"), default=None)
     sim.add_argument("--out-dir", default=None, help="output directory")
@@ -509,15 +495,14 @@ def build_parser() -> argparse.ArgumentParser:
     fig5 = figures.add_parser("fig5", help="certificate infidelity versus the number of tests")
     for fig in (fig3, fig5):
         fig.add_argument("--seed", type=_SEED, default=42, help=seed_help)
-    fig3.add_argument("--rounds", type=_int_in(1), default=200)
-    fig3.add_argument("--k-max", type=_int_in(0, reproduce.FIG3_N - 1), default=10)
-    # Below 1/4 a depolarized copy is no longer a state.
+    fig3.add_argument("--rounds", type=_COUNT, default=200)
+    fig3.add_argument("--k-max", type=_value(_read_int, 0, reproduce.FIG3_N - 1), default=10)
     for fig, dest, default in ((fig3, "prep_fidelity", 1.0), (fig4, "prep_fidelity", 1.0),
                                (fig5, "fidelity", 0.99)):
         fig.add_argument("--fidelity", dest=dest, metavar="FIDELITY", default=default,
-                         type=_float_in(0.25, 1.0), help="per-copy preparation fidelity")
-    fig5.add_argument("--delta", type=_float_in(0.0, 1.0, open_lo=True), default=0.05)
-    fig5.add_argument("--avg-rounds", type=_int_in(1), default=80)
+                         type=_FIDELITY, help="per-copy preparation fidelity")
+    fig5.add_argument("--delta", type=_DELTA, default=0.05)
+    fig5.add_argument("--avg-rounds", type=_COUNT, default=80)
     for fig in (fig3, fig4, fig5):
         fig.add_argument("--out-dir", default=".", help="output directory")
 
@@ -527,15 +512,15 @@ def build_parser() -> argparse.ArgumentParser:
     suites = orc.add_subparsers(dest="suite", required=True)
     suites.add_parser("binom", help="binomial tail spot checks and monotonicity")
     sqsv = suites.add_parser("sqsv", help="SQSV certificate against a worst-case scan")
-    sqsv.add_argument("--grid-size", type=_int_in(1000), default=2000)
+    sqsv.add_argument("--grid-size", type=_value(_read_int, SCAN_MIN_GRID), default=2000)
     factorization = suites.add_parser("factorization", help="exact statistics against 2^N sums")
-    factorization.add_argument("--budget", type=_int_in(2, MAX_ENUM_TESTS), default=8,
+    factorization.add_argument("--budget", type=_value(_read_int, 2, MAX_ENUM_TESTS), default=8,
                                help="max N")
     sweep = suites.add_parser("dqsv-sweep", help="DQSV soundness on random mixtures")
-    sweep.add_argument("--n", type=_int_in(1, MAX_SWEEP_TESTS), default=6)
-    sweep.add_argument("--k", type=_int_in(0), default=1)
+    sweep.add_argument("--n", type=_value(_read_int, 1, MAX_SWEEP_TESTS), default=6)
+    sweep.add_argument("--k", type=_FAILURES, default=1)
     sweep.add_argument("--lambda", dest="lam", type=parse_lambda, default="1/3")
-    sweep.add_argument("--trials", type=_int_in(1), default=1000)
+    sweep.add_argument("--trials", type=_COUNT, default=1000)
     sweep.add_argument("--seed", type=_SEED, default=0, help=seed_help)
     return parser
 
@@ -545,12 +530,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        for err in exc.errors:
-            print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
+        errors = exc.errors
+    except ValueError as exc:  # a library refusal of the arguments
+        errors = [exc]
     except NumericalConsistencyError as exc:
         print(f"numerical consistency failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    for err in errors:
+        print(f"error: {err}", file=sys.stderr)
+    return EXIT_INVALID
 
 
 if __name__ == "__main__":

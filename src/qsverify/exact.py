@@ -25,8 +25,8 @@ from one request long enough for any draw, then rewinds the generator and
 consumes exactly the doubles it read, so a seed still gives the report, and
 leaves the generator in the state, of checking one trial at a time.
 
-Two oracles keep the matrices: the 2^N pattern enumeration, the one routine
-here with a size budget, reads tr(Omega s) from every density matrix (and
+Two oracles keep the matrices: the 2^N pattern enumeration, which has a
+size budget of its own, reads tr(Omega s) from every density matrix (and
 checks the homogeneity identity on it), and the SQSV worst-case scan builds
 the extremal state of each infidelity.
 
@@ -63,7 +63,8 @@ MAX_ENUM_TESTS = 12       # budget for the brute-force pattern enumeration
 SWEEP_SLACK_TOL = 1e-9    # certificates may exceed the truth by at most this
 IDENTITY_TOL = 4 * HOMOGENEITY_TOL  # |tr(Omega s) - lambda - nu F| on a 4x4 state
 SWEEP_BLOCK_TRIALS = 128  # soundness-sweep trials per stacked DP; bounds its memory
-MAX_SWEEP_TESTS = 1000    # CLI limit on the sweep's N: 1000 trials at k = 1 take seconds
+MAX_SWEEP_TESTS = 1000    # limit on the sweep's N: 1000 trials at k = 1 take seconds
+SCAN_MIN_GRID = 1000      # smallest grid of the SQSV scan, whose step is its tolerance
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,8 @@ def sqsv_worst_case_scan(
     the largest epsilon whose IID acceptance probability still reaches delta.
     The result should agree with 1 - F_S to within one grid step.
     """
-    if grid_size < 1000:
-        raise ValueError(f"grid_size {grid_size} below the minimum of 1000")
+    if grid_size < SCAN_MIN_GRID:
+        raise ValueError(f"grid_size {grid_size} below the minimum of {SCAN_MIN_GRID}")
     strat = build_homogeneous_strategy(phased_singlet(0.0), lam)
     best = 0.0
     for eps in np.linspace(0.0, 1.0, grid_size):
@@ -269,7 +270,11 @@ def dqsv_soundness_sweep(
     formatted only for the records kept.  The report and the generator's
     final state are those of drawing and checking one trial at a time, also
     where the tail rounds to 1 and the trials are only drawn, not evaluated.
+    N above MAX_SWEEP_TESTS, k outside [0, N - 1] or lambda outside (0, 1)
+    raises ValueError before anything is drawn.
     """
+    if n > MAX_SWEEP_TESTS:
+        raise ValueError(f"N = {n} exceeds the sweep limit of {MAX_SWEEP_TESTS}")
     if not 0 <= k <= n - 1:
         raise ValueError(f"k = {k} outside [0, N - 1] for N = {n}")
     if not 0.0 < lam < 1.0:

@@ -45,10 +45,11 @@ class NoiseSpec:
         check_fidelity(self.fidelity)
 
 
-def check_fidelity(fidelity: float) -> None:
+def check_fidelity(fidelity: float) -> float:
     """The preparation-fidelity rule: a depolarized copy is a state only in [1/4, 1]."""
     if not (0.25 <= fidelity <= 1.0):
         raise ValueError(f"fidelity {fidelity} outside [1/4, 1]; not a state below 1/4")
+    return fidelity
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,7 @@ from scipy.special import betainc
 
 from qsverify import certificates
 from qsverify.certificates import (
+    PROTOCOLS,
     Certificate,
     CertificateQuery,
     INTERMEDIATES_N_MAX,
@@ -19,12 +20,18 @@ from qsverify.certificates import (
     _comb,
     _knot_tail,
     binom_tail,
+    certificate,
     dqsv_certificate,
     dqsv_intermediates,
     solve_J,
     sqsv_certificate,
 )
-from rational_oracle import binom_tail_exact, binom_tail_highprec, dqsv_fidelity_exact
+from rational_oracle import (
+    binom_tail_exact,
+    binom_tail_highprec,
+    dqsv_fidelity_exact,
+    h_exact,
+)
 from tail_contract import contract_error, contract_grid
 
 
@@ -455,7 +462,7 @@ def test_dqsv_matches_exact_rational_oracle_small_grid():
                     if exact == 0:
                         assert got == pytest.approx(0.0, abs=1e-12)
                     else:
-                        assert got == pytest.approx(float(exact), rel=1e-10)
+                        assert got == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_dqsv_matches_exact_rational_oracle_tiny_delta():
@@ -474,7 +481,7 @@ def test_dqsv_matches_exact_rational_oracle_tiny_delta():
             assert got == 0.0, (n, k, delta, lam)
         else:
             nonzero += 1
-            assert got == pytest.approx(float(exact), rel=1e-10), (n, k, delta, lam)
+            assert got == pytest.approx(float(exact), rel=1e-12), (n, k, delta, lam)
     assert nonzero > 30
 
 
@@ -483,7 +490,28 @@ def test_dqsv_tiny_delta_at_large_n():
     # rational_oracle.dqsv_fidelity_exact(5, 16000, Fraction(1e-300),
     # Fraction(1 / 3)), which takes about 16 s to recompute.
     got = dqsv_certificate(CertificateQuery("dqsv", 16000, 5, 1e-300, 1 / 3)).fidelity_bound
-    assert got == pytest.approx(0.8869207451838683, rel=1e-10)
+    assert got == pytest.approx(0.8869207451838683, rel=1e-12)
+
+
+def test_dqsv_next_to_each_knot_matches_exact_rational_oracle():
+    # delta a relative 1e-11 above the knot value h_z puts zhat at z - 1 and
+    # kappa about 1e-11 above 0.  A zhat tie tolerance as wide as 1e-10 took
+    # zhat = z there and clamped kappa to 1, off by about 1e-11 relative.
+    # The last knot, h_{n+1} = B_{n,k}(nu), is left out: next to it F is
+    # about 1e-13 and holds only an absolute error of about 1e-17.
+    lam = 1 / 3
+    queries = 0
+    for n, k in ((12, 1), (20, 2), (30, 3), (40, 0), (60, 5)):
+        tail = float(h_exact(n + 1, k, n, Fraction(lam)))
+        for z in range(k + 1, n + 1):
+            delta = float(h_exact(z, k, n, Fraction(lam))) * (1.0 + 1e-11)
+            if not tail < delta < 1.0:
+                continue
+            queries += 1
+            exact = dqsv_fidelity_exact(k, n, Fraction(delta), Fraction(lam))
+            got = dqsv_certificate(CertificateQuery("dqsv", n, k, delta, lam)).fidelity_bound
+            assert got == pytest.approx(float(exact), rel=1e-12, abs=0.0), (n, k, z)
+    assert queries == 151
 
 
 def test_dqsv_monotone_nondecreasing_in_delta():
@@ -512,6 +540,64 @@ def test_sqsv_dominates_dqsv_on_grid():
                     assert s.fidelity_bound >= d.fidelity_bound - 1e-12
 
 
+METAMORPHIC = settings(max_examples=400, derandomize=True, deadline=None, database=None)
+LAMBDAS = st.floats(0.01, 0.99)
+
+
+@st.composite
+def _queries(draw):
+    """(n, k, delta, lam): n up to 300, every k < n, delta in (0, 1], lam in [0.01, 0.99].
+
+    Above lam = 0.99 lie the strategies with nu down to 2^-53.  With nu that
+    small every knot h_z lies within rounding of delta = 1, and the DQSV bound
+    falls far below its exact value: 0.5 for 1 at (n, k, delta) = (1, 0, 1).
+    """
+    n = draw(st.integers(1, 300))
+    return n, draw(st.integers(0, n - 1)), draw(st.floats(0.0, 1.0, exclude_min=True)), draw(
+        LAMBDAS)
+
+
+def _bound(protocol, n, k, delta, lam):
+    return certificate(CertificateQuery(protocol, n, k, delta, lam)).fidelity_bound
+
+
+# Each relation holds up to 1e-12, the rounding allowance of the grid tests.
+@METAMORPHIC
+@given(query=_queries(), other_delta=st.floats(0.0, 1.0, exclude_min=True),
+       more_tests=st.integers(1, 100))
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_certificates_grow_with_delta_and_n_and_shrink_with_k(protocol, query, other_delta,
+                                                              more_tests):
+    n, k, delta, lam = query
+    bound = _bound(protocol, n, k, delta, lam)
+    low, high = sorted((delta, other_delta))
+    assert _bound(protocol, n, k, low, lam) <= _bound(protocol, n, k, high, lam) + 1e-12
+    assert bound <= _bound(protocol, n + more_tests, k, delta, lam) + 1e-12
+    if k + 1 < n:
+        assert _bound(protocol, n, k + 1, delta, lam) <= bound + 1e-12
+
+
+@METAMORPHIC
+@given(query=_queries(), other_lam=LAMBDAS)
+def test_sqsv_shrinks_with_lambda_and_dominates_dqsv(query, other_lam):
+    n, k, delta, lam = query
+    low, high = sorted((lam, other_lam))
+    assert _bound("sqsv", n, k, delta, high) <= _bound("sqsv", n, k, delta, low) + 1e-12
+    assert _bound("sqsv", n, k, delta, lam) >= _bound("dqsv", n, k, delta, lam) - 1e-12
+
+
+def test_dqsv_is_not_monotone_in_lambda():
+    # A larger lambda can raise the DQSV bound, so no code may assume that it
+    # falls with lambda as SQSV does.  Both values equal the rational oracle.
+    n, k, delta = 62, 7, 0.003956
+    pinned = {0.0554: 0.4121641338427443, 0.2: 0.5290836414181026}
+    for lam, value in pinned.items():
+        assert _bound("dqsv", n, k, delta, lam) == value
+        exact = dqsv_fidelity_exact(k, n, Fraction(delta), Fraction(lam))
+        assert value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+    assert pinned[0.0554] < pinned[0.2]
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         CertificateQuery("sqsv", 3, 3, 0.5, 1 / 3)  # n < k + 1
@@ -532,6 +618,12 @@ def test_query_validation():
     assert q.n == 3 and isinstance(q.n, int)
 
 
+@pytest.mark.parametrize("n, k", [(3.5, 0), (3, 0.5), ("3", 0)])
+def test_query_refuses_non_integer_counts(n, k):
+    with pytest.raises(ValueError, match="n and k must be integers"):
+        CertificateQuery("sqsv", n, k, 0.5, 1 / 3)
+
+
 def test_certificate_complement_invariant():
     q = CertificateQuery("sqsv", 10, 0, 0.05, 1 / 3)
     c = sqsv_certificate(q)
@@ -549,8 +641,6 @@ def test_protocol_mismatch_rejected():
 
 
 def test_certificate_dispatch():
-    from qsverify.certificates import certificate
-
     s = CertificateQuery("sqsv", 10, 0, 0.05, 1 / 3)
     d = CertificateQuery("dqsv", 10, 0, 0.05, 1 / 3)
     assert certificate(s) == sqsv_certificate(s)

@@ -373,6 +373,10 @@ def test_simulate_invalid_config_diagnostics(tmp_path, capsys):
          "source.fidelity: fidelity 1.5 outside [1/4, 1]"),
         (head.replace("honest", "rho1") + "  fidelity: 0.1\nrounds: 10\n",
          "source.fidelity: fidelity 0.1 outside [1/4, 1]"),
+        (head.replace("honest", "rho2") + "rounds: 10\n", "source.phi: required for rho2"),
+        (head.replace("honest", "custom") + "  branches:\n"
+         "    - {weight: 1, states: [singlet, singlet, singlet]}\nrounds: 10\n",
+         "source.branches: sequences have 3 systems, need exactly 4"),
         (head.replace("honest", "custom") + "  branches:\n"
          "    - {weight: 1, states: null}\nrounds: 10\n",
          "source: branches[0].states: expected a list of descriptor strings"),
@@ -559,6 +563,18 @@ def test_bad_arguments_exit_2_naming_the_field(tmp_path, capsys, argv, field):
     assert code == 2
     assert field in err
     assert "Traceback" not in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+def test_figure_fidelity_is_checked_by_the_library_rule(tmp_path, capsys):
+    # --fidelity parses through sources.check_fidelity, so it reads as simulate's.
+    out_dir = tmp_path / "o"
+    code, out, err = run_cli(capsys, "reproduce", "fig5", "--fidelity", "0.1",
+                             "--out-dir", str(out_dir))
+    assert code == 2
+    assert err.splitlines()[-1].endswith(
+        "error: argument --fidelity: fidelity 0.1 outside [1/4, 1]; not a state below 1/4")
     assert out == ""
     assert not out_dir.exists()
 

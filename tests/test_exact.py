@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import tracemalloc
 from functools import partial
 
@@ -18,7 +19,9 @@ from qsverify.certificates import (
     solve_J,
 )
 from qsverify.exact import (
+    MAX_SWEEP_TESTS,
     SWEEP_SLACK_TOL,
+    ExactStats,
     _random_fidelities,
     _row_stats,
     dqsv_soundness_sweep,
@@ -365,10 +368,16 @@ def test_sweep_rejects_lambda_before_drawing(lam):
 
 
 def test_sweep_budget():
-    # The sweep enumerates nothing, so only k and lambda bound it.
+    # The sweep enumerates nothing; k, lambda and its own limit on N bound it,
+    # each checked before anything is drawn.
     rng = np.random.default_rng(11)
     with pytest.raises(ValueError, match="k = 4"):
         dqsv_soundness_sweep(4, 4, 1 / 3, 1, rng)
+    state = rng.bit_generator.state
+    n = MAX_SWEEP_TESTS + 1
+    with pytest.raises(ValueError, match=f"N = {n} exceeds the sweep limit of {MAX_SWEEP_TESTS}"):
+        dqsv_soundness_sweep(n, 1, 1 / 3, 1, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("n, k, trials", [(30, 2, 300), (100, 5, 200)])
@@ -378,3 +387,21 @@ def test_soundness_sweep_at_paper_scale(n, k, trials):
     assert report["checked"] > 0
     assert report["violations"] == []
     assert report["min_slack"] >= -SWEEP_SLACK_TOL
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda s: exact_stats(rho1(3), 3, s), "k = 3 outside [0, N - 1] for N = 3"),
+        (lambda s: exact_stats(rho1(3), -1, s), "k = -1 outside [0, N - 1] for N = 3"),
+        (lambda s: exact_stats_bruteforce(rho1(3), 3, s), "k = 3 outside [0, N - 1]"),
+        (lambda s: exact_stats_bruteforce(rho1(3), -1, s), "k = -1 outside [0, N - 1]"),
+        (lambda s: ExactStats(p_k=0.1, f_k=0.5, F_k=None),
+         "need 0 <= f_k <= p_k, got f_k=0.5, p_k=0.1"),
+    ],
+    ids=["exact-k-above", "exact-k-below", "bruteforce-k-above", "bruteforce-k-below",
+         "f-above-p"],
+)
+def test_refusals_state_their_reason(strat, build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(strat)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,15 @@ def test_overlap_matches_expectation():
         assert overlap(target, s) == pytest.approx(
             expectation(projector(target).data, s), abs=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "amplitudes, message",
+    [
+        (np.ones(3) / np.sqrt(3), "expected 4 amplitudes, got shape (3,)"),
+        (np.ones(5) / np.sqrt(5), "expected 4 amplitudes, got shape (5,)"),
+    ],
+)
+def test_pure_state_refusals_state_their_reason(amplitudes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PureState(amplitudes)

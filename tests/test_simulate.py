@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -591,3 +592,22 @@ def test_default_fig5_grid_is_pinned():
         129, 167, 215, 278, 359, 464, 599, 774, 1000,
     ]
     assert all(type(n) is int for n in grid)
+
+
+EMPTY_TABLE = RoundTable(*(np.empty(0) for _ in COLUMNS))
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda s, p: summarize(EMPTY_TABLE, 0, s, "dqsv"), "no rounds to summarize"),
+        (lambda s, p: scaling_experiment(NoiseSpec(0.99), 0.05, [6, 2], s, p),
+         "n_grid must be ascending positive integers"),
+        (lambda s, p: scaling_experiment(NoiseSpec(0.99), 0.05, [0, 2], s, p),
+         "n_grid must be ascending positive integers"),
+    ],
+    ids=["empty-table", "unsorted-grid", "zero-in-grid"],
+)
+def test_refusals_state_their_reason(strat, run, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(strat, RandomPlan(8))

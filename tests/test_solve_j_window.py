@@ -298,3 +298,25 @@ def test_window_at_float_resolution(case):
     a, b = certificates._decided_window(*case)
     assert a <= x <= b
     assert (b - a) / math.ulp(x) <= 4
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(50, 2, 0.05), (200, 10, 0.3), (1000, 3, 1e-6), (2000, 100, 0.9), (31, 2, 3.6e-175)],
+)
+def test_solve_j_where_the_float_model_gives_up(monkeypatch, case):
+    # Allowed one Newton step, the float model stops short of its root and
+    # returns its start; the window's Newton phase then starts from the
+    # normal approximation, and the root keeps the plain bisection's bits.
+    starts = []
+    model = certificates._model_root
+
+    def recorded(n, k, delta, x):
+        starts.append(x)
+        return model(n, k, delta, x)
+
+    monkeypatch.setattr(certificates, "_MODEL_MAX_STEPS", 1)
+    monkeypatch.setattr(certificates, "_model_root", recorded)
+    assert solve_J.__wrapped__(*case) == reference_bisection(*case)
+    assert len(starts) == 1
+    assert model(*case, starts[0]) == starts[0]

@@ -1,4 +1,5 @@
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -296,3 +297,30 @@ def test_tabulate_matches_per_state_evaluation(strat):
             assert np.array_equal(probs[b, i], strategy.test_pass_probabilities(strat, s))
             assert a[b, i] == pass_probability(strat, s)
             assert fid[b, i] == overlap(strat.target, s)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda s: ProductSequenceMixture([[1.0]], (maximally_mixed(),), np.zeros((1, 2), int)),
+         "mixture needs a non-empty 1-D array of branch weights"),
+        (lambda s: ProductSequenceMixture([], (maximally_mixed(),), np.zeros((0, 2), int)),
+         "mixture needs a non-empty 1-D array of branch weights"),
+        (lambda s: ProductSequenceMixture([1.5, -0.5], (maximally_mixed(),),
+                                          np.zeros((2, 2), int)),
+         "branch weights must be non-negative"),
+        (lambda s: rho1(0), "need n >= 1, got 0"),
+        (lambda s: rho2(0, math.pi), "need n >= 1, got 0"),
+        (lambda s: worst_case_state(1.5, s), "epsilon 1.5 outside [0, 1]"),
+        (lambda s: worst_case_state(-0.5, s), "epsilon -0.5 outside [0, 1]"),
+        (lambda s: parse_state("Singlet"), "unparseable state descriptor 'Singlet'"),
+        (lambda s: parse_state("singlet(1)"), "singlet takes no argument"),
+        (lambda s: parse_state("mixed(0.5)"), "mixed takes no argument"),
+        (lambda s: parse_state("singlet_phi"), "singlet_phi requires a phase argument"),
+    ],
+    ids=["2-d-weights", "no-weights", "negative-weight", "rho1", "rho2", "epsilon-above",
+         "epsilon-below", "unparseable", "singlet-arg", "mixed-arg", "singlet-phi-no-arg"],
+)
+def test_refusals_state_their_reason(strat, build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(strat)

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -227,3 +228,32 @@ def test_clamped_pass_probability_logs_a_warning(strat, monkeypatch, caplog, fun
     assert np.all(np.asarray(value) == 1.0)
     assert [(r.name, r.levelname) for r in caplog.records] == [("qsverify.strategy", "WARNING")]
     assert "clamped" in caplog.records[0].getMessage()
+
+
+def _homogeneous_tests(lam):
+    return build_homogeneous_strategy(phased_singlet(0.0), lam).tests
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: strategy.StrategyTest("ALL", np.eye(4), 1.5), "test weight 1.5 outside [0, 1]"),
+        (lambda: strategy.HomogeneousStrategy(_homogeneous_tests(0.5), phased_singlet(0.0), 1.0),
+         "lambda 1.0 outside [0, 1)"),
+        (lambda: strategy.HomogeneousStrategy(_homogeneous_tests(0.5)[:1], phased_singlet(0.0),
+                                              0.5),
+         "test weights sum to 0.5, not 1"),
+        (lambda: strategy.HomogeneousStrategy(_homogeneous_tests(0.5), phased_singlet(1.0), 0.5),
+         "target state does not pass every test with certainty"),
+        (lambda: build_homogeneous_strategy(phased_singlet(0.0), 1.0),
+         "lambda 1.0 outside [0, 1)"),
+        (lambda: build_homogeneous_strategy(phased_singlet(0.0), -0.1),
+         "lambda -0.1 outside [0, 1)"),
+        (lambda: fidelity_from_pass_rate(1.5, 1 / 3), "pass rate 1.5 outside [0, 1]"),
+    ],
+    ids=["test-weight", "lambda", "weight-sum", "target-fails", "build-lambda-one",
+         "build-lambda-negative", "pass-rate"],
+)
+def test_refusals_state_their_reason(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
