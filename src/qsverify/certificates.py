@@ -832,6 +832,8 @@ def _zhat(k: int, n: int, nu: float, delta: float) -> int:
 def _dqsv_core(q: CertificateQuery) -> tuple[int, float, float]:
     """(zhat, kappa, zeta_tilde) for a non-degenerate DQSV query."""
     n, k, nu, delta = q.n, q.k, q.nu, q.delta
+    if delta == 1.0:  # h_k = 1 > h_z for every z > k, so zhat = k and kappa = 1
+        return k, 1.0, _g(k, k, n, nu)
     zh = _zhat(k, n, nu, delta)
     h_z = _h(zh, k, n, nu)
     h_z1 = _h(zh + 1, k, n, nu)
@@ -881,7 +883,8 @@ def dqsv_intermediates(q: CertificateQuery) -> DqsvIntermediates | None:
 def dqsv_certificate(q: CertificateQuery) -> Certificate:
     """Guaranteed fidelity of the untested system, with no IID assumption.
 
-    In the extreme corner where B_{n,k}(nu) rounds to 1 in double precision
+    At delta = 1 it is the closed form g_k = (n - k + 1)/(n + 1).  In the
+    extreme corner where B_{n,k}(nu) rounds to 1 in double precision
     (nu tiny and k close to n), the degenerate zero bound is returned for any
     delta; that is conservative but sound, and the knot landscape is not
     float-resolvable there anyway.

@@ -112,19 +112,15 @@ def _row_stats(fid: np.ndarray, k: int, lam: float) -> np.ndarray:
     return np.stack([accept, (total * below + gain[:, k + 1]) / length])
 
 
-def _mixture_stats(weights: np.ndarray, accept: np.ndarray, numer: np.ndarray) -> ExactStats:
-    """(p_k, f_k, F_k) of one mixture from its rows of ``_row_stats``."""
-    p_tot = float(weights @ accept)
-    f_tot = float(weights @ numer)
+def _stats(p_tot: float, f_tot: float) -> ExactStats:
+    """(p_k, f_k, F_k) from the acceptance probability and fidelity numerator."""
     F = f_tot / p_tot if p_tot > 0.0 else None
     return ExactStats(p_k=min(p_tot, 1.0), f_k=min(f_tot, 1.0), F_k=F)
 
 
-def _exact_from_fidelities(
-    weights: np.ndarray, fid: np.ndarray, k: int, lam: float
-) -> ExactStats:
-    """Exact (p_k, f_k, F_k) from branch weights and the (B, L) fidelity table."""
-    return _mixture_stats(weights, *_row_stats(fid, k, lam))
+def _mixture_stats(weights: np.ndarray, accept: np.ndarray, numer: np.ndarray) -> ExactStats:
+    """(p_k, f_k, F_k) of one mixture from its rows of ``_row_stats``."""
+    return _stats(float(weights @ accept), float(weights @ numer))
 
 
 def exact_stats(
@@ -135,7 +131,7 @@ def exact_stats(
     if k < 0 or k > m.num_systems - 2:
         raise ValueError(f"k = {k} outside [0, N - 1] for N = {m.num_systems - 1}")
     fid = m.tabulate(partial(overlap, strat.target))[m.index]
-    return _exact_from_fidelities(m.weights, fid, k, strat.lam)
+    return _mixture_stats(m.weights, *_row_stats(fid, k, strat.lam))
 
 
 def exact_stats_bruteforce(
@@ -171,8 +167,7 @@ def exact_stats_bruteforce(
                 )
                 p_tot += w * prob / (n + 1)
                 f_tot += w * prob * fid[leftover] / (n + 1)
-    F = f_tot / p_tot if p_tot > 0.0 else None
-    return ExactStats(p_k=min(p_tot, 1.0), f_k=min(f_tot, 1.0), F_k=F)
+    return _stats(p_tot, f_tot)
 
 
 def sqsv_worst_case_scan(

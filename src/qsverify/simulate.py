@@ -18,7 +18,7 @@ Chunk c holds rounds c*C .. c*C + C - 1 and draws one block of uniforms from
 The columns of a row are, in order: branch, leftover (DQSV only), n
 settings, n outcomes, probe setting and probe outcome (DQSV only).  Every
 round of every caller (fixed count, acceptance stopping, certificate
-scaling) is computed from that block by ``_draw_chunk`` with array
+scaling) is computed from that block by ``_chunks`` with array
 operations; the source is tabulated once per run, one evaluation per
 palette state, and read through its (branch, system) index.  The block is
 drawn in consecutive row slices of about ``SLICE_VALUES`` numbers, which
@@ -124,12 +124,12 @@ class ExperimentSummary:
         return d
 
 
-def clopper_pearson(successes: int, trials: int, confidence: float = 0.95):
-    """Exact two-sided binomial confidence interval for a proportion.
+def clopper_pearson(successes: int, trials: int):
+    """Exact two-sided 95% binomial confidence interval for a proportion.
 
     The bounds are the binomial-tail roots of Clopper & Pearson (Biometrika,
-    1934): P[X >= s] = alpha/2 at the lower bound and P[X <= s] = alpha/2 at
-    the upper one, for X ~ Binomial(trials, x), each found by ``solve_J``.
+    1934): P[X >= s] = 0.025 at the lower bound and P[X <= s] = 0.025 at the
+    upper one, for X ~ Binomial(trials, x), each found by ``solve_J``.
     """
     try:
         successes = operator.index(successes)
@@ -142,63 +142,16 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95):
         raise ValueError(f"trials = {trials} must be at least 1")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes = {successes} outside [0, trials = {trials}]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence = {confidence} outside (0, 1)")
     if 2 * successes > trials:
         # Near x = 1 the float grid is too coarse for solve_J's residual
         # check once trials reach ~10^5; X -> trials - X mirrors both roots
         # to the end near 0, where the grid is fine.
-        lo, hi = clopper_pearson(trials - successes, trials, confidence)
+        lo, hi = clopper_pearson(trials - successes, trials)
         return 1.0 - hi, 1.0 - lo
-    alpha = 1.0 - confidence
+    alpha = 1.0 - 0.95
     lo = solve_J(trials, successes - 1, 1.0 - alpha / 2.0) if successes > 0 else 0.0
     hi = solve_J(trials, successes, alpha / 2.0) if successes < trials else 1.0
     return lo, hi
-
-
-def _draw_chunk(
-    index, probs, fids, cum_weights, cum_setting_weights, n: int, dqsv: bool,
-    plan: RandomPlan, chunk: int, rows: int,
-) -> list[np.ndarray]:
-    """The first ``rows`` rounds of chunk ``chunk``: the seven ``RoundTable``
-    columns in field order, then the (rows, n) per-test pass flags.
-
-    ``probs`` (P, S) and ``fids`` (P,) are read through the (B, L) ``index``.
-    Each uniform picks its branch, setting or leftover by inverse CDF, and an
-    outcome passes when its uniform lies below the pass probability.
-    """
-    rng = plan.chunk_rng(chunk)
-    last = len(cum_setting_weights) - 1
-    lead = 2 if dqsv else 1  # branch, then the leftover for DQSV
-    width = lead + 2 * n + (2 if dqsv else 0)
-    step = max(1, SLICE_VALUES // width)
-    slices = []
-    # A zero-row chunk runs one empty slice, so every column keeps its shape.
-    for start in range(0, max(rows, 1), step):
-        u = rng.random((min(step, rows - start), width))
-        branch = np.searchsorted(cum_weights, u[:, 0], side="right")
-        np.minimum(branch, len(cum_weights) - 1, out=branch)
-        settings = np.searchsorted(cum_setting_weights, u[:, lead:lead + n], side="right")
-        np.minimum(settings, last, out=settings)
-        systems = np.broadcast_to(np.arange(n), settings.shape)
-        if dqsv:
-            leftover = np.minimum((u[:, 1] * (n + 1)).astype(np.intp), n)
-            systems = systems + (systems >= leftover[:, None])
-            probe = np.minimum(np.searchsorted(cum_setting_weights, u[:, -2], side="right"), last)
-            spared = index[branch, leftover]
-            probe_passed = u[:, -1] < probs[spared, probe]
-            leftover_fidelity = fids[spared]
-        else:
-            leftover = np.full(len(u), -1, dtype=np.intp)
-            probe_passed = np.zeros(len(u), dtype=bool)
-            leftover_fidelity = np.full(len(u), math.nan)
-        tested = index[branch[:, None], systems]
-        passes = u[:, lead + n:lead + 2 * n] < probs[tested, settings]
-        slices.append((
-            branch, n - passes.sum(axis=1), fids[tested].mean(axis=1), leftover,
-            leftover_fidelity, probe_passed, settings.astype(np.int8), passes,
-        ))
-    return [np.concatenate(col) for col in zip(*slices)]
 
 
 def _check_counts(**counts: int | None) -> None:
@@ -223,17 +176,55 @@ def _chunks(
     plan: RandomPlan, rounds: int,
 ):
     """Check the protocol's preconditions, tabulate the source once, and yield
-    ``_draw_chunk`` for each chunk that holds rounds 0 .. rounds-1, lazily:
-    an acceptance run's cap may be far beyond the rounds it runs.  No rounds
-    yields chunk 0 with no rows, so every column keeps its shape."""
+    each chunk that holds rounds 0 .. rounds-1, lazily: an acceptance run's
+    cap may be far beyond the rounds it runs.  A chunk is (columns, passes):
+    the seven ``RoundTable`` columns in field order and the (rows, n) per-test
+    pass flags.  No rounds yields chunk 0 with no rows, so every column keeps
+    its shape.
+
+    ``probs`` (P, S) and ``fids`` (P,) are read through the (B, L) index.
+    Each uniform picks its branch, setting or leftover by inverse CDF, and an
+    outcome passes when its uniform lies below the pass probability.
+    """
     check_system_count(m.num_systems, n, protocol)
-    args = (
-        m.index, m.tabulate(partial(test_pass_probabilities, strat)),
-        m.tabulate(partial(overlap, strat.target)), np.cumsum(m.weights),
-        np.cumsum(strat.weights), n, protocol == "dqsv", plan,
-    )
+    probs = m.tabulate(partial(test_pass_probabilities, strat))
+    fids = m.tabulate(partial(overlap, strat.target))
+    cum_weights, cum_setting_weights = np.cumsum(m.weights), np.cumsum(strat.weights)
+    last = len(cum_setting_weights) - 1
+    dqsv = protocol == "dqsv"
+    lead = 2 if dqsv else 1  # branch, then the leftover for DQSV
+    width = lead + 2 * n + (2 if dqsv else 0)
+    step = max(1, SLICE_VALUES // width)
     for c in range(max(1, -(-rounds // CHUNK_ROUNDS))):
-        yield _draw_chunk(*args, c, min(CHUNK_ROUNDS, rounds - c * CHUNK_ROUNDS))
+        rng = plan.chunk_rng(c)
+        rows = min(CHUNK_ROUNDS, rounds - c * CHUNK_ROUNDS)
+        slices = []
+        for start in range(0, max(rows, 1), step):
+            u = rng.random((min(step, rows - start), width))
+            branch = np.searchsorted(cum_weights, u[:, 0], side="right")
+            np.minimum(branch, len(cum_weights) - 1, out=branch)
+            settings = np.searchsorted(cum_setting_weights, u[:, lead:lead + n], side="right")
+            np.minimum(settings, last, out=settings)
+            systems = np.broadcast_to(np.arange(n), settings.shape)
+            if dqsv:
+                leftover = np.minimum((u[:, 1] * (n + 1)).astype(np.intp), n)
+                systems = systems + (systems >= leftover[:, None])
+                probe = np.searchsorted(cum_setting_weights, u[:, -2], side="right")
+                spared = m.index[branch, leftover]
+                probe_passed = u[:, -1] < probs[spared, np.minimum(probe, last)]
+                leftover_fidelity = fids[spared]
+            else:
+                leftover = np.full(len(u), -1, dtype=np.intp)
+                probe_passed = np.zeros(len(u), dtype=bool)
+                leftover_fidelity = np.full(len(u), math.nan)
+            tested = m.index[branch[:, None], systems]
+            passes = u[:, lead + n:lead + 2 * n] < probs[tested, settings]
+            slices.append((
+                branch, n - passes.sum(axis=1), fids[tested].mean(axis=1), leftover,
+                leftover_fidelity, probe_passed, settings.astype(np.int8), passes,
+            ))
+        *columns, passes = (np.concatenate(col) for col in zip(*slices))
+        yield columns, passes
 
 
 def _table(parts) -> RoundTable:
@@ -255,7 +246,7 @@ def run_rounds(
     n; DQSV leaves one uniformly chosen system of exactly n + 1 untested.
     """
     _check_counts(rounds=rounds)
-    return _table(cols[:7] for cols in _chunks(m, n, strat, protocol, plan, rounds))
+    return _table(columns for columns, _ in _chunks(m, n, strat, protocol, plan, rounds))
 
 
 def rounds_until_accepted(
@@ -275,12 +266,13 @@ def rounds_until_accepted(
     _check_counts(target_acceptances=target_acceptances, max_rounds=max_rounds)
     cap = max_rounds if max_rounds is not None else 1000 * target_acceptances
     parts, accepted = [], 0
-    for cols in _chunks(m, n, strat, protocol, plan, cap):
-        passed = cols[1] <= k  # cols[1] is the failure count
+    for columns, _ in _chunks(m, n, strat, protocol, plan, cap):
+        _, failures, *_ = columns
+        passed = failures <= k
         hits = accepted + np.cumsum(passed)
         # Up to the round that reaches the target; none if it is met already.
         stop = int(np.searchsorted(hits, target_acceptances)) + (accepted < target_acceptances)
-        parts.append([col[:stop] for col in cols[:7]])
+        parts.append([col[:stop] for col in columns])
         accepted += int(passed[:stop].sum())
         if accepted >= target_acceptances:
             break
@@ -367,8 +359,8 @@ def scaling_experiment(
     max_n = n_grid[-1]
     at = np.array(n_grid) - 1
     ks = np.concatenate([
-        np.cumsum(~cols[7], axis=1)[:, at]
-        for cols in _chunks(honest_iid(max_n + 1, noise), max_n, strat, "sqsv", plan, rounds)
+        np.cumsum(~passes, axis=1)[:, at]
+        for _, passes in _chunks(honest_iid(max_n + 1, noise), max_n, strat, "sqsv", plan, rounds)
     ])
     # Each distinct (n, k) pair is certified once, coded as k (max_n + 1) + n.
     # At k = n every test failed and no certificate is defined: eps stays 1.

@@ -19,7 +19,8 @@ from qsverify.certificates import (
 from qsverify.exact import (
     MAX_ENUM_TESTS,
     SWEEP_SLACK_TOL,
-    _exact_from_fidelities,
+    _mixture_stats,
+    _row_stats,
 )
 
 
@@ -79,7 +80,7 @@ def dqsv_soundness_sweep(
     violations = []
     for trial in range(trials):
         weights, fid, labels = _random_fidelities(n, rng)
-        stats = _exact_from_fidelities(weights, fid, k, lam)
+        stats = _mixture_stats(weights, *_row_stats(fid, k, lam))
         if stats.p_k <= tail or stats.F_k is None:
             skipped += 1
             continue

@@ -465,6 +465,27 @@ def test_dqsv_matches_exact_rational_oracle_small_grid():
                         assert got == pytest.approx(float(exact), rel=1e-12)
 
 
+def test_dqsv_at_delta_one_is_the_closed_form():
+    # h_k = 1 > h_z for every z > k, so at delta = 1 zhat = k, kappa = 1 and
+    # the bound is g_k = (n - k + 1)/(n + 1).  Some extra rows have knots past
+    # k within the zhat tie tolerance of 1, a few of them equal floats.
+    # Where B_{n,k}(nu) rounds to 1 the zero test still runs first.
+    rows = [(n, k, lam) for n in (1, 2, 4, 9, 20) for k in range(n) for lam in (0.2, 1 / 3, 0.9)]
+    rows += [(136, 83, 0.7215780981758697), (3, 0, 1.0 - 2.0**-53), (300, 200, 1 / 3),
+             (1, 0, 1.0 - 2.0**-53), (50, 40, 0.2)]
+    zeros = 0
+    for n, k, lam in rows:
+        exact = dqsv_fidelity_exact(k, n, Fraction(1), Fraction(lam))
+        assert exact == Fraction(n - k + 1, n + 1), (n, k, lam)
+        got = dqsv_certificate(CertificateQuery("dqsv", n, k, 1.0, lam)).fidelity_bound
+        if binom_tail(n, k, 1.0 - lam) >= 1.0:
+            zeros += 1
+            assert got == 0.0, (n, k, lam)
+        else:
+            assert got == float(exact), (n, k, lam)
+    assert 0 < zeros < len(rows) // 4
+
+
 def test_dqsv_matches_exact_rational_oracle_tiny_delta():
     # The zhat tie tolerance is relative: an absolute 1e-14 admitted every
     # knot once delta fell below it, so these all came out wrong or raised.

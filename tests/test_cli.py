@@ -87,6 +87,24 @@ def test_certify_intermediates(capsys):
     assert 0 <= inter["kappa"] <= 1
 
 
+@pytest.mark.parametrize(
+    "n, k, lam, bound",
+    [("136", "83", "0.7215780981758697", 54 / 137), ("3", "0", "0.9999999999999999", 1.0)],
+)
+def test_certify_dqsv_at_delta_one_is_the_closed_form(capsys, n, k, lam, bound):
+    # At delta = 1 the bound is g_k = (n - k + 1)/(n + 1) with zhat = k and
+    # kappa = 1.  Both queries have knots past k that round to equal floats,
+    # which a knot search at this delta would reach.
+    argv = ("certify", "--protocol", "dqsv", "--n", n, "--k", k, "--delta", "1", "--lambda", lam)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["fidelity_bound"] == bound
+    code, out, _ = run_cli(capsys, *argv, "--intermediates")
+    assert code == 0
+    inter = json.loads(out)["intermediates"]
+    assert (inter["zhat"], inter["kappa"]) == (int(k), 1.0)
+
+
 def test_certify_intermediates_degenerate_is_null(capsys, monkeypatch):
     calls = []
     tail = certificates.binom_tail
@@ -332,7 +350,12 @@ def test_simulate_invalid_config_diagnostics(tmp_path, capsys):
     config = tmp_path / "bad.yaml"
     head = "protocol: dqsv\nn: 3\nk: 1\nsource:\n  model: honest\n"
     accept = "stopping:\n  mode: acceptances\n"
+    # An empty document loads as None, read as a config with no keys.
+    empty = ("error: n: required\nerror: rounds: required\n"
+             "error: source: required mapping with a 'model' key\n")
     cases = [
+        ("", empty),
+        ("~\n", empty),
         ("protocol: dqsv\nn: 3\nk: 7\nrounds: 10\nsource:\n  model: honest\n",
          "n: must be >= k + 1"),
         (head + "rounds: 0\n", "rounds: must be >= 1"),

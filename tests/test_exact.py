@@ -326,7 +326,8 @@ def test_soundness_sweep_skips_sources_at_the_tail(monkeypatch):
     assert report["skipped_degenerate"] == report["trials"] == 3
     assert report["checked"] == 0 and report["argmin"] is None
     tail = binom_tail(8, 1, 1.0 - 1 / 3)
-    assert exact._exact_from_fidelities(np.ones(1), np.zeros((1, 9)), 1, 1 / 3).p_k == tail
+    rows = exact._row_stats(np.zeros((1, 9)), 1, 1 / 3)
+    assert exact._mixture_stats(np.ones(1), *rows).p_k == tail
     report = dqsv_soundness_sweep(6, 1, 1 / 3, 2, rng)
     assert report["checked"] == 2 and report["skipped_degenerate"] == 0
     assert report["argmin"]["p_k"] > binom_tail(6, 1, 1.0 - 1 / 3)

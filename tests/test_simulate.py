@@ -476,9 +476,6 @@ def test_clopper_pearson_large_trials_bracket_the_true_roots():
         ((-1, 10), "successes"),
         ((2.5, 10), "successes"),
         ((0, 0), "trials"),
-        ((5, 10, 1.5), "confidence"),
-        ((5, 10, 0.0), "confidence"),
-        ((5, 10, float("nan")), "confidence"),
     ],
 )
 def test_clopper_pearson_rejects_bad_input(args, field):
