@@ -62,9 +62,14 @@ window sum derived in advance from the operations its kernel performs,
 (z + 8) 2^-53 for a direct sum and (2 (hi - lo) + 3) 2^-53 + (z + 1) 1e-22
 for an anchored one over [lo, hi] (``_window_sum_error``).  The derived
 bound is the smaller for short windows (k up to about 450 on the lower
-side) and is itself tested against a 50-digit oracle.  Given these bounds,
-the result is bitwise the full bisection's, at a median of 12 binom_tail
-evaluations per solve against its 55, and 10 where k <= _MODEL_K_MAX (see
+side) and is itself tested against a 50-digit oracle.  The two edges placed
+last, next to the root, may take a smaller e still, from the log-concave
+shape of the window summed there: its terms' mean distance from the anchor
+is at most D = rho / (1 - rho) for the window's first ratio rho, which gives
+(2 D + 4) 2^-53 + (z + 1) 1e-22 (``_shape_error``); ``_decided_window``
+proves that every comparison it skips is still decided.  Given these bounds,
+the result is bitwise the full bisection's, at a median of 8 binom_tail
+evaluations per solve against its 55, and 7 where k <= _MODEL_K_MAX (see
 tests/test_solve_j_window.py).
 
 The zero-certificate tests read B_{N,k}(nu) from ``_zero_test_tail``: a
@@ -131,6 +136,14 @@ _NEWTON_MAX_STEPS = 40
 # The window's Newton phase stops once the computed tail is within this many
 # margins of delta; see _decided_window.
 _NEWTON_STOP = 2.0**16
+# The window's last edges take the error bound of the summed window's shape
+# at x_s, this far inside the tangent's root relative to the root's distance
+# from 0 (1 above 1/2), where delta is at least _SHAPE_DELTA_MIN, and are
+# kept only beyond x_s / _SHAPE_KEEP, half that offset of their own distance
+# beyond x_s; see _decided_window.
+_SHAPE_OFFSET = 2.0**-20
+_SHAPE_KEEP = 1.0 - 0.5 * _SHAPE_OFFSET
+_SHAPE_DELTA_MIN = 2.0**-900
 # The window's Newton phase starts at the root of a float model of the tail
 # while k is at most this; see _model_root.  A model iterate costs k + 1
 # float steps and a solve takes 2-5 of them, against about three tail sums
@@ -510,10 +523,16 @@ def _window_sum_error(z: int, lo: int, hi: int) -> float:
       rounds once, and at most z + 1 dropped terms each lie below the cutoff
       relative to the anchor.
 
-    Where the bound is below TAIL_REL_ERROR, hi - lo < 450, and the terms'
-    subnormal roundings add at most (hi - lo)^2 2^-1076 < 2^-5 u
-    TAIL_ERROR_FLOOR in all, so it holds relative to max(sum,
-    TAIL_ERROR_FLOOR).  tests/test_tail_bound.py measures it.
+    A rounding that lands on a subnormal double is absolute, and later ratio
+    steps scale it by less than 1, so such roundings add at most
+    (hi - lo + 1)^2 2^-1076 in all.  Where the bound is below
+    TAIL_REL_ERROR, hi - lo < 450, and that is under 2^-5 u
+    TAIL_ERROR_FLOOR, so it holds relative to max(sum, TAIL_ERROR_FLOOR).
+    ``_shape_error`` can be below TAIL_REL_ERROR on windows of up to
+    TAIL_ERROR_Z_MAX + 1 terms, where they add under 2^-1029 in all, so it
+    holds relative to the sum plus that; ``_decided_window`` reads it only
+    where delta >= 2^-900, where that is under 2^-79 of the margin.
+    tests/test_tail_bound.py measures both.
     """
     anchored = _anchored_sum_error(z, lo, hi)
     if z > _DIRECT_Z_MAX:
@@ -526,13 +545,49 @@ def _anchored_sum_error(z: int, lo: int, hi: int) -> float:
     return (2 * (hi - lo) + 3) * _UNIT_ROUNDOFF + (z + 1) * _TERM_CUTOFF
 
 
-def _window_margin(delta: float, n: int, k: int) -> float:
-    """The margin m of ``_decided_window``: three tail errors at delta.
+def _shape_error(z: int, lo: int, hi: int, p: float) -> float:
+    """Derived relative error of the window sum over [lo, hi] at p, from the terms' shape.
 
-    The error is the derived bound of the side ``binom_tail`` returns near
-    delta, capped by TAIL_REL_ERROR: the lower window [0, k] below 1/2, the
-    complement [k + 1, n] above, and the larger of the two within
-    _SIDE_GUARD of 1/2.
+    A term d ratio steps from the anchor j0 of ``_anchored_window_sum``
+    carries at most (2 d + 1) u, u = 2^-53: the anchor's rounding and a
+    quotient and a product per step.  The terms are log-concave, so on each
+    side of j0 the ratio of a term to its predecessor falls away from j0
+    and is at most rho, the side's first ratio: j0 q / ((z - j0 + 1) p)
+    below and (z - j0) p / ((j0 + 1) q) above, a quotient of integers from
+    the dyadic p, rounded up.  A side's terms, the anchor included and each
+    weighted by itself, are then dominated in likelihood ratio by the
+    geometric law of ratio rho, so their mean d is at most D = rho / (1 -
+    rho), and over the window it is at most D_below + D_above.  The bound
+    is (2 (D_below + D_above) + 4) u + (z + 1) _TERM_CUTOFF: 2 u for the
+    anchor and ``math.fsum``, 2 u for the second-order terms and the
+    rounding of D (d <= z <= TAIL_ERROR_Z_MAX), and the dropped terms as in
+    ``_window_sum_error``, which caps it.  Where rho >= 1 (a tie at the
+    mode) or the kernel is direct it is ``_window_sum_error`` itself.
+    Subnormal terms: see ``_window_sum_error``.
+    """
+    bound = _window_sum_error(z, lo, hi)
+    if z <= _DIRECT_Z_MAX:
+        return bound
+    p_num, p_den = p.as_integer_ratio()
+    q_num = p_den - p_num
+    j0 = min(max((z + 1) * p_num // p_den, lo), hi)
+    spread = 0.0
+    for steps, num, den in ((j0 - lo, j0 * q_num, (z - j0 + 1) * p_num),
+                            (hi - j0, (z - j0) * p_num, (j0 + 1) * q_num)):
+        if steps:
+            rho = math.nextafter(num / den, math.inf)
+            if rho >= 1.0:
+                return bound
+            spread += rho / (1.0 - rho)
+    return min(bound, (2.0 * spread + 4.0) * _UNIT_ROUNDOFF + (z + 1) * _TERM_CUTOFF)
+
+
+def _window_error(delta: float, n: int, k: int) -> float:
+    """The error e of ``_decided_window``'s Newton phase.
+
+    The derived bound of the side ``binom_tail`` returns near delta, capped
+    by TAIL_REL_ERROR: the lower window [0, k] below 1/2, the complement
+    [k + 1, n] above, and the larger of the two within _SIDE_GUARD of 1/2.
     """
     lower = _window_sum_error(n, 0, k)
     upper = _window_sum_error(n, k + 1, n)
@@ -540,45 +595,130 @@ def _window_margin(delta: float, n: int, k: int) -> float:
         error = max(lower, upper)
     else:
         error = lower if delta < 0.5 else upper
-    error = min(TAIL_REL_ERROR, error)
+    return min(TAIL_REL_ERROR, error)
+
+
+def _window_margin(delta: float, error: float) -> float:
+    """Three tail errors at delta, for a relative error bound of the side summed."""
     if delta <= 0.5:
         return 3.0 * error * max(delta, TAIL_ERROR_FLOOR)
-    return 3.0 * (error * (1.0 - delta) + _UNIT_ROUNDOFF)
+    return 3.0 * (error * (1.0 - delta) + _UNIT_ROUNDOFF)  # one minus the complement
+
+
+def _edge_error(n: int, k: int, delta: float, root: float,
+                error: float) -> tuple[float, float, float]:
+    """(e_s, keep_lo, keep_hi): the error bound behind the margin of the
+    edges placed at the tangent's root, and the open range of x in which
+    such an edge may be kept; see ``_decided_window``.
+
+    x_s lies _SHAPE_OFFSET of the root's distance from 0 (from 1 above 1/2)
+    inside the root.  Where the summed window's anchor stays pinned at its
+    end beyond x_s and its ``_shape_error`` at x_s is below error, the
+    Newton phase's e = _window_error(delta, n, k), e_s is that shape bound
+    and the range ends on x_s's side at x_s / _SHAPE_KEEP (at
+    1 - (1 - x_s) / _SHAPE_KEEP above 1/2): an edge is kept only where it
+    lies beyond x_s by _SHAPE_OFFSET / 2 of its own distance.  Elsewhere,
+    direct sums and windows of one term included, it is (error, 0, 1), which
+    keeps every edge.
+    """
+    if (abs(delta - 0.5) < _SIDE_GUARD
+            or not _SHAPE_DELTA_MIN <= delta <= 1.0 - _SIDE_GUARD):
+        return error, 0.0, 1.0
+    lower = delta < 0.5
+    near = root if lower else 1.0 - root
+    near -= _SHAPE_OFFSET * near
+    x_s = near if lower else 1.0 - near
+    if not 0.0 < x_s < 1.0:
+        return error, 0.0, 1.0
+    p_num, p_den = x_s.as_integer_ratio()
+    mode = (n + 1) * p_num // p_den
+    if (mode < k) if lower else (mode > k + 1):  # the anchor would move
+        return error, 0.0, 1.0
+    if lower:
+        shape = _shape_error(n, 0, k, x_s)
+        keep_lo, keep_hi = x_s / _SHAPE_KEEP, 1.0
+    else:
+        shape = _shape_error(n, k + 1, n, x_s)
+        keep_lo, keep_hi = 0.0, 1.0 - (1.0 - x_s) / _SHAPE_KEEP
+    if shape >= error:  # direct sums and windows of one term among them
+        return error, 0.0, 1.0
+    return shape, keep_lo, keep_hi
 
 
 def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     """[a, b] outside which every bisection test B_{n,k}(mid) > delta is decided.
 
-    The computed tail satisfies B(a) > delta + m and B(b) < delta - m, with
-    m = _window_margin(delta, n, k).  Let e_L = min(TAIL_REL_ERROR,
-    _window_sum_error(n, 0, k)) bound the relative error of the lower window
-    sum and e_U that of the complement [k + 1, n] likewise: each is derived
-    in advance where it is below the measured contract.  Let e be the bound
-    of the side binom_tail returns near delta.  For delta <= 1/2 the margin
-    is m = 3 e delta.  The true B is decreasing, and (1 - e) B, the least a
-    computed B summed on that side can read, increases with B; so for every
-    mid <= a
+    Each edge is certified with a margin m of three tail errors at delta:
+    the computed tail satisfies B(a) > delta + m and B(b) < delta - m, with
+    m = _window_margin(delta, e) for a relative error bound e of the window
+    sum binom_tail returns, one that holds at the edge and at every midpoint
+    beyond it.  For delta <= 1/2 the margin is m = 3 e delta.  The true B is
+    decreasing, and (1 - e) B, the least a computed B summed on that side
+    can read, increases with B; so for every mid <= a
 
         computed B(mid) >= (1 - e) B(a) >= (1 - e) (delta + 3 e delta) / (1 + e)
                          >= delta + e (1 - 4 e) delta > delta:
 
     one e delta covers the error of B(a), one that of B(mid), and the third
     the second-order terms and the rounding of delta + m (e >= 3 u, with
-    u = 2^-53).  The bound for mid >= b mirrors it.  The side: for
-    delta < 1/2 - _SIDE_GUARD, e = e_L.  The tails at b and right of it read
-    below 1/2 and are summed on the lower side; a tail that binom_tail
-    returns as one minus its complement, at a or left of it, exceeds
-    1/2 - TAIL_REL_ERROR, since its lower window summed above 1/2 and both
-    windows meet the measured contract, so it reads far above delta + m
-    whichever side is summed.  Above 1/2 + _SIDE_GUARD the mirror argument
-    takes e = e_U, and within _SIDE_GUARD of 1/2, where either side may be
-    returned, e = max(e_L, e_U).  Below TAIL_ERROR_FLOOR the bound is
-    absolute, e times the floor, and the same count takes
+    u = 2^-53).  The bound for mid >= b mirrors it.  Below TAIL_ERROR_FLOOR
+    the bound is absolute, e times the floor, and the same count takes
     m = 3 e TAIL_ERROR_FLOOR.  Above 1/2 the computed tail is one minus the
     complement, off by at most e (1 - B) + u, and the count gives
     m = 3 (e (1 - delta) + u).  A side with no certified edge stays at 0 or
     1, which decides nothing; above TAIL_ERROR_Z_MAX, where the error bound
     is not measured, the window is [0, 1].
+
+    The Newton phase's edges take e = _window_error(delta, n, k), which
+    holds at every x.  Let e_L = min(TAIL_REL_ERROR, _window_sum_error(n, 0,
+    k)) bound the relative error of the lower window sum and e_U that of the
+    complement [k + 1, n] likewise: each is derived in advance where it is
+    below the measured contract.  For delta < 1/2 - _SIDE_GUARD, e = e_L.
+    The tails at b and right of it read below 1/2 and are summed on the
+    lower side; a tail that binom_tail returns as one minus its complement,
+    at a or left of it, exceeds 1/2 - TAIL_REL_ERROR, since its lower window
+    summed above 1/2 and both windows meet the measured contract, so it
+    reads far above delta + m whichever side is summed.  Above
+    1/2 + _SIDE_GUARD the mirror argument takes e = e_U, and within
+    _SIDE_GUARD of 1/2, where either side may be returned, e = max(e_L, e_U).
+
+    The two edges placed at the tangent's root r (below) may take e_s =
+    _shape_error(n, 0, k, x_s) at x_s = r (1 - 2^-20) where it is below e
+    (``_edge_error``).  Let delta < 1/2 - _SIDE_GUARD, n > _DIRECT_Z_MAX,
+    so that binom_tail sums with the anchored kernel, delta >= 2^-900, and
+    floor((n + 1) x_s) >= k, so that the lower window's anchor, its mode
+    clipped to [0, k], stays pinned at k for every x >= x_s.  Such an edge
+    is kept only if edge > keep_lo = x_s / (1 - 2^-21), rounded, so that it
+    lies beyond x_s by 2^-21 of its distance from 0 up to rounding:
+    1 - x_s / edge >= 2^-21 - 3 u.  Every skipped comparison is still
+    decided:
+
+    * mid >= x_s, on either side of the root: the lower window's one ratio
+      rho(x) = k (1 - x) / ((n - k + 1) x) falls as x grows, so the bound at
+      x_s holds at mid and at the edge, and the three-error count holds
+      with e_s.  A tail returned as one minus its complement reads far above
+      delta + m, as it does for e = e_L.  Right of the root the terms may be
+      subnormal; their roundings add at most (n + 1)^2 2^-1076 < 2^-1029 in
+      all (see _window_sum_error), negligible next to e_s delta >=
+      4 u 2^-900.
+    * mid < x_s: log B is concave with log B(0) = 0, so its chord from 0 to
+      a gives log B(mid) >= (mid / a) log B(a) > (x_s / a) log delta, since
+      the true B(a) > delta.  So log B(mid) - log delta > (1 - x_s / a)
+      |log delta| > 2^-22 as delta < 1/2, and B(mid) > delta (1 + 2^-22).
+      Under the measured contract, relative since B(mid) > 2^-900 >
+      TAIL_ERROR_FLOOR, the computed B(mid) > delta, by about 10^6 times
+      the three errors 3 TAIL_REL_ERROR delta.
+
+    Above 1/2 + _SIDE_GUARD the same holds mirrored in 1 - x, as
+    1 - B_{n,k}(x) = B_{n,n-k-1}(1 - x): x_s = 1 - (1 - r) (1 - 2^-20), the
+    complement [k + 1, n] pinned at k + 1 while floor((n + 1) x_s) <= k + 1,
+    its ratio (n - k - 1) x / ((k + 2) (1 - x)) falling as x decreases, and
+    for mid > x_s the chord of log(1 - B), concave in 1 - x, giving
+    1 - B(mid) > (1 - delta) (1 + 2^-22).  That gap exceeds the u of one
+    minus the complement where 1 - delta >= _SIDE_GUARD, which the rule also
+    requires.  Elsewhere, and where the shape bound is not below e (on a
+    window of one term it never is), e_s = e, which holds at every x, and
+    every edge is kept.
 
     The edges come from safeguarded Newton on log B, which is concave (B is
     the survival function of Beta(k+1, n-k)), so once an iterate lies right
@@ -587,21 +727,23 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     and at the normal approximation above or where the model fails; the
     model's root is within rounding of the true one, so Newton usually
     stops at its first tail sum, but it only steers.  Newton stops at an x
-    whose computed B is within _NEWTON_STOP m of delta, or whose step rounds
-    to nothing, and the tangent there places each edge where B should read
-    delta -+ 2m, and at least one float from the tangent's root.  B and
-    1 - B are both log-concave, so |B''| <= B'^2 / min(B, 1 - B) and the
-    tangent misses by at most ((_NEWTON_STOP + 2) m)^2 / (2 min(B, 1 - B)),
-    under 1e-3 m for delta <= 1/2.  Where one float step moves B by about m
-    or more, an edge may still round too near the root to certify; it is
-    tried once more, twice as far from the root.  The slope
+    whose computed B is within _NEWTON_STOP m of delta (m of e), or whose
+    step rounds to nothing, and the tangent there places each edge where B
+    should read delta -+ 2 m_s (m_s of e_s), and at least one float from
+    the tangent's root r.  B and 1 - B are both log-concave, so
+    |B''| <= B'^2 / min(B, 1 - B) and the tangent misses by at most
+    ((_NEWTON_STOP + 2) m)^2 / (2 min(B, 1 - B)), under 1e-3 m and, as
+    e_s >= 4 u, under m_s / 5 for delta <= 1/2.  Where one float step moves
+    B by about m_s or more, an edge may still round too near the root to
+    certify; it is tried once more, twice as far from the root.  The slope
     d log B / dx = -n b_{n-1,k}(x) / B(x) uses a log-gamma pmf: it only
     steers, and every edge is checked with binom_tail itself.
     """
     a, b = 0.0, 1.0
     if n > TAIL_ERROR_Z_MAX:
         return a, b
-    margin = _window_margin(delta, n, k)
+    error = _window_error(delta, n, k)
+    margin = _window_margin(delta, error)
     log_delta = math.log(delta)
     slope = functools.partial(_tail_slope, n, k)
 
@@ -632,21 +774,29 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     else:
         return a, b
     # The tangent at x aims each edge at delta -+ 2m, a margin m beyond what
-    # it must certify; each edge is kept only if binom_tail certifies it.
+    # it must certify; each edge is kept only if binom_tail certifies it,
+    # and where m comes from the shape bound, only beyond x_s.  The shape
+    # bound needs the anchored kernel and a window of more than one term.
     # Where delta is below about _NEWTON_STOP m (2e-8 TAIL_ERROR_FLOOR or
     # less) the stop test admits a tail far from delta and the tangent may
-    # leave [0, 1], so only edges inside (a, b) are tried.
+    # leave [0, 1], so only edges inside (lo, hi), within (a, b), are tried.
     if d > 0.0:
-        root, reach = x + (tail - delta) / d, 2.0 * margin / d
+        root = x + (tail - delta) / d
+        lo, hi = a, b
+        if n > _DIRECT_Z_MAX and k != (0 if delta < 0.5 else n - 1):
+            error, keep_lo, keep_hi = _edge_error(n, k, delta, root, error)
+            margin = _window_margin(delta, error)
+            lo, hi = max(a, keep_lo), min(b, keep_hi)
+        reach = 2.0 * margin / d
         left = min(root - reach, math.nextafter(root, 0.0))
         right = max(root + reach, math.nextafter(root, 1.0))
         for _ in range(2):
-            if a < left < b and binom_tail(n, k, left) > delta + margin:
+            if lo < left < hi and binom_tail(n, k, left) > delta + margin:
                 a = left
                 break
             left = 2.0 * left - root
         for _ in range(2):
-            if a < right < b and binom_tail(n, k, right) < delta - margin:
+            if lo < right < hi and binom_tail(n, k, right) < delta - margin:
                 b = right
                 break
             right = 2.0 * right - root

@@ -14,6 +14,7 @@ import math
 import statistics
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qsverify import certificates
@@ -155,28 +156,63 @@ def test_solve_j_equals_reference_bisection(solved):
 
 def test_solve_j_binom_tail_calls_per_miss(solved):
     # The plain bisection takes 55-59 calls per solve on this set; with the
-    # measured relative contract the median solve took 13, and with the
-    # derived per-window error bounds it takes 12.  Most cases here have
-    # k above _MODEL_K_MAX (Clopper-Pearson roots at 2000 trials); on the
-    # rest the float model's Newton start cut the median from 13 to 10.
-    assert statistics.median(used for _, used, _ in solved.values()) <= 13
+    # measured relative contract the median solve took 13, with the derived
+    # per-window error bounds 12, and with the shape bound at the tangent's
+    # edges 8.  Most cases here have k above _MODEL_K_MAX (Clopper-Pearson
+    # roots at 2000 trials); on the rest the float model's Newton start cut
+    # the median from 13 to 10, and the shape bound to 7.  The
+    # Clopper-Pearson roots at 2000 trials took a mean of 11.86 calls before
+    # the shape bound and take 7.57 with it.
+    assert statistics.median(used for _, used, _ in solved.values()) <= 8
     modelled = [
         used for (_, k, _), (_, used, _) in solved.items() if k <= certificates._MODEL_K_MAX
     ]
     assert len(modelled) > 2000
-    assert statistics.median(modelled) <= 11
+    assert statistics.median(modelled) <= 7
+    trials = [solved[root][1] for root in clopper_pearson_cases() if root[0] == 2000]
+    assert len(trials) == 4000
+    assert statistics.mean(trials) <= 7.6
+
+
+def _window_with_its_edge_error(n: int, k: int, delta: float):
+    """(a, b, edge_error, keep_lo, keep_hi): the window, and what
+    ``_edge_error`` gave for the edges placed at the tangent's root: their
+    error bound and the open range in which they may be kept (the Newton
+    phase's error and (0, 1) where the window did not ask)."""
+    recorded = []
+    edge_error = certificates._edge_error
+
+    def record(*args):
+        recorded.append(edge_error(*args))
+        return recorded[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(certificates, "_edge_error", record)
+        a, b = certificates._decided_window(n, k, delta)
+    error, keep_lo, keep_hi = recorded[0] if recorded else (
+        certificates._window_error(delta, n, k), 0.0, 1.0)
+    return a, b, error, keep_lo, keep_hi
 
 
 def test_window_edges_are_certified(solved):
     # Three tail errors at delta: one for each edge's own tail, one for the
-    # skipped midpoint's, and one for the second-order terms.
+    # skipped midpoint's, and one for the second-order terms.  The Newton
+    # phase's edges take the error of the side summed near delta; the
+    # tangent's edges may take the smaller shape bound at x_s, and are then
+    # kept only beyond it.
     for n, k, delta in list(solved)[::37]:
-        margin = certificates._window_margin(delta, n, k)
-        a, b = certificates._decided_window(n, k, delta)
+        newton = certificates._window_margin(delta, certificates._window_error(delta, n, k))
+        a, b, error, keep_lo, keep_hi = _window_with_its_edge_error(n, k, delta)
+        shaped = certificates._window_margin(delta, error)
+        assert shaped <= newton
         x = solved[n, k, delta][0]
         assert 0.0 <= a < b <= 1.0
-        assert a == 0.0 or binom_tail(n, k, a) > delta + margin
-        assert b == 1.0 or binom_tail(n, k, b) < delta - margin
+        if a > 0.0:
+            tail = binom_tail(n, k, a)
+            assert tail > delta + newton or (tail > delta + shaped and keep_lo < a < keep_hi), (n, k, delta)
+        if b < 1.0:
+            tail = binom_tail(n, k, b)
+            assert tail < delta - newton or (tail < delta - shaped and keep_lo < b < keep_hi), (n, k, delta)
         assert a <= x <= b
 
 
@@ -184,17 +220,70 @@ def test_window_edges_meet_the_tail_contract(solved):
     # The skipped comparisons are decided only if binom_tail is within the
     # error the margin assumed of the true tail at the window edges
     # themselves: the derived bound of the side it returns there, where that
-    # is below TAIL_REL_ERROR, and the measured contract elsewhere.
+    # is below TAIL_REL_ERROR, and the measured contract elsewhere; and at an
+    # edge beyond x_s, the shape bound there, where the window took it.
     sample = list(solved)[::53] + sorted(large_trial_cases())
     for n, k, delta in sample:
-        for edge in certificates._decided_window(n, k, delta):
+        a, b, shaped, keep_lo, keep_hi = _window_with_its_edge_error(n, k, delta)
+        for edge in (a, b):
             if 0.0 < edge < 1.0:
                 tail = binom_tail(n, k, edge)
                 exact = binom_tail_highprec(n, k, edge)
                 side = (0, k) if tail <= 0.5 else (k + 1, n)
                 error = min(TAIL_REL_ERROR, certificates._window_sum_error(n, *side))
+                if keep_lo < edge < keep_hi:
+                    error = min(error, shaped)
                 allowed = contract_error(tail, exact, error)
                 assert abs(tail - exact) <= allowed, (n, k, delta, edge)
+
+
+def _behavioural_cases() -> list:
+    """About 300 solves: n log-uniform in (100, 10^5] with delta log-uniform
+    in [1e-300, 1/2) and uniform in (1/2, 0.99], and both Clopper-Pearson
+    roots at every 40th success count of 2000 trials."""
+    rng = np.random.default_rng(28)
+    cases = []
+    for i in range(200):
+        n = int(10 ** rng.uniform(2.0, 5.0)) + 1
+        k = int(rng.integers(0, n))
+        if i % 2:
+            delta = float(rng.uniform(0.5, 0.99))
+        else:
+            delta = float(10 ** rng.uniform(-300.0, math.log10(0.5)))
+        cases.append((n, k, delta))
+    return cases + sorted(
+        root for s in range(0, 2001, 40) for root in clopper_pearson_roots(2000, s)
+    )
+
+
+def test_window_holds_the_root_and_decides_what_lies_outside():
+    # The window must hold the 50-digit root, and the bisection's comparison
+    # computed B(x) > delta must read true at the 16 floats up to a and false
+    # at the 16 floats from b, as the margin argument claims.  This checks
+    # the margin by its effect rather than by its formula.
+    cases = _behavioural_cases()
+    assert len(cases) == 300
+    shaped = 0
+    for n, k, delta in cases:
+        a, b, error, *_ = _window_with_its_edge_error(n, k, delta)
+        shaped += error < certificates._window_error(delta, n, k)
+        if a > 0.0:
+            assert binom_tail_highprec(n, k, a, dps=30) > delta, (n, k, delta)
+        if b < 1.0:
+            assert binom_tail_highprec(n, k, b, dps=30) < delta, (n, k, delta)
+        x = a
+        for _ in range(16):
+            if x <= 0.0:
+                break
+            assert binom_tail(n, k, x) > delta, (n, k, delta, x)
+            x = math.nextafter(x, 0.0)
+        x = b
+        for _ in range(16):
+            if x >= 1.0:
+                break
+            assert not binom_tail(n, k, x) > delta, (n, k, delta, x)
+            x = math.nextafter(x, 1.0)
+    assert shaped > 200
 
 
 def test_no_window_beyond_the_tail_contract():
