@@ -64,10 +64,10 @@ for an anchored one over [lo, hi] (``_window_sum_error``).  The derived
 bound is the smaller for short windows (k up to about 450 on the lower
 side) and is itself tested against a 50-digit oracle.  The two edges placed
 last, next to the root, may take a smaller e still, from the log-concave
-shape of the window summed there: its terms' mean distance from the anchor
-is at most D = rho / (1 - rho) for the window's first ratio rho, which gives
-(2 D + 4) 2^-53 + (z + 1) 1e-22 (``_shape_error``); ``_decided_window``
-proves that every comparison it skips is still decided.  Given these bounds,
+shape of the window summed there where it is pinned at its end with first
+ratio rho < 1: (2 rho / (1 - rho) + 4) 2^-53 + (z + 1) 1e-22
+(``_edge_error``); ``_decided_window`` proves that every comparison it
+skips is still decided.  Given these bounds,
 the result is bitwise the full bisection's, at a median of 8 binom_tail
 evaluations per solve against its 55, and 7 where k <= _MODEL_K_MAX (see
 tests/test_solve_j_window.py).
@@ -528,10 +528,6 @@ def _window_sum_error(z: int, lo: int, hi: int) -> float:
     (hi - lo + 1)^2 2^-1076 in all.  Where the bound is below
     TAIL_REL_ERROR, hi - lo < 450, and that is under 2^-5 u
     TAIL_ERROR_FLOOR, so it holds relative to max(sum, TAIL_ERROR_FLOOR).
-    ``_shape_error`` can be below TAIL_REL_ERROR on windows of up to
-    TAIL_ERROR_Z_MAX + 1 terms, where they add under 2^-1029 in all, so it
-    holds relative to the sum plus that; ``_decided_window`` reads it only
-    where delta >= 2^-900, where that is under 2^-79 of the margin.
     tests/test_tail_bound.py measures both.
     """
     anchored = _anchored_sum_error(z, lo, hi)
@@ -543,43 +539,6 @@ def _window_sum_error(z: int, lo: int, hi: int) -> float:
 def _anchored_sum_error(z: int, lo: int, hi: int) -> float:
     """Derived relative error of ``_anchored_window_sum`` over [lo, hi]."""
     return (2 * (hi - lo) + 3) * _UNIT_ROUNDOFF + (z + 1) * _TERM_CUTOFF
-
-
-def _shape_error(z: int, lo: int, hi: int, p: float) -> float:
-    """Derived relative error of the window sum over [lo, hi] at p, from the terms' shape.
-
-    A term d ratio steps from the anchor j0 of ``_anchored_window_sum``
-    carries at most (2 d + 1) u, u = 2^-53: the anchor's rounding and a
-    quotient and a product per step.  The terms are log-concave, so on each
-    side of j0 the ratio of a term to its predecessor falls away from j0
-    and is at most rho, the side's first ratio: j0 q / ((z - j0 + 1) p)
-    below and (z - j0) p / ((j0 + 1) q) above, a quotient of integers from
-    the dyadic p, rounded up.  A side's terms, the anchor included and each
-    weighted by itself, are then dominated in likelihood ratio by the
-    geometric law of ratio rho, so their mean d is at most D = rho / (1 -
-    rho), and over the window it is at most D_below + D_above.  The bound
-    is (2 (D_below + D_above) + 4) u + (z + 1) _TERM_CUTOFF: 2 u for the
-    anchor and ``math.fsum``, 2 u for the second-order terms and the
-    rounding of D (d <= z <= TAIL_ERROR_Z_MAX), and the dropped terms as in
-    ``_window_sum_error``, which caps it.  Where rho >= 1 (a tie at the
-    mode) or the kernel is direct it is ``_window_sum_error`` itself.
-    Subnormal terms: see ``_window_sum_error``.
-    """
-    bound = _window_sum_error(z, lo, hi)
-    if z <= _DIRECT_Z_MAX:
-        return bound
-    p_num, p_den = p.as_integer_ratio()
-    q_num = p_den - p_num
-    j0 = min(max((z + 1) * p_num // p_den, lo), hi)
-    spread = 0.0
-    for steps, num, den in ((j0 - lo, j0 * q_num, (z - j0 + 1) * p_num),
-                            (hi - j0, (z - j0) * p_num, (j0 + 1) * q_num)):
-        if steps:
-            rho = math.nextafter(num / den, math.inf)
-            if rho >= 1.0:
-                return bound
-            spread += rho / (1.0 - rho)
-    return min(bound, (2.0 * spread + 4.0) * _UNIT_ROUNDOFF + (z + 1) * _TERM_CUTOFF)
 
 
 def _window_error(delta: float, n: int, k: int) -> float:
@@ -611,38 +570,54 @@ def _edge_error(n: int, k: int, delta: float, root: float,
     edges placed at the tangent's root, and the open range of x in which
     such an edge may be kept; see ``_decided_window``.
 
-    x_s lies _SHAPE_OFFSET of the root's distance from 0 (from 1 above 1/2)
-    inside the root.  Where the summed window's anchor stays pinned at its
-    end beyond x_s and its ``_shape_error`` at x_s is below error, the
-    Newton phase's e = _window_error(delta, n, k), e_s is that shape bound
-    and the range ends on x_s's side at x_s / _SHAPE_KEEP (at
-    1 - (1 - x_s) / _SHAPE_KEEP above 1/2): an edge is kept only where it
-    lies beyond x_s by _SHAPE_OFFSET / 2 of its own distance.  Elsewhere,
-    direct sums and windows of one term included, it is (error, 0, 1), which
-    keeps every edge.
+    In lower-window terms the window summed is [0, j] at x: j = k and
+    x = x_s below 1/2, and above it the complement's mirror, j = n - k - 1
+    and x = 1 - x_s, as 1 - B_{n,k}(x) = B_{n,n-k-1}(1 - x); x_s lies
+    _SHAPE_OFFSET of the root's distance from 0 (from 1 above 1/2) inside
+    the root.  The first ratio rho = j (1 - x) / ((n - j + 1) x), an
+    integer quotient from the dyadic x_s rounded up, is below 1 only if
+    j < (n + 1) x, so the anchor of ``_anchored_window_sum``, the mode
+    clipped to the window, is pinned at j, and the log-concave terms fall
+    from it by ratios of at most rho.  A term d steps away carries at most
+    (2 d + 1) u, u = 2^-53 (the anchor's rounding, and a quotient and a
+    product per step), and the terms, each weighted by itself, are
+    dominated in likelihood ratio by the geometric law of ratio rho, whose
+    mean is rho / (1 - rho).  So the sum is within e_s = (2 rho / (1 - rho)
+    + 4) u + (n + 1) _TERM_CUTOFF: 2 u for the anchor and ``math.fsum``,
+    2 u for the second-order terms and the rounding of the mean (d <= n <=
+    TAIL_ERROR_Z_MAX), and the dropped terms as in ``_window_sum_error``.
+    Roundings that land on subnormal doubles add under (n + 1)^2 2^-1076 <
+    2^-1029 in all (see ``_window_sum_error``), under 2^-79 of the margin
+    where delta >= _SHAPE_DELTA_MIN.
+
+    e_s is returned where rho < 1 and e_s < error, the Newton phase's e,
+    with the range ending at x_s / _SHAPE_KEEP (1 - (1 - x_s) / _SHAPE_KEEP
+    above 1/2), _SHAPE_OFFSET / 2 of a kept edge's distance beyond x_s.
+    Elsewhere, direct sums, windows of one term (j = 0) and delta within
+    _SIDE_GUARD of 1/2 or of 1 or below _SHAPE_DELTA_MIN among them, it is
+    (error, 0, 1), which keeps every edge.
     """
-    if (abs(delta - 0.5) < _SIDE_GUARD
+    lower = delta < 0.5
+    j = k if lower else n - k - 1
+    if (n <= _DIRECT_Z_MAX or j == 0 or abs(delta - 0.5) < _SIDE_GUARD
             or not _SHAPE_DELTA_MIN <= delta <= 1.0 - _SIDE_GUARD):
         return error, 0.0, 1.0
-    lower = delta < 0.5
     near = root if lower else 1.0 - root
     near -= _SHAPE_OFFSET * near
     x_s = near if lower else 1.0 - near
     if not 0.0 < x_s < 1.0:
         return error, 0.0, 1.0
     p_num, p_den = x_s.as_integer_ratio()
-    mode = (n + 1) * p_num // p_den
-    if (mode < k) if lower else (mode > k + 1):  # the anchor would move
+    ahead, behind = (p_den - p_num, p_num) if lower else (p_num, p_den - p_num)
+    rho = math.nextafter(j * ahead / ((n - j + 1) * behind), math.inf)
+    if rho >= 1.0:
+        return error, 0.0, 1.0
+    shape = (2.0 * rho / (1.0 - rho) + 4.0) * _UNIT_ROUNDOFF + (n + 1) * _TERM_CUTOFF
+    if shape >= error:
         return error, 0.0, 1.0
     if lower:
-        shape = _shape_error(n, 0, k, x_s)
-        keep_lo, keep_hi = x_s / _SHAPE_KEEP, 1.0
-    else:
-        shape = _shape_error(n, k + 1, n, x_s)
-        keep_lo, keep_hi = 0.0, 1.0 - (1.0 - x_s) / _SHAPE_KEEP
-    if shape >= error:  # direct sums and windows of one term among them
-        return error, 0.0, 1.0
-    return shape, keep_lo, keep_hi
+        return shape, x_s / _SHAPE_KEEP, 1.0
+    return shape, 0.0, 1.0 - (1.0 - x_s) / _SHAPE_KEEP
 
 
 def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
@@ -682,25 +657,23 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     1/2 + _SIDE_GUARD the mirror argument takes e = e_U, and within
     _SIDE_GUARD of 1/2, where either side may be returned, e = max(e_L, e_U).
 
-    The two edges placed at the tangent's root r (below) may take e_s =
-    _shape_error(n, 0, k, x_s) at x_s = r (1 - 2^-20) where it is below e
-    (``_edge_error``).  Let delta < 1/2 - _SIDE_GUARD, n > _DIRECT_Z_MAX,
-    so that binom_tail sums with the anchored kernel, delta >= 2^-900, and
-    floor((n + 1) x_s) >= k, so that the lower window's anchor, its mode
-    clipped to [0, k], stays pinned at k for every x >= x_s.  Such an edge
-    is kept only if edge > keep_lo = x_s / (1 - 2^-21), rounded, so that it
-    lies beyond x_s by 2^-21 of its distance from 0 up to rounding:
-    1 - x_s / edge >= 2^-21 - 3 u.  Every skipped comparison is still
-    decided:
+    The two edges placed at the tangent's root r (below) may take the
+    closed-form bound e_s of ``_edge_error`` at x_s = r (1 - 2^-20) where
+    it is below e.  Let delta < 1/2 - _SIDE_GUARD, n > _DIRECT_Z_MAX, so
+    that binom_tail sums with the anchored kernel, delta >= 2^-900, and
+    rho = k (1 - x_s) / ((n - k + 1) x_s) < 1, which gives k < (n + 1) x_s,
+    so that the lower window's anchor, its mode clipped to [0, k], stays
+    pinned at k for every x >= x_s.  Such an edge is kept only if edge >
+    keep_lo = x_s / (1 - 2^-21), rounded, so that it lies beyond x_s by
+    2^-21 of its distance from 0 up to rounding: 1 - x_s / edge >= 2^-21 -
+    3 u.  Every skipped comparison is still decided:
 
     * mid >= x_s, on either side of the root: the lower window's one ratio
-      rho(x) = k (1 - x) / ((n - k + 1) x) falls as x grows, so the bound at
-      x_s holds at mid and at the edge, and the three-error count holds
-      with e_s.  A tail returned as one minus its complement reads far above
-      delta + m, as it does for e = e_L.  Right of the root the terms may be
-      subnormal; their roundings add at most (n + 1)^2 2^-1076 < 2^-1029 in
-      all (see _window_sum_error), negligible next to e_s delta >=
-      4 u 2^-900.
+      rho(x) falls as x grows, so the bound at x_s holds at mid and at the
+      edge, and the three-error count holds with e_s.  A tail returned as
+      one minus its complement reads far above delta + m, as it does for
+      e = e_L.  Right of the root the terms may be subnormal, which
+      ``_edge_error`` bounds far below e_s delta.
     * mid < x_s: log B is concave with log B(0) = 0, so its chord from 0 to
       a gives log B(mid) >= (mid / a) log B(a) > (x_s / a) log delta, since
       the true B(a) > delta.  So log B(mid) - log delta > (1 - x_s / a)
@@ -711,8 +684,8 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
 
     Above 1/2 + _SIDE_GUARD the same holds mirrored in 1 - x, as
     1 - B_{n,k}(x) = B_{n,n-k-1}(1 - x): x_s = 1 - (1 - r) (1 - 2^-20), the
-    complement [k + 1, n] pinned at k + 1 while floor((n + 1) x_s) <= k + 1,
-    its ratio (n - k - 1) x / ((k + 2) (1 - x)) falling as x decreases, and
+    complement [k + 1, n] pinned at k + 1 where its ratio (n - k - 1) x /
+    ((k + 2) (1 - x)) is below 1 at x_s, and falling as x decreases, and
     for mid > x_s the chord of log(1 - B), concave in 1 - x, giving
     1 - B(mid) > (1 - delta) (1 + 2^-22).  That gap exceeds the u of one
     minus the complement where 1 - delta >= _SIDE_GUARD, which the rule also
@@ -775,18 +748,15 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
         return a, b
     # The tangent at x aims each edge at delta -+ 2m, a margin m beyond what
     # it must certify; each edge is kept only if binom_tail certifies it,
-    # and where m comes from the shape bound, only beyond x_s.  The shape
-    # bound needs the anchored kernel and a window of more than one term.
-    # Where delta is below about _NEWTON_STOP m (2e-8 TAIL_ERROR_FLOOR or
-    # less) the stop test admits a tail far from delta and the tangent may
-    # leave [0, 1], so only edges inside (lo, hi), within (a, b), are tried.
+    # and where m comes from the shape bound, only beyond x_s.  Where delta
+    # is below about _NEWTON_STOP m (2e-8 TAIL_ERROR_FLOOR or less) the stop
+    # test admits a tail far from delta and the tangent may leave [0, 1], so
+    # only edges inside (lo, hi), within (a, b), are tried.
     if d > 0.0:
         root = x + (tail - delta) / d
-        lo, hi = a, b
-        if n > _DIRECT_Z_MAX and k != (0 if delta < 0.5 else n - 1):
-            error, keep_lo, keep_hi = _edge_error(n, k, delta, root, error)
-            margin = _window_margin(delta, error)
-            lo, hi = max(a, keep_lo), min(b, keep_hi)
+        error, keep_lo, keep_hi = _edge_error(n, k, delta, root, error)
+        margin = _window_margin(delta, error)
+        lo, hi = max(a, keep_lo), min(b, keep_hi)
         reach = 2.0 * margin / d
         left = min(root - reach, math.nextafter(root, 0.0))
         right = max(root + reach, math.nextafter(root, 1.0))

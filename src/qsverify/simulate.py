@@ -353,9 +353,13 @@ def scaling_experiment(
     scalings.
     """
     _check_counts(rounds=rounds)
-    n_grid = [int(x) for x in n_grid]
-    if n_grid != sorted(n_grid) or n_grid[0] < 1:
-        raise ValueError("n_grid must be ascending positive integers")
+    refusal = "n_grid must be ascending positive integers"
+    try:
+        n_grid = [operator.index(x) for x in n_grid]
+    except TypeError as exc:
+        raise ValueError(refusal) from exc
+    if not n_grid or n_grid != sorted(n_grid) or n_grid[0] < 1:
+        raise ValueError(refusal)
     max_n = n_grid[-1]
     at = np.array(n_grid) - 1
     ks = np.concatenate([

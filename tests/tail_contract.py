@@ -12,10 +12,16 @@ It sums first the window that a median estimate says is the smaller, and
 returns a complement summed first only below 1/2 - 2**-20; both window sums
 meet the relative bound (test_tail_side), so the tail would then have read
 above 1/2 too, and each result is the one of summing the tail first.
+Next to the root the window's last two edges may take the smaller bound
+``certificates._edge_error`` returns; ``window_with_its_edge_error`` reads
+it.
 """
 
 import math
 
+import pytest
+
+from qsverify import certificates
 from qsverify.certificates import TAIL_ERROR_FLOOR, TAIL_ERROR_Z_MAX, TAIL_REL_ERROR, solve_J
 
 
@@ -44,3 +50,22 @@ def contract_grid() -> list[tuple[int, int, float]]:
                 x = solve_J(z, k, delta)
                 cases += [(z, k, p) for p in (x, math.nextafter(x, 0.0), math.nextafter(x, 1.0))]
     return cases
+
+
+def window_with_its_edge_error(n: int, k: int, delta: float):
+    """(a, b, root, (e_s, keep_lo, keep_hi)): ``_decided_window``'s window,
+    the tangent's root it passed to ``_edge_error``, and what that gave for
+    the edges placed there: their error bound and the open range in which
+    they may be kept."""
+    recorded = []
+    edge_error = certificates._edge_error
+
+    def record(*args):
+        recorded.append((args[3], edge_error(*args)))
+        return recorded[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(certificates, "_edge_error", record)
+        a, b = certificates._decided_window(n, k, delta)
+    (root, returned), = recorded
+    return a, b, root, returned

@@ -602,8 +602,12 @@ EMPTY_TABLE = RoundTable(*(np.empty(0) for _ in COLUMNS))
          "n_grid must be ascending positive integers"),
         (lambda s, p: scaling_experiment(NoiseSpec(0.99), 0.05, [0, 2], s, p),
          "n_grid must be ascending positive integers"),
+        (lambda s, p: scaling_experiment(NoiseSpec(0.99), 0.05, [], s, p),
+         "n_grid must be ascending positive integers"),
+        (lambda s, p: scaling_experiment(NoiseSpec(0.99), 0.05, [3.7, 5], s, p),
+         "n_grid must be ascending positive integers"),
     ],
-    ids=["empty-table", "unsorted-grid", "zero-in-grid"],
+    ids=["empty-table", "unsorted-grid", "zero-in-grid", "empty-grid", "non-integer-grid"],
 )
 def test_refusals_state_their_reason(strat, run, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -28,7 +28,7 @@ from qsverify.certificates import (
 )
 from qsverify.reproduce import default_fig5_grid, fig5_rows
 from rational_oracle import binom_tail_highprec
-from tail_contract import contract_error
+from tail_contract import contract_error, window_with_its_edge_error
 
 QUERY_TABLES = sorted(
     (Path(__file__).resolve().parents[1] / "bench" / "data").glob("queries-*.csv")
@@ -174,26 +174,6 @@ def test_solve_j_binom_tail_calls_per_miss(solved):
     assert statistics.mean(trials) <= 7.6
 
 
-def _window_with_its_edge_error(n: int, k: int, delta: float):
-    """(a, b, edge_error, keep_lo, keep_hi): the window, and what
-    ``_edge_error`` gave for the edges placed at the tangent's root: their
-    error bound and the open range in which they may be kept (the Newton
-    phase's error and (0, 1) where the window did not ask)."""
-    recorded = []
-    edge_error = certificates._edge_error
-
-    def record(*args):
-        recorded.append(edge_error(*args))
-        return recorded[-1]
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(certificates, "_edge_error", record)
-        a, b = certificates._decided_window(n, k, delta)
-    error, keep_lo, keep_hi = recorded[0] if recorded else (
-        certificates._window_error(delta, n, k), 0.0, 1.0)
-    return a, b, error, keep_lo, keep_hi
-
-
 def test_window_edges_are_certified(solved):
     # Three tail errors at delta: one for each edge's own tail, one for the
     # skipped midpoint's, and one for the second-order terms.  The Newton
@@ -202,7 +182,7 @@ def test_window_edges_are_certified(solved):
     # kept only beyond it.
     for n, k, delta in list(solved)[::37]:
         newton = certificates._window_margin(delta, certificates._window_error(delta, n, k))
-        a, b, error, keep_lo, keep_hi = _window_with_its_edge_error(n, k, delta)
+        a, b, _, (error, keep_lo, keep_hi) = window_with_its_edge_error(n, k, delta)
         shaped = certificates._window_margin(delta, error)
         assert shaped <= newton
         x = solved[n, k, delta][0]
@@ -224,7 +204,7 @@ def test_window_edges_meet_the_tail_contract(solved):
     # edge beyond x_s, the shape bound there, where the window took it.
     sample = list(solved)[::53] + sorted(large_trial_cases())
     for n, k, delta in sample:
-        a, b, shaped, keep_lo, keep_hi = _window_with_its_edge_error(n, k, delta)
+        a, b, _, (shaped, keep_lo, keep_hi) = window_with_its_edge_error(n, k, delta)
         for edge in (a, b):
             if 0.0 < edge < 1.0:
                 tail = binom_tail(n, k, edge)
@@ -265,7 +245,7 @@ def test_window_holds_the_root_and_decides_what_lies_outside():
     assert len(cases) == 300
     shaped = 0
     for n, k, delta in cases:
-        a, b, error, *_ = _window_with_its_edge_error(n, k, delta)
+        a, b, _, (error, _, _) = window_with_its_edge_error(n, k, delta)
         shaped += error < certificates._window_error(delta, n, k)
         if a > 0.0:
             assert binom_tail_highprec(n, k, a, dps=30) > delta, (n, k, delta)

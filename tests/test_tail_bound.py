@@ -3,17 +3,19 @@
 ``_decided_window`` sizes its margin from ``_window_sum_error``, the error
 of the window sums ``binom_tail`` makes, derived in advance from the
 operations each kernel performs (see its docstring), wherever that is below
-the measured TAIL_REL_ERROR, and its last two edges from ``_shape_error``,
-the anchored kernel's error bound from the log-concave shape of the terms.
-Here every sum is compared with a 50-digit window oracle: the direct kernel
-(z <= _DIRECT_Z_MAX, with its anchored redo of tiny sums) against
-``_window_sum_error``, the anchored kernel at every z against
-``_anchored_sum_error`` and ``_shape_error``.  The bounds are relative, and
-absolute, times TAIL_ERROR_FLOOR, below the floor.
+the measured TAIL_REL_ERROR, and its last two edges from ``_edge_error``,
+the anchored kernel's error bound on a window pinned at its end, from the
+log-concave shape of the terms.  Here every sum is compared with a 50-digit
+window oracle: the direct kernel (z <= _DIRECT_Z_MAX, with its anchored
+redo of tiny sums) against ``_window_sum_error``, the anchored kernel at
+every z against ``_anchored_sum_error``, and next to the solver's roots
+against ``_edge_error``.  The bounds are relative, and absolute, times
+TAIL_ERROR_FLOOR, below the floor.
 """
 
 import csv
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -29,7 +31,7 @@ from qsverify.certificates import (
     solve_J,
 )
 from rational_oracle import window_sum_highprec
-from tail_contract import contract_grid
+from tail_contract import contract_grid, window_with_its_edge_error
 
 CERT_SCALING_QUERIES = (
     Path(__file__).resolve().parents[1] / "bench" / "data" / "queries-cert-scaling.csv"
@@ -71,32 +73,39 @@ def _grid_windows():
                 yield z, lo, hi, p
 
 
-def _mode(z: int, p: float) -> int:
-    p_num, p_den = p.as_integer_ratio()
-    return (z + 1) * p_num // p_den
-
-
-def _pinned_windows():
-    """The windows the solver sums next to its roots where ``_decided_window``
-    takes the shape bound, each at the root and at x_s, where the anchor is
-    pinned at the window's end: the lower window [0, k] at the SQSV roots
-    below 1/2 of the benchmark's cert-scaling query table (read only), and
-    the complement [k + 1, n] at the lower Clopper-Pearson roots of 2000
-    trials, B_{2000,s-1}(x) = 1 - alpha/2, at every tenth s."""
+def _pinned_solves():
+    """(n, k, delta) of the solves whose last two edges may take the shape
+    bound: the SQSV roots below 1/2 with n > _DIRECT_Z_MAX of the
+    benchmark's cert-scaling query table (read only), which sum the lower
+    window [0, k] there, and the lower Clopper-Pearson roots,
+    B_{n,s-1}(x) = 1 - alpha/2, at every tenth s of 2000 trials and every
+    5000th of 10^5, which sum the complement [s, n]; on the larger windows
+    of 10^5 trials the mean term lies far from the anchor."""
     with CERT_SCALING_QUERIES.open(newline="") as fh:
         rows = [row for row in csv.DictReader(fh) if row["protocol"] == "sqsv"]
     for row in rows:
         n, k, delta = int(row["n"]), int(row["k"]), float(row["delta"])
         if n > _DIRECT_Z_MAX and delta < 0.5:
-            x = solve_J(n, k, delta)
-            for p in (x, x - _SHAPE_OFFSET * x):
-                if 0.0 < p < 1.0 and _mode(n, p) >= k:
-                    yield n, 0, k, p
-    for s in range(1, 2001, 10):
-        x = solve_J(2000, s - 1, 1.0 - CP_ALPHA / 2.0)
-        for p in (x, 1.0 - (1.0 - x) * (1.0 - _SHAPE_OFFSET)):
-            if 0.0 < p < 1.0 and _mode(2000, p) <= s:
-                yield 2000, s, 2000, p
+            yield n, k, delta
+    for n, step in ((2000, 10), (10**5, 5000)):
+        for s in range(1, n + 1, step):
+            yield n, s - 1, 1.0 - CP_ALPHA / 2.0
+
+
+def _summed_window(n: int, k: int, delta: float) -> tuple[int, int]:
+    """The window binom_tail sums next to the root: [0, k] below 1/2, else [k + 1, n]."""
+    return (0, k) if delta < 0.5 else (k + 1, n)
+
+
+def _distance(delta: float):
+    """x's distance from the end x_s lies towards: 0 below 1/2, 1 above."""
+    return (lambda x: x) if delta < 0.5 else (lambda x: 1.0 - x)
+
+
+def _x_s(delta: float, root: float) -> float:
+    """_SHAPE_OFFSET of the root's distance from 0 (from 1 above 1/2) inside it."""
+    dist = _distance(delta)
+    return dist(dist(root) - _SHAPE_OFFSET * dist(root))
 
 
 def _ratio(got: float, z: int, lo: int, hi: int, p: float, bound: float) -> float:
@@ -153,41 +162,36 @@ def test_anchored_window_sums_meet_their_derived_bound(windows):
     )
 
 
-@pytest.mark.parametrize(
-    "windows",
-    [
-        pytest.param(lambda: _random_windows(32, 600, _DIRECT_Z_MAX + 1), id="random-small"),
-        pytest.param(lambda: _random_windows(33, 600, 10**5), id="random-large"),
-        pytest.param(_grid_windows, id="contract-grid"),
-        pytest.param(_pinned_windows, id="pinned-next-to-roots"),
-    ],
-)
-def test_anchored_window_sums_meet_their_shape_bound(windows):
-    _worst(windows(), certificates._anchored_window_sum, certificates._shape_error)
+def test_anchored_sums_next_to_the_roots_meet_their_edge_error():
+    # The summed window at x_s, at the tangent's root and at each edge the
+    # window kept are within the e_s _edge_error returned, which is the
+    # shape bound wherever it is below the Newton phase's error.
+    shaped = 0
+    for n, k, delta in _pinned_solves():
+        a, b, root, (error, keep_lo, keep_hi) = window_with_its_edge_error(n, k, delta)
+        shaped += error < certificates._window_error(delta, n, k)
+        points = [_x_s(delta, root), root]
+        points += [edge for edge in (a, b) if keep_lo < edge < keep_hi and 0.0 < edge < 1.0]
+        lo, hi = _summed_window(n, k, delta)
+        for p in points:
+            got = certificates._anchored_window_sum(n, lo, hi, p)
+            assert _ratio(got, n, lo, hi, p, error) <= 1.0, (n, k, delta, p)
+    assert shaped > 400
 
 
 def test_shape_bound_is_tighter_next_to_the_roots():
     # The anchor is pinned at the window's end and its one ratio is below 1,
     # so the bound is below the kernel's on every window of three terms or
-    # more (for one term it is u above it, and capped).
-    windows = list(_pinned_windows())
-    assert len(windows) > 1000
-    for z, lo, hi, p in windows:
-        shape, kernel = certificates._shape_error(z, lo, hi, p), certificates._window_sum_error(z, lo, hi)
+    # more (for one term it is u above it, and the kernel's is kept).
+    solves = list(_pinned_solves())
+    assert len(solves) > 500
+    for n, k, delta in solves:
+        kernel = certificates._window_sum_error(n, *_summed_window(n, k, delta))
+        shape, *_ = certificates._edge_error(n, k, delta, solve_J(n, k, delta), kernel)
         assert shape <= kernel
+        lo, hi = _summed_window(n, k, delta)
         if hi - lo >= 2:
-            assert shape < kernel, (z, lo, hi, p)
-
-
-def test_shape_bound_falls_back_to_the_kernel_bound():
-    # Direct sums, and a tie at the mode, where the first ratio below the
-    # anchor is 1 and the geometric bound says nothing.
-    for z, lo, hi, p in ((100, 0, 50, 0.3), (100, 60, 100, 0.3), (50, 0, 0, 1e-9)):
-        assert certificates._shape_error(z, lo, hi, p) == certificates._window_sum_error(z, lo, hi)
-    z = 199  # (z + 1) p = 100, so the anchor 100 is tied with term 99
-    assert certificates._shape_error(z, 0, 150, 0.5) == certificates._window_sum_error(z, 0, 150)
-    assert certificates._shape_error(z, 0, 100, 0.5) == certificates._window_sum_error(z, 0, 100)
-    assert certificates._shape_error(z, 0, 99, 0.5) < certificates._window_sum_error(z, 0, 99)
+            assert shape < kernel, (n, k, delta)
 
 
 def test_window_sum_error_is_the_bound_of_the_kernel_in_use():
@@ -228,24 +232,38 @@ def _edge_error(n: int, k: int, delta: float, root: float):
 
 def test_edge_error_takes_the_shape_of_the_side_binom_tail_returns():
     # The edges at the tangent's root r: the shape bound of the summed window
-    # at x_s = r (1 - 2^-20), mirrored in 1 - x above 1/2, where its anchor
-    # stays pinned; an edge is kept only 2^-21 of its distance beyond x_s.
+    # at x_s = r (1 - 2^-20), pinned at its end j with first ratio rho < 1,
+    # (2 rho / (1 - rho) + 4) u + (n + 1) 1e-22; above 1/2 the complement is
+    # the lower window of B_{n,n-k-1}(1 - x).  An edge is kept only 2^-21 of
+    # its distance beyond x_s.
     n, k = 5000, 30
-    for delta, side in ((0.05, (0, k)), (0.975, (k + 1, n))):
+    for delta, j in ((0.05, k), (0.975, n - k - 1)):
         root = solve_J(n, k, delta)
-        dist = (lambda x: x) if delta < 0.5 else (lambda x: 1.0 - x)
-        x_s = dist(dist(root) - _SHAPE_OFFSET * dist(root))
+        dist = _distance(delta)
+        x_s = _x_s(delta, root)
+        x = Fraction(x_s) if delta < 0.5 else 1 - Fraction(x_s)  # in lower-window terms
+        rho = math.nextafter(float(j * (1 - x) / ((n - j + 1) * x)), math.inf)
+        shape = (2.0 * rho / (1.0 - rho) + 4.0) * 2.0**-53 + (n + 1) * 1e-22
         newton = certificates._window_error(delta, n, k)
         error, keep_lo, keep_hi = _edge_error(n, k, delta, root)
         kept = lambda x: keep_lo < x < keep_hi
-        assert error == min(newton, certificates._shape_error(n, *side, x_s)) < newton
+        assert rho < 1.0 and error == shape < newton
         assert kept(root) and not kept(x_s)
         assert kept(dist(dist(root) - 0.4 * _SHAPE_OFFSET * dist(root)))
         assert not kept(dist(dist(root) - 0.6 * _SHAPE_OFFSET * dist(root)))
+
+
+def test_shape_bound_falls_back_to_the_kernel_bound():
+    # z = 199 at x_s = 1/2: (z + 1) x_s = 100, so term 100 ties with term 99
+    # and the window [0, 100] has rho = 1, while [0, 99] is pinned below it.
+    n, k = 5000, 30
+    tie = 0.5 / (1.0 - _SHAPE_OFFSET)
+    assert _x_s(0.05, tie) == 0.5
+    assert _edge_error(199, 99, 0.05, tie)[0] < certificates._window_error(0.05, 199, 99)
     # Elsewhere the Newton phase's error, and (0, 1) keeps every edge: direct sums,
     # delta below 2^-900, within _SIDE_GUARD of 1/2 or of 1, an anchor that
-    # would move (a root whose mode lies below k), and windows of one term,
-    # whose shape bound is never the smaller.
+    # would move (a root whose mode lies below k), a tie at the mode, and
+    # windows of one term, whose shape bound is never the smaller.
     cases = [
         (100, 3, 0.05, solve_J(100, 3, 0.05)),
         (n, 0, 0.05, solve_J(n, 0, 0.05)),
@@ -256,6 +274,7 @@ def test_edge_error_takes_the_shape_of_the_side_binom_tail_returns():
         (n, k, 1.0 - 2.0**-21, solve_J(n, k, 1.0 - 2.0**-21)),
         (n, k, 0.05, 0.5 * k / (n + 1)),
         (n, k, 0.975, 2.0 * (k + 2) / (n + 1)),
+        (199, 100, 0.05, tie),
     ]
     for n, k, delta, root in cases:
         newton = certificates._window_error(delta, n, k)

@@ -5,11 +5,11 @@
 delta above it decides the three tests that ask whether B_{n,k}(nu) reaches
 delta (``sqsv_certificate``, ``dqsv_certificate`` and
 ``dqsv_intermediates``, all through ``_zero_test_tail``) without a tail
-sum.  The random draws reach n = 10^5 and include p = 1, k >= n p, delta
-down to the smallest subnormal, and delta one float on either side of the
-computed tail and of the unpadded bound.  On the benchmark's query tables
-(read only) every certificate equals the one computed with the decision
-switched off.
+sum.  The random draws reach n = 10^5 and include p = 1, k >= n p, k = 0
+(where the bound is exact), delta down to the smallest subnormal, and delta
+one float on either side of the computed tail and of the unpadded bound.
+On the benchmark's query tables (read only) every certificate equals the
+one computed with the decision switched off.
 """
 
 import csv
@@ -63,6 +63,17 @@ def random_draws(seed: int, count: int):
         yield n, k, p
 
 
+def zero_failure_draws(seed: int, count: int):
+    """k = 0, where the Chernoff bound (1 - p)^n is exact, so only the
+    padding of its exponent keeps the ceiling above the computed tail: n
+    log-uniform in [10^3, 10^5] and n p in [1, 700], where the tail is a
+    normal double below 1/2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = int(10 ** rng.uniform(3.0, 5.0))
+        yield n, 0, 10 ** rng.uniform(0.0, math.log10(700.0)) / n
+
+
 def deltas(n: int, k: int, p: float, tail: float, rng: random.Random) -> list[float]:
     out = [5e-324, 1e-300, 2.0**-1000, 10.0 ** rng.uniform(-300.0, 0.0), 1.0]
     for centre in (tail, chernoff_bound(n, k, p) if k < n * p < n else tail):
@@ -74,7 +85,14 @@ def deltas(n: int, k: int, p: float, tail: float, rng: random.Random) -> list[fl
 def test_decisions_are_below_the_computed_tail():
     rng = random.Random(11)
     decided = undecided = 0
-    for n, k, p in random_draws(seed=7, count=1500):
+    draws = [
+        *random_draws(seed=7, count=1500),
+        *zero_failure_draws(seed=13, count=500),
+        # The tail reads 3.975054279688515e-99, the ceiling without the
+        # padding of its exponent 3.975054279688244e-99.
+        (4703, 0, 0.047034792200516096),
+    ]
+    for n, k, p in draws:
         tail = binom_tail(n, k, p)
         assert tail <= _tail_ceiling(n, k, p), (n, k, p)
         for delta in deltas(n, k, p, tail, rng):

@@ -41,24 +41,35 @@ MUTANTS = (
     # The shape bound of the window's last two edges.
     Mutant(
         "shape-bound-half", CERTIFICATES,
-        "    return min(bound, (2.0 * spread + 4.0) * _UNIT_ROUNDOFF + (z + 1) * _TERM_CUTOFF)",
-        "    return 0.5 * min(bound, (2.0 * spread + 4.0) * _UNIT_ROUNDOFF + (z + 1) * _TERM_CUTOFF)",
+        "    shape = (2.0 * rho / (1.0 - rho) + 4.0) * _UNIT_ROUNDOFF + (n + 1) * _TERM_CUTOFF",
+        "    shape = 0.5 * ((2.0 * rho / (1.0 - rho) + 4.0) * _UNIT_ROUNDOFF + (n + 1) * _TERM_CUTOFF)",
         WINDOW_TESTS,
-        "_shape_error at 1/2 of its proof: killed only by the test of the rule, "
-        "where it puts a one-term window's shape bound below its kernel bound; "
-        "the anchored sums reach at most 0.34 of the bound against the 50-digit "
-        "oracle, so half the bound still holds",
+        "_edge_error's closed form at 1/2 of its proof: killed only by the test "
+        "of the rule, which states the closed form; the anchored sums reach at "
+        "most 0.36 of the bound against the 50-digit oracle, so half the bound "
+        "still holds",
     ),
     Mutant(
         "shape-bound-eighth", CERTIFICATES,
-        "    return min(bound, (2.0 * spread + 4.0) * _UNIT_ROUNDOFF + (z + 1) * _TERM_CUTOFF)",
-        "    return 0.125 * min(bound, (2.0 * spread + 4.0) * _UNIT_ROUNDOFF + (z + 1) * _TERM_CUTOFF)",
+        "    shape = (2.0 * rho / (1.0 - rho) + 4.0) * _UNIT_ROUNDOFF + (n + 1) * _TERM_CUTOFF",
+        "    shape = 0.125 * ((2.0 * rho / (1.0 - rho) + 4.0) * _UNIT_ROUNDOFF + (n + 1) * _TERM_CUTOFF)",
         WINDOW_TESTS,
-        "_shape_error at 1/8 of its proof",
+        "_edge_error's closed form at 1/8 of its proof",
+    ),
+    Mutant(
+        "shape-mirror-swapped", CERTIFICATES,
+        "    ahead, behind = (p_den - p_num, p_num) if lower else (p_num, p_den - p_num)",
+        "    ahead, behind = (p_den - p_num, p_num)",
+        ("tests/test_tail_bound.py",),
+        "the complement's first ratio taken with the lower window's (ahead, "
+        "behind), unmirrored: the complements at 10^5 trials then exceed it "
+        "against the 50-digit oracle",
     ),
     Mutant(
         "edge-beyond-x_s-unchecked", CERTIFICATES,
-        "    return shape, keep_lo, keep_hi",
+        "    if lower:\n"
+        "        return shape, x_s / _SHAPE_KEEP, 1.0\n"
+        "    return shape, 0.0, 1.0 - (1.0 - x_s) / _SHAPE_KEEP",
         "    return shape, 0.0, 1.0",
         WINDOW_TESTS,
         "tight edges kept on the near side of x_s, where the chord argument says "
@@ -138,7 +149,7 @@ MUTANTS = (
         "    bound = math.exp(-divergence)",
         ("tests/test_zero_certificate.py",),
         "the Chernoff ceiling without the rounding of its exponent, 10 u size "
-        "relative: survives, as no test puts delta that close above the bound",
+        "relative: at k = 0 the bound is exact and falls below the computed tail",
     ),
     Mutant(
         "query-n-unlimited", CERTIFICATES,
