@@ -77,11 +77,10 @@ delta above the Chernoff bound exp(-N D(k/N || nu)) for k < N nu, padded by
 the tail's error contract (``_tail_ceiling``), sums no tail.  SQSV is zero
 where B > delta, DQSV where delta <= B (``dqsv_intermediates`` gives None).
 
-zhat is searched with a tie tolerance relative to delta (ZHAT_TIE_TOL).
-The search starts at the normal approximation of the z with
-B_{z,k}(nu) = delta, gallops outward to a bracket and bisects inside it, so
-its probes evaluate a few knot tails next to zhat instead of spreading over
-[k, n]; h is strictly decreasing, so zhat is the full-range binary search's.
+zhat is searched with a tie tolerance relative to delta (ZHAT_TIE_TOL), by
+galloping from the normal approximation of the z with B_{z,k}(nu) = delta to
+a bracket and bisecting inside it (``_zhat``).  kappa is 0 where the last knot
+h_{N+1} is not below both delta and h_N, as ``_dqsv_core`` proves sound.
 
 Memoization: ``solve_J`` is memoized on (n, k, delta), and the knot tails
 B_{z,k}(nu) behind h, g and the degenerate test delta <= B_{N,k}(nu) on
@@ -461,17 +460,20 @@ def _model_root(n: int, k: int, delta: float, x: float) -> float:
     k <= _MODEL_K_MAX.  Above delta = 1/2 it models the complement 1 - S
     instead.  Newton runs in w = log(1 - x), where d log S / dw =
     (n - k) t_k / S and log S is nearly linear even next to 1.  A root that
-    rounds to 1 gives the largest float below 1.  Where an iterate leaves
-    (0, 1) or Newton has not converged within _MODEL_MAX_STEPS, x is
-    returned.
+    rounds to 1 gives the largest float below 1.  x is returned wherever
+    the model cannot take a step: where an iterate leaves (0, 1), tested
+    first as w < 0 so that exp(w) cannot overflow, where the slope is 0,
+    or where Newton has not converged within _MODEL_MAX_STEPS.
     """
     upper = delta > 0.5
     target = math.log1p(-delta) if upper else math.log(delta)
     log_comb = None
     w = math.log1p(-x)
     for _ in range(_MODEL_MAX_STEPS):
+        if not w < 0.0:
+            return x
         p, q = -math.expm1(w), math.exp(w)
-        if not (p > 0.0 and q > 0.0):
+        if not q > 0.0:
             return x
         term = total = 1.0
         if (n - k + 1) * p < k * q:  # the terms peak below k: sum up from t_0
@@ -495,6 +497,8 @@ def _model_root(n: int, k: int, delta: float, x: float) -> float:
             if not rest > 0.0:
                 return x
             value, slope = math.log(rest), -slope * (1.0 - rest) / rest
+        if slope == 0.0:
+            return x
         step = (target - value) / slope
         w += step
         if abs(step) <= _MODEL_STEP_TOL * abs(w):
@@ -905,7 +909,7 @@ def _g(z: int, k: int, n: int, nu: float) -> float:
 
 
 def _zhat(k: int, n: int, nu: float, delta: float) -> int:
-    """Largest z in [k, n] with h_z >= delta, given h_{n+1} < delta <= 1 = h_k.
+    """Largest z in [k, n] with h_z >= delta, for delta <= 1 = h_k; h_{n+1} is not read.
 
     Values within a relative ZHAT_TIE_TOL of delta count as meeting the
     threshold, so the ">=" in the definition is honored under floating-point
@@ -950,28 +954,24 @@ def _zhat(k: int, n: int, nu: float, delta: float) -> int:
 
 
 def _dqsv_core(q: CertificateQuery) -> tuple[int, float, float]:
-    """(zhat, kappa, zeta_tilde) for a non-degenerate DQSV query."""
+    """(zhat, kappa, zeta_tilde) for a non-degenerate DQSV query.
+
+    kappa = min(1, (delta - h_{zhat+1}) / (h_zhat - h_{zhat+1})) where
+    h_{zhat+1} < min(delta, h_zhat), else 0.  Below zhat = n that always
+    holds: ``_zhat`` sets lo only at k (h_k = 1) or where h >= t = delta -
+    ZHAT_TIE_TOL delta, and hi only one below a probe with h < t, so
+    h_{zhat+1} < t <= min(delta, h_zhat); the min clips a kappa that the tie
+    band pushed past 1.  In that band the unprobed h_{n+1} = B_{n,k}(nu) may
+    read at or above delta, or level with h_n.  kappa = 0 then gives
+    zeta_tilde = g_{n+1} = 0, a sound bound; kappa = 1 (g_n / delta) would
+    overstate the exact 0.00556 at (136, 83, 1 - 2^-53, 0.7215780981758697).
+    """
     n, k, nu, delta = q.n, q.k, q.nu, q.delta
     if delta == 1.0:  # h_k = 1 > h_z for every z > k, so zhat = k and kappa = 1
         return k, 1.0, _g(k, k, n, nu)
     zh = _zhat(k, n, nu, delta)
-    h_z = _h(zh, k, n, nu)
-    h_z1 = _h(zh + 1, k, n, nu)
-    denom = h_z - h_z1
-    if denom <= 0.0:
-        raise NumericalConsistencyError(
-            f"h_{zh} - h_{zh + 1} = {denom} <= 0; the knot sequence lost monotonicity"
-        )
-    kappa = (delta - h_z1) / denom
-    # The zhat tie tolerance admits h_zhat up to ZHAT_TIE_TOL * delta below
-    # delta, which can push kappa past 1 by that over denom when the knot gap is
-    # near float resolution; clamping to the knot value is the continuous
-    # limit.  Anything beyond that allowance is a real inconsistency.
-    if kappa < -1e-9 or delta - h_z > 10.0 * ZHAT_TIE_TOL * delta:
-        raise NumericalConsistencyError(
-            f"interpolation weight kappa = {kappa} outside [0, 1]"
-        )
-    kappa = min(1.0, max(0.0, kappa))
+    h_z, h_z1 = _h(zh, k, n, nu), _h(zh + 1, k, n, nu)
+    kappa = min(1.0, (delta - h_z1) / (h_z - h_z1)) if h_z1 < min(delta, h_z) else 0.0
     zeta = (1.0 - kappa) * _g(zh + 1, k, n, nu) + kappa * _g(zh, k, n, nu)
     return zh, kappa, zeta
 
@@ -1003,11 +1003,10 @@ def dqsv_intermediates(q: CertificateQuery) -> DqsvIntermediates | None:
 def dqsv_certificate(q: CertificateQuery) -> Certificate:
     """Guaranteed fidelity of the untested system, with no IID assumption.
 
-    At delta = 1 it is the closed form g_k = (n - k + 1)/(n + 1).  In the
-    extreme corner where B_{n,k}(nu) rounds to 1 in double precision
-    (nu tiny and k close to n), the degenerate zero bound is returned for any
-    delta; that is conservative but sound, and the knot landscape is not
-    float-resolvable there anyway.
+    At delta = 1 it is the closed form g_k = (n - k + 1)/(n + 1).  It is 0,
+    conservative but sound, for any delta where B_{n,k}(nu) rounds to 1 (nu
+    tiny, k close to n), and where the last knot h_{n+1} is not below both
+    delta and h_n (``_dqsv_core``'s kappa rule).
     """
     if q.protocol != PROTOCOL_DQSV:
         raise ValueError(f"expected a DQSV query, got {q.protocol!r}")

@@ -114,6 +114,25 @@ MUTANTS = (
         ("tests/test_certificates.py",),
         "zhat's tie band 10^4 times wider",
     ),
+    # The two rules that end valid queries next to delta = 1 in a bound.
+    Mutant(
+        "kappa-one-at-the-last-knot", CERTIFICATES,
+        " if h_z1 < min(delta, h_z) else 0.0",
+        " if h_z1 < min(delta, h_z) else 1.0",
+        ("tests/test_delta_next_to_one.py",),
+        "kappa = 1 where the last knot is not below both delta and h_n: "
+        "(136, 83, 1 - 2^-53, 0.7215780981758697) certifies g_n / delta = "
+        "0.0073, above the exact 0.00556",
+    ),
+    Mutant(
+        "model-slope-unguarded", CERTIFICATES,
+        "        if slope == 0.0:\n"
+        "            return x\n",
+        "",
+        ("tests/test_delta_next_to_one.py",),
+        "the float model divides by a slope of 0: ZeroDivisionError at "
+        "solve_J(133, 26, 1 - 1e-15)",
+    ),
     # Mutants recorded by earlier changes.
     Mutant(
         "pow-exact-384-bits", CERTIFICATES,
