@@ -47,13 +47,18 @@ coefficient is exact from ``math.comb`` for small min(j, z - j) and a truncated
 prime-power product above, so its cost stays near 0.1 s even at z = 10^7.
 
 J(N, k, delta) is found by bisection to floating-point interval exhaustion.
-An error bound e on the tail, |computed - true B| <= e B (e (1 - B) + 2^-53
-where the tail is one minus its complement), decides in advance every
-comparison B(mid) > delta whose midpoint lies outside a window [a, b] with
-computed B(a) > delta + m and B(b) < delta - m, m = 3 e delta for
-delta <= 1/2; a short safeguarded Newton phase finds that window, and the
-bisection skips those comparisons.  For k <= _MODEL_K_MAX that phase starts
-at the root of a float model of the tail, found by Newton in log(1 - x)
+At k = 0 and delta <= _K0_DELTA_MAX the tail binom_tail returns near the
+root is the one term (1 - x)^N, non-increasing on the floats, so the two
+adjacent floats on which the bisection ends are found directly from the
+closed form 1 - delta^(1/N), in about two tail sums (``_k0_crossing``).
+Elsewhere an error bound e on the tail, |computed - true B| <= e B
+(e (1 - B) + 2^-53 where the tail is one minus its complement), decides
+in advance every comparison B(mid) > delta whose midpoint lies outside a
+window [a, b] with computed B(a) > delta + m and B(b) < delta - m,
+m = 3 e delta for delta <= 1/2; a short safeguarded Newton phase finds
+that window, and the bisection skips those comparisons.  For
+k <= _MODEL_K_MAX that phase starts at the root of a float model of the
+tail, found by Newton in log(1 - x)
 (``_model_root``), so it usually stops at its first tail sum.  e is the
 smaller of two bounds for the side binom_tail returns near delta: the
 relative-error contract TAIL_REL_ERROR = 1e-13, measured by the tests on a
@@ -68,9 +73,9 @@ shape of the window summed there where it is pinned at its end with first
 ratio rho < 1: (2 rho / (1 - rho) + 4) 2^-53 + (z + 1) 1e-22
 (``_edge_error``); ``_decided_window`` proves that every comparison it
 skips is still decided.  Given these bounds,
-the result is bitwise the full bisection's, at a median of 8 binom_tail
-evaluations per solve against its 55, and 7 where k <= _MODEL_K_MAX (see
-tests/test_solve_j_window.py).
+the result is bitwise the full bisection's, at a median of 7 binom_tail
+evaluations per solve against its 55 (8 before the k = 0 crossing), and 6
+where k <= _MODEL_K_MAX (see tests/test_solve_j_window.py).
 
 The zero-certificate tests read B_{N,k}(nu) from ``_zero_test_tail``: a
 delta above the Chernoff bound exp(-N D(k/N || nu)) for k < N nu, padded by
@@ -151,6 +156,10 @@ _SHAPE_DELTA_MIN = 2.0**-900
 _MODEL_K_MAX = 256
 _MODEL_MAX_STEPS = 20
 _MODEL_STEP_TOL = 1e-12    # relative step in log(1 - x) at which the model stops
+# solve_J reads a k = 0 root as the crossing of its one-term tail for delta up
+# to this, within at most this many tail sums; see _k0_crossing.
+_K0_DELTA_MAX = 0.49
+_K0_MAX_STEPS = 4
 
 SOLVE_J_CACHE_SIZE = 4096      # memoized (n, k, delta) roots
 KNOT_TAIL_CACHE_SIZE = 16384   # memoized (z, k, nu) knot tails
@@ -777,6 +786,81 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     return a, b
 
 
+def _k0_crossing(n: int, delta: float) -> tuple[float, float, float, float] | None:
+    """(lo, hi, B(lo), B(hi)): the adjacent floats on which the bisection of
+    solve_J(n, 0, delta) ends, with their computed tails, or None.
+
+    At k = 0 the window binom_tail sums first below 1/2 is the one term
+    t(x) = (1 - x)^n: fl(1 - x) ** n for direct sums (redone anchored below
+    _DIRECT_SUM_MIN), else the anchor of ``_anchored_window_sum`` over
+    [0, 0].  Where t <= 1/2, n x >= 1/2, and the computed t is
+    non-increasing in x.  Anchored: one float step moves (1 - x)^n by a
+    relative n ulp(x) / (1 - x) >= 2^-54, against the 2^-310 by which the
+    320-bit truncations of q_num^n, q_num = p_den - p_num exact, can move
+    it, and the truncation to 64 bits, ``ldexp`` and the t0 == 0 floor are
+    monotone.  Direct, for n >= 5 and delta >= 2 _DIRECT_SUM_MIN: with
+    ``pow`` within 1 ulp, as ``_window_sum_error`` assumes, the powers of
+    two adjacent values of fl(1 - x) lie a relative n u >= 5 u apart
+    (u = 2^-53), beyond the 2 ulps <= 4 u the two may err; no tail above
+    delta is redone anchored, and one redone reads about _DIRECT_SUM_MIN
+    < delta.
+
+    The search returns lo, hi = lo's successor with computed B(lo) > delta
+    >= B(hi) where (n + 0.4) hi >= 0.7.  binom_tail's median estimate then
+    fails at hi and beyond, where it returns t <= t(hi) <= delta.  Left of
+    hi it returns t >= t(lo) > delta, or one minus a complement: above 1/2
+    where the complement was summed first, and otherwise where t > 1/2, so
+    above 1/2 within the measured contract, and so above delta <=
+    _K0_DELTA_MAX < 1/2 - 1e-12.  Every comparison B(mid) > delta thus
+    holds exactly left of hi, the bisection ends on (lo, hi), and its
+    residual check reads their tails.  As -log(_K0_DELTA_MAX) > 0.71,
+    (n + 0.4) x > 0.7 wherever B <= _K0_DELTA_MAX: in the band the check at
+    hi restates that rule.
+
+    The search starts at -expm1(log(delta) / n), within a few ulps of the
+    root, and steps one float at a time for anchored sums.  A direct sum
+    reads x only through fl(1 - x), constant on runs of up to 2^53 ulp(x)
+    floats; it starts at the last x of the run of q_1 = 1 - m 2^-53,
+    m = floor(x 2^53), the run boundary nearest the start: (1 - q_1) +
+    2^-54, or the float below it where ties-to-even rounds 1 - x away from
+    q_1.  A tail above delta moves the search to its run's last float, then
+    to the next run's first; one at or below it moves left likewise.  A
+    pair is accepted only once binom_tail has read both floats (B(1) = 0
+    needs no sum), and None is returned after _K0_MAX_STEPS tail sums.
+    """
+    direct = n <= _DIRECT_Z_MAX
+    if not (delta <= _K0_DELTA_MAX and n <= TAIL_ERROR_Z_MAX
+            and (not direct or (n >= 5 and delta >= 2.0 * _DIRECT_SUM_MIN))):
+        return None
+
+    def run_edge(x: float, side: float) -> float:
+        """The last (side 1) or first (side -1) float x' with fl(1 - x') = fl(1 - x)."""
+        if not direct:
+            return x
+        q = 1.0 - x
+        edge = (1.0 - q) + side * 2.0**-54
+        return edge if 1.0 - edge == q else math.nextafter(edge, x)
+
+    x = -math.expm1(math.log(delta) / n)
+    if direct:
+        x = run_edge(math.floor(x * 2.0**53) * 2.0**-53, 1.0)
+    lo, hi = 0.0, 1.0
+    tail_lo = tail_hi = math.nan
+    for _ in range(_K0_MAX_STEPS):
+        tail = binom_tail(n, 0, x)
+        if tail > delta:
+            lo, tail_lo = x, tail
+            edge = run_edge(x, 1.0)
+            x = math.nextafter(x, 1.0) if edge == x else edge
+        else:
+            hi, tail_hi = x, tail
+            edge = run_edge(x, -1.0)
+            x = math.nextafter(x, 0.0) if edge == x else edge
+        if math.nextafter(lo, 1.0) == hi:
+            return (lo, hi, tail_lo, tail_hi) if (n + 0.4) * hi >= 0.7 else None
+    return None
+
+
 @functools.lru_cache(maxsize=SOLVE_J_CACHE_SIZE, typed=True)
 def solve_J(n: int, k: int, delta: float) -> float:
     """The unique x in [0, 1] with B_{n,k}(x) = delta, for n >= k + 1.
@@ -789,7 +873,11 @@ def solve_J(n: int, k: int, delta: float) -> float:
     bound (the derived one of ``_window_sum_error`` or the measured
     TAIL_REL_ERROR contract, whichever is smaller) already decides its
     outcome; given those bounds, the result is bitwise the one of the full
-    bisection.  Memoized on (n, k, delta); errors are not cached.
+    bisection.  At k = 0 and delta <= _K0_DELTA_MAX, ``_k0_crossing``
+    finds the two adjacent floats on which that bisection ends from the
+    closed-form root 1 - delta^(1/n), in about two tail sums, and neither
+    the window nor the bisection runs.  Memoized on (n, k, delta); errors
+    are not cached.
     """
     if k < 0 or n < k + 1:
         raise ValueError(f"need n >= k + 1 >= 1, got n = {n}, k = {k}")
@@ -797,9 +885,12 @@ def solve_J(n: int, k: int, delta: float) -> float:
         raise ValueError(f"delta = {delta} outside (0, 1]")
     if delta == 1.0:
         return 0.0
-    a, b = _decided_window(n, k, delta)
-    lo, hi = 0.0, 1.0
-    tail_lo = tail_hi = math.nan  # computed B at lo and hi, NaN where not evaluated
+    # The bracket [lo, hi] and the computed B at its ends, NaN where not
+    # evaluated.  A k = 0 crossing is two adjacent floats, on which the
+    # bisection ends at once.
+    crossing = _k0_crossing(n, delta) if k == 0 else None
+    lo, hi, tail_lo, tail_hi = crossing or (0.0, 1.0, math.nan, math.nan)
+    a, b = (lo, hi) if crossing else _decided_window(n, k, delta)
     for _ in range(SOLVE_J_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -390,10 +390,13 @@ def _check_binom_suite() -> dict:
                     failures.append({"case": f"decrease in z at ({z},{k},{p})"})
                 if not _strictly_above(b, binom_tail(z, k, min(1.0, p + 0.01))):
                     failures.append({"case": f"decrease in p at ({z},{k},{p})"})
-    jx = solve_J(10, 0, 0.05)
-    checks += 1
-    if abs(jx - (1 - 0.05**0.1)) > 1e-12:
-        failures.append({"case": "solve_J(10,0,0.05) closed form", "got": jx})
+    # k = 0 roots against 1 - delta^(1/n): the crossing of a direct and of an
+    # anchored one-term tail, and a delta above its band, which bisects.
+    for n, delta in ((10, 0.05), (1000, 0.05), (50, 0.9)):
+        jx = solve_J(n, 0, delta)
+        checks += 1
+        if abs(jx - (1 - delta ** (1 / n))) > 1e-12:
+            failures.append({"case": f"solve_J({n},0,{delta}) closed form", "got": jx})
     return {"checks": checks, "violations": failures}
 
 

@@ -203,9 +203,9 @@ def test_solve_j_delta_one_is_zero():
 
 
 def test_solve_j_closed_form_k0():
-    for n in (1, 10, 100, 1000, 10_000):
-        for delta in (0.01, 0.05, 0.5, 0.9):
-            assert abs(solve_J(n, 0, delta) - (1.0 - delta ** (1.0 / n))) <= 1e-12
+    for n in (1, 10, 100, 1000, 10_000, 10**7):
+        for delta in (1e-250, 1e-100, 1e-10, 0.01, 0.05, 0.5, 0.9):
+            assert abs(solve_J(n, 0, delta) - (1.0 - delta ** (1.0 / n))) <= 1e-12, (n, delta)
 
 
 def test_solve_j_examples():

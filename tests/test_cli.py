@@ -826,7 +826,7 @@ def test_oracle_check_sweep_beyond_the_enumeration_budget(capsys):
 # last sweep sits where binom_tail(n, k, 1 - lambda) rounds to 1, so every
 # trial is skipped.
 PINNED_ORACLE_CHECKS = {
-    ("binom",): "030df9ec25b1c066b332ab2d8d22f9187ef637bec803949f783812dd12ccc44c",
+    ("binom",): "370195bfd76ec2983c2068194fcd218dc252cc814c4ef8651010c4a882750994",
     ("sqsv",): "65a57b1cd8956713278128dbc375560b3daf9815866352a8715a74ef75b8db1c",
     ("factorization", "--budget", "8"):
         "81b05d22febd2ac4692c869b914b038f600d319ed8cc2caaf25702bb25d76dea",

@@ -1,12 +1,14 @@
-"""solve_J skips the bisection comparisons its decided window settles, and
-still returns the plain bisection's bits.
+"""solve_J skips the bisection comparisons its decided window settles, or at
+k = 0 reads the crossing of the one-term tail, and still returns the plain
+bisection's bits.
 
 ``reference_bisection`` is the bisection solve_J ran before the window
 existed, kept verbatim.  The cases are every (n, k, delta) that ``fig5_rows``
 solves at its defaults, the SQSV rows of the benchmark's query tables (read
 only), both Clopper-Pearson roots for every success count at the trial
-counts of ``CP_TRIALS`` and a few at the ``LARGE_TRIALS`` up to the end of
-the tail contract.
+counts of ``CP_TRIALS``, a few at the ``LARGE_TRIALS`` up to the end of
+the tail contract, and k = 0 roots at the edges of the crossing's band and
+drawn at random (``k0_cases``).
 """
 
 import csv
@@ -36,6 +38,10 @@ QUERY_TABLES = sorted(
 CP_TRIALS = (1, 2, 10, 200, 800, 2000)
 CP_ALPHA = 1.0 - 0.95
 LARGE_TRIALS = {10**5: (1, 2500, 33_333), 10**6: (1, 2500, 333_333), 10**7: (3_333_333,)}
+# k = 0 roots on both sides of each edge of _k0_crossing's band: n < 5 and
+# n > _DIRECT_Z_MAX, delta at 2 _DIRECT_SUM_MIN and at _K0_DELTA_MAX.
+K0_N = (4, 5, 12, 100, 101, 10**4, certificates.TAIL_ERROR_Z_MAX)
+K0_DELTAS = (2.0 * certificates._DIRECT_SUM_MIN, certificates._K0_DELTA_MAX, 1e-250, 0.05, 0.3)
 
 
 def reference_bisection(n: int, k: int, delta: float) -> float:
@@ -103,17 +109,54 @@ def large_trial_cases() -> set:
     return {root for n, ss in LARGE_TRIALS.items() for s in ss for root in clopper_pearson_roots(n, s)}
 
 
+def k0_cases() -> set:
+    """K0_N x K0_DELTAS with each delta's float neighbours, and 400 roots
+    drawn with n log-uniform in [1, 10^7] and delta log-uniform in
+    [1e-300, 1/2] or uniform in (0, 1)."""
+    cases = {
+        (n, 0, d)
+        for n in K0_N
+        for delta in K0_DELTAS
+        for d in (math.nextafter(delta, 0.0), delta, math.nextafter(delta, 1.0))
+    }
+    rng = np.random.default_rng(31)
+    for i in range(400):
+        n = int(10 ** rng.uniform(0.0, 7.0))
+        if i % 2:
+            delta = float(rng.uniform(0.0, 1.0))
+        else:
+            delta = float(10 ** rng.uniform(-300.0, math.log10(0.5)))
+        cases.add((n, 0, delta))
+    return cases
+
+
+def in_k0_band(n: int, k: int, delta: float) -> bool:
+    """Where solve_J reads a root as the crossing of the one-term tail: k = 0,
+    delta <= _K0_DELTA_MAX and n within the tail contract, with n >= 5 and
+    delta >= 2 _DIRECT_SUM_MIN for the direct kernel."""
+    if k != 0 or delta > certificates._K0_DELTA_MAX or n > certificates.TAIL_ERROR_Z_MAX:
+        return False
+    least = 2.0 * certificates._DIRECT_SUM_MIN
+    return n > certificates._DIRECT_Z_MAX or (n >= 5 and delta >= least)
+
+
 @pytest.fixture(scope="module")
-def solved():
+def window_cases() -> list:
+    """Every case but ``k0_cases``: the ones the window tests sample."""
+    return sorted(
+        fig5_cases() | query_table_cases() | clopper_pearson_cases() | large_trial_cases()
+    )
+
+
+@pytest.fixture(scope="module")
+def solved(window_cases):
     """{(n, k, delta): (solve_J miss, its binom_tail calls, reference)}.
 
     A case's solve_J miss and its reference bisection share one memo of the
     pure binom_tail on (z, k, p).  Every call solve_J makes is counted, hit
     or miss, and the reference runs after it, so the count is solve_J's own.
     """
-    cases = sorted(
-        fig5_cases() | query_table_cases() | clopper_pearson_cases() | large_trial_cases()
-    )
+    cases = sorted(set(window_cases) | k0_cases())
     tail = binom_tail
     memo = {}
     calls = 0
@@ -147,6 +190,7 @@ def test_case_sets_are_populated():
     assert len(query_table_cases()) > 500
     assert len(clopper_pearson_cases()) == sum(2 * n for n in CP_TRIALS)
     assert max(n for n, _, _ in large_trial_cases()) == certificates.TAIL_ERROR_Z_MAX
+    assert sum(in_k0_band(*case) for case in k0_cases()) > 250
 
 
 def test_solve_j_equals_reference_bisection(solved):
@@ -157,30 +201,42 @@ def test_solve_j_equals_reference_bisection(solved):
 def test_solve_j_binom_tail_calls_per_miss(solved):
     # The plain bisection takes 55-59 calls per solve on this set; with the
     # measured relative contract the median solve took 13, with the derived
-    # per-window error bounds 12, and with the shape bound at the tangent's
-    # edges 8.  Most cases here have k above _MODEL_K_MAX (Clopper-Pearson
-    # roots at 2000 trials); on the rest the float model's Newton start cut
-    # the median from 13 to 10, and the shape bound to 7.  The
-    # Clopper-Pearson roots at 2000 trials took a mean of 11.86 calls before
-    # the shape bound and take 7.57 with it.
-    assert statistics.median(used for _, used, _ in solved.values()) <= 8
+    # per-window error bounds 12, with the shape bound at the tangent's
+    # edges 8, and with the k = 0 crossing 7.  Most cases here have k above
+    # _MODEL_K_MAX (Clopper-Pearson roots at 2000 trials); on the rest the
+    # float model's Newton start cut the median from 13 to 10, the shape
+    # bound to 7 and the k = 0 crossing to 6.  The Clopper-Pearson roots at
+    # 2000 trials took a mean of 11.86 calls before the shape bound and take
+    # 7.57 with it.
+    assert statistics.median(used for _, used, _ in solved.values()) <= 7
     modelled = [
         used for (_, k, _), (_, used, _) in solved.items() if k <= certificates._MODEL_K_MAX
     ]
     assert len(modelled) > 2000
-    assert statistics.median(modelled) <= 7
+    assert statistics.median(modelled) <= 6
     trials = [solved[root][1] for root in clopper_pearson_cases() if root[0] == 2000]
     assert len(trials) == 4000
     assert statistics.mean(trials) <= 7.6
+    # At k = 0 in the band the crossing of the one-term tail takes two tail
+    # sums where the start lies next to it, three where it starts one float
+    # (direct sums: one run of equal 1 - x) off; the window and bisection
+    # took 6-13, a median of 8.  Of these 821 roots 69 take 3 and one takes
+    # 4: at (10^4, 0, 0.3) the tail reads exactly 0.3 at the two floats right
+    # of the crossing, and the start lies one float beyond them.
+    crossings = [used for case, (_, used, _) in solved.items() if in_k0_band(*case)]
+    assert len(crossings) > 800
+    assert statistics.median(crossings) <= 2
+    assert statistics.mean(crossings) <= 2.1
+    assert max(crossings) <= 4
 
 
-def test_window_edges_are_certified(solved):
+def test_window_edges_are_certified(solved, window_cases):
     # Three tail errors at delta: one for each edge's own tail, one for the
     # skipped midpoint's, and one for the second-order terms.  The Newton
     # phase's edges take the error of the side summed near delta; the
     # tangent's edges may take the smaller shape bound at x_s, and are then
     # kept only beyond it.
-    for n, k, delta in list(solved)[::37]:
+    for n, k, delta in window_cases[::37]:
         newton = certificates._window_margin(delta, certificates._window_error(delta, n, k))
         a, b, _, (error, keep_lo, keep_hi) = window_with_its_edge_error(n, k, delta)
         shaped = certificates._window_margin(delta, error)
@@ -196,13 +252,13 @@ def test_window_edges_are_certified(solved):
         assert a <= x <= b
 
 
-def test_window_edges_meet_the_tail_contract(solved):
+def test_window_edges_meet_the_tail_contract(window_cases):
     # The skipped comparisons are decided only if binom_tail is within the
     # error the margin assumed of the true tail at the window edges
     # themselves: the derived bound of the side it returns there, where that
     # is below TAIL_REL_ERROR, and the measured contract elsewhere; and at an
     # edge beyond x_s, the shape bound there, where the window took it.
-    sample = list(solved)[::53] + sorted(large_trial_cases())
+    sample = window_cases[::53] + sorted(large_trial_cases())
     for n, k, delta in sample:
         a, b, _, (shaped, keep_lo, keep_hi) = window_with_its_edge_error(n, k, delta)
         for edge in (a, b):
@@ -287,7 +343,8 @@ def test_solve_j_evaluates_each_point_once(monkeypatch):
     # On interval exhaustion the root is an endpoint; when the bisection
     # evaluated it, the residual check reuses that tail.  (The Newton phase
     # of the window may land on the root too, so only the points after it
-    # are compared.)
+    # are compared.)  A k = 0 crossing reads each float once, and the
+    # residual check reads the tails of its pair.
     points, start = [], []
     window = certificates._decided_window
     monkeypatch.setattr(
@@ -300,7 +357,7 @@ def test_solve_j_evaluates_each_point_once(monkeypatch):
         return edges
 
     monkeypatch.setattr(certificates, "_decided_window", recorded)
-    for case in sorted(query_table_cases() | clopper_pearson_roots(200, 37)):
+    for case in sorted(query_table_cases() | clopper_pearson_roots(200, 37) | k0_cases()):
         points.clear()
         start.clear()
         solve_J.__wrapped__(*case)
@@ -389,3 +446,58 @@ def test_solve_j_where_the_float_model_gives_up(monkeypatch, case):
     assert solve_J.__wrapped__(*case) == reference_bisection(*case)
     assert len(starts) == 1
     assert model(*case, starts[0]) == starts[0]
+
+
+@pytest.mark.parametrize("n, edge", [(101, 2.0**-7), (1000, 2.0**-10), (10**7, 2.0**-23),
+                                     (5, 0.5 + 2.0**-53)])
+def test_k0_crossing_next_to_a_power_of_two(n, edge):
+    # delta = B(edge) puts the crossing's hi at edge.  For anchored sums its
+    # lo is the last float of the binade below, half an ulp of edge away;
+    # for the direct sum at n = 5 it is 1/2, where the run of equal 1 - x
+    # ends and the floats above 1/2 each have their own 1 - x.
+    delta = binom_tail(n, 0, edge)
+    lo, hi, tail_lo, tail_hi = certificates._k0_crossing(n, delta)
+    assert (lo, hi) == (math.nextafter(edge, 0.0), edge)
+    assert (tail_lo, tail_hi) == (binom_tail(n, 0, lo), delta)
+    for d in (math.nextafter(delta, 0.0), delta, math.nextafter(delta, 1.0)):
+        assert solve_J.__wrapped__(n, 0, d) == reference_bisection(n, 0, d), d
+
+
+def test_k0_crossing_gives_way_to_the_window(monkeypatch):
+    # Allowed no tail sum, the crossing search returns None, and every root
+    # comes from the decided window and the bisection with the same bits.
+    monkeypatch.setattr(certificates, "_K0_MAX_STEPS", 0)
+    windows = []
+    window = certificates._decided_window
+    monkeypatch.setattr(
+        certificates, "_decided_window", lambda *a: windows.append(a) or window(*a)
+    )
+    cases = sorted(case for case in k0_cases() if in_k0_band(*case))[::7]
+    assert len(cases) > 40
+    for n, k, delta in cases:
+        assert certificates._k0_crossing(n, delta) is None
+        assert solve_J.__wrapped__(n, k, delta) == reference_bisection(n, k, delta)
+    assert len(windows) == len(cases)
+
+
+def test_k0_crossing_band(monkeypatch):
+    # The crossing is read where the window binom_tail sums near the root is
+    # the one term (1 - x)^n, computed non-increasing in x, and every other
+    # tail left of the root reads above 1/2 > delta.  Below _K0_DELTA_MAX
+    # the median estimate (n + 0.4) x < 0.7 fails at and right of the
+    # crossing, so the lower window is the one summed there; the search
+    # still checks it at hi, and declines a crossing where it does not hold.
+    top = certificates._K0_DELTA_MAX
+    assert top < 0.5 and -math.log(top) > 0.7
+    for n in (5, 100, 101, 10**4, certificates.TAIL_ERROR_Z_MAX):
+        assert certificates._k0_crossing(n, top) is not None, n
+        assert certificates._k0_crossing(n, math.nextafter(top, 1.0)) is None, n
+    least = 2.0 * certificates._DIRECT_SUM_MIN
+    assert certificates._k0_crossing(100, least) is not None
+    assert certificates._k0_crossing(100, math.nextafter(least, 0.0)) is None
+    assert certificates._k0_crossing(101, 1e-300) is not None
+    assert certificates._k0_crossing(4, 0.05) is None
+    assert certificates._k0_crossing(certificates.TAIL_ERROR_Z_MAX + 1, 0.05) is None
+    monkeypatch.setattr(certificates, "_K0_DELTA_MAX", 0.99)
+    for n, delta in [(5, 0.6), (12, 0.9), (101, 0.7), (10**4, 0.55), (10**7, 0.9)]:
+        assert certificates._k0_crossing(n, delta) is None, (n, delta)

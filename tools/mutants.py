@@ -83,6 +83,46 @@ MUTANTS = (
         WINDOW_TESTS,
         "x_s = r: the edge on x_s's side is never kept, which costs tail sums only",
     ),
+    # The k = 0 crossing of solve_J.
+    Mutant(
+        "k0-crossing-lower-float", CERTIFICATES,
+        "            return (lo, hi, tail_lo, tail_hi) if (n + 0.4) * hi >= 0.7 else None",
+        "            return (lo, lo, tail_lo, tail_lo) if (n + 0.4) * hi >= 0.7 else None",
+        ("tests/test_solve_j_window.py",),
+        "the crossing's lower float x* where the bisection returns 0.5 (x* + x*+), "
+        "which rounds to x*+ about half the time",
+    ),
+    Mutant(
+        "k0-bracket-unchecked", CERTIFICATES,
+        "    lo, hi = 0.0, 1.0\n"
+        "    tail_lo = tail_hi = math.nan\n"
+        "    for _ in range(_K0_MAX_STEPS):\n",
+        "    return x, math.nextafter(x, 1.0), math.nan, math.nan\n"
+        "    lo, hi = 0.0, 1.0\n"
+        "    tail_lo = tail_hi = math.nan\n"
+        "    for _ in range(_K0_MAX_STEPS):\n",
+        ("tests/test_solve_j_window.py",),
+        "the start and its successor taken as the crossing without a tail sum",
+    ),
+    Mutant(
+        "k0-delta-max-0.99", CERTIFICATES,
+        "_K0_DELTA_MAX = 0.49",
+        "_K0_DELTA_MAX = 0.99",
+        ("tests/test_solve_j_window.py",),
+        "the crossing's band up to delta = 0.99: no root moves, as the median "
+        "test at hi still declines every crossing where the complement is "
+        "summed; killed by the band's tail-sum count, which falls back there, "
+        "and by the test of the rule",
+    ),
+    Mutant(
+        "k0-median-test-unchecked", CERTIFICATES,
+        "            return (lo, hi, tail_lo, tail_hi) if (n + 0.4) * hi >= 0.7 else None",
+        "            return lo, hi, tail_lo, tail_hi",
+        ("tests/test_solve_j_window.py",),
+        "the crossing kept where binom_tail's median estimate may still pass at "
+        "hi: killed only by the test of the rule, with the band raised to 0.99, "
+        "as inside the band the estimate always fails there",
+    ),
     # The four of the re-anchor's mutation probes.
     Mutant(
         "dqsv-bound-0.99", CERTIFICATES,
