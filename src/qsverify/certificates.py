@@ -58,24 +58,21 @@ window [a, b] with computed B(a) > delta + m and B(b) < delta - m,
 m = 3 e delta for delta <= 1/2; a short safeguarded Newton phase finds
 that window, and the bisection skips those comparisons.  For
 k <= _MODEL_K_MAX that phase starts at the root of a float model of the
-tail, found by Newton in log(1 - x)
-(``_model_root``), so it usually stops at its first tail sum.  e is the
-smaller of two bounds for the side binom_tail returns near delta: the
-relative-error contract TAIL_REL_ERROR = 1e-13, measured by the tests on a
-grid up to z = TAIL_ERROR_Z_MAX (worst 1.1e-14), and the error of that
-window sum derived in advance from the operations its kernel performs,
-(z + 8) 2^-53 for a direct sum and (2 (hi - lo) + 3) 2^-53 + (z + 1) 1e-22
-for an anchored one over [lo, hi] (``_window_sum_error``).  The derived
-bound is the smaller for short windows (k up to about 450 on the lower
-side) and is itself tested against a 50-digit oracle.  The two edges placed
-last, next to the root, may take a smaller e still, from the log-concave
+tail, found by Newton in log(1 - x) (``_model_root``), so it usually stops
+at its first tail sum.  e is one bound for either side summed
+(``_window_error``): the direct kernel's (z + 8) 2^-53, derived from the
+operations it performs, where z <= _DIRECT_Z_MAX and delta >=
+2 _DIRECT_SUM_MIN, and elsewhere the relative-error contract
+TAIL_REL_ERROR = 1e-13, measured by the tests on a grid up to
+z = TAIL_ERROR_Z_MAX (worst 1.1e-14).  The two edges placed last, next to
+the root, may take a smaller e for anchored sums, from the log-concave
 shape of the window summed there where it is pinned at its end with first
 ratio rho < 1: (2 rho / (1 - rho) + 4) 2^-53 + (z + 1) 1e-22
 (``_edge_error``); ``_decided_window`` proves that every comparison it
-skips is still decided.  Given these bounds,
-the result is bitwise the full bisection's, at a median of 7 binom_tail
-evaluations per solve against its 55 (8 before the k = 0 crossing), and 6
-where k <= _MODEL_K_MAX (see tests/test_solve_j_window.py).
+skips is still decided.  Given these bounds, the result is bitwise the
+full bisection's, at a median of 7 binom_tail evaluations per solve
+against its 55, and 6 where k <= _MODEL_K_MAX (see
+tests/test_solve_j_window.py).
 
 The zero-certificate tests read B_{N,k}(nu) from ``_zero_test_tail``: a
 delta above the Chernoff bound exp(-N D(k/N || nu)) for k < N nu, padded by
@@ -129,9 +126,9 @@ _COMB_CACHE_SIZE = 64      # memoized anchor binomials
 # max(B, TAIL_ERROR_FLOOR) where the tail is summed, and <= TAIL_REL_ERROR *
 # (1 - B) + 2**-53 where it is one minus the summed complement.  Measured by
 # test_binom_tail_relative_error_contract: worst 1.1e-14 (direct sums at
-# z = 100, from rounding 1 - p), 2.2e-15 for anchored sums; solve_J relies on
-# it where the derived bound of _window_sum_error is not tighter.  Below the
-# floor the terms reach subnormal doubles.
+# z = 100, from rounding 1 - p), 2.2e-15 for anchored sums; solve_J's window
+# relies on it wherever _window_error does not take the direct kernel's
+# derived bound.  Below the floor the terms reach subnormal doubles.
 TAIL_REL_ERROR = 1e-13
 TAIL_ERROR_FLOOR = 2.0**-1000
 TAIL_ERROR_Z_MAX = 10_000_000
@@ -518,56 +515,28 @@ def _model_root(n: int, k: int, delta: float, x: float) -> float:
     return x
 
 
-def _window_sum_error(z: int, lo: int, hi: int) -> float:
-    """Derived relative error of the window sum over [lo, hi] for 0 < p < 1.
+def _window_error(n: int, delta: float) -> float:
+    """The relative error e of either window sum behind ``_decided_window``.
 
-    With u = 2^-53, to first order:
-
-    * direct (z <= _DIRECT_Z_MAX): (z + 8) u.  A term j carries the
-      rounding of 1 - p raised to the power z - j, (z - j) u, 1 ulp (2 u)
-      from each of the two ``pow`` calls, u from the row entry and u from
-      each of its two products, and the correctly rounded ``math.fsum`` adds
-      u.  A factor that underflowed moves its term by at most C(z, j)
-      2^-1073, under 2^-100 of any sum above _DIRECT_SUM_MIN; a sum below it
-      is redone the anchored way, so the larger of the two bounds holds.
-    * anchored: (2 (hi - lo) + 3) u + (z + 1) _TERM_CUTOFF.  The anchor is
-      rounded once to a double (its big-integer truncations add under
-      2^-62), each ratio step rounds a quotient and a product, ``math.fsum``
-      rounds once, and at most z + 1 dropped terms each lie below the cutoff
-      relative to the anchor.
-
-    A rounding that lands on a subnormal double is absolute, and later ratio
-    steps scale it by less than 1, so such roundings add at most
-    (hi - lo + 1)^2 2^-1076 in all.  Where the bound is below
-    TAIL_REL_ERROR, hi - lo < 450, and that is under 2^-5 u
-    TAIL_ERROR_FLOOR, so it holds relative to max(sum, TAIL_ERROR_FLOOR).
-    tests/test_tail_bound.py measures both.
+    (n + 8) u, u = 2^-53, for a direct window (n <= _DIRECT_Z_MAX) with
+    delta >= 2 _DIRECT_SUM_MIN, and TAIL_REL_ERROR elsewhere.  The direct
+    bound is derived term by term, so it holds for the lower window and the
+    complement alike: a term j carries the rounding of 1 - p raised to the
+    power n - j, (n - j) u, 1 ulp (2 u) from each of the two ``pow`` calls,
+    u from the row entry and u from each of its two products, and the
+    correctly rounded ``math.fsum`` adds u.  A factor that underflowed
+    moves its term by at most C(n, j) 2^-1073, under 2^-100 of any sum
+    above _DIRECT_SUM_MIN.  A sum below it is redone by the anchored
+    kernel, but no tail above delta is: its direct total exceeds delta / 2
+    >= _DIRECT_SUM_MIN.  A redone tail is below _DIRECT_SUM_MIN (1 + 2^-45)
+    (its direct total, with that total's error and the terms that
+    underflowed), so it and every tail right of it read below delta; a
+    redone complement is far below the u of one minus it.
+    tests/test_tail_bound.py measures the bound.
     """
-    anchored = _anchored_sum_error(z, lo, hi)
-    if z > _DIRECT_Z_MAX:
-        return anchored
-    return max((z + 8) * _UNIT_ROUNDOFF, anchored)
-
-
-def _anchored_sum_error(z: int, lo: int, hi: int) -> float:
-    """Derived relative error of ``_anchored_window_sum`` over [lo, hi]."""
-    return (2 * (hi - lo) + 3) * _UNIT_ROUNDOFF + (z + 1) * _TERM_CUTOFF
-
-
-def _window_error(delta: float, n: int, k: int) -> float:
-    """The error e of ``_decided_window``'s Newton phase.
-
-    The derived bound of the side ``binom_tail`` returns near delta, capped
-    by TAIL_REL_ERROR: the lower window [0, k] below 1/2, the complement
-    [k + 1, n] above, and the larger of the two within _SIDE_GUARD of 1/2.
-    """
-    lower = _window_sum_error(n, 0, k)
-    upper = _window_sum_error(n, k + 1, n)
-    if abs(delta - 0.5) < _SIDE_GUARD:
-        error = max(lower, upper)
-    else:
-        error = lower if delta < 0.5 else upper
-    return min(TAIL_REL_ERROR, error)
+    if n <= _DIRECT_Z_MAX and delta >= 2.0 * _DIRECT_SUM_MIN:
+        return (n + 8) * _UNIT_ROUNDOFF
+    return TAIL_REL_ERROR
 
 
 def _window_margin(delta: float, error: float) -> float:
@@ -598,10 +567,11 @@ def _edge_error(n: int, k: int, delta: float, root: float,
     mean is rho / (1 - rho).  So the sum is within e_s = (2 rho / (1 - rho)
     + 4) u + (n + 1) _TERM_CUTOFF: 2 u for the anchor and ``math.fsum``,
     2 u for the second-order terms and the rounding of the mean (d <= n <=
-    TAIL_ERROR_Z_MAX), and the dropped terms as in ``_window_sum_error``.
-    Roundings that land on subnormal doubles add under (n + 1)^2 2^-1076 <
-    2^-1029 in all (see ``_window_sum_error``), under 2^-79 of the margin
-    where delta >= _SHAPE_DELTA_MIN.
+    TAIL_ERROR_Z_MAX), and at most n + 1 dropped terms, each below the
+    cutoff relative to the anchor.  A rounding that lands on a subnormal
+    double is absolute, and later ratio steps scale it by less than 1, so
+    such roundings add under (n + 1)^2 2^-1076 < 2^-1029 in all, under
+    2^-79 of the margin where delta >= _SHAPE_DELTA_MIN.
 
     e_s is returned where rho < 1 and e_s < error, the Newton phase's e,
     with the range ending at x_s / _SHAPE_KEEP (1 - (1 - x_s) / _SHAPE_KEEP
@@ -657,18 +627,18 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     1, which decides nothing; above TAIL_ERROR_Z_MAX, where the error bound
     is not measured, the window is [0, 1].
 
-    The Newton phase's edges take e = _window_error(delta, n, k), which
-    holds at every x.  Let e_L = min(TAIL_REL_ERROR, _window_sum_error(n, 0,
-    k)) bound the relative error of the lower window sum and e_U that of the
-    complement [k + 1, n] likewise: each is derived in advance where it is
-    below the measured contract.  For delta < 1/2 - _SIDE_GUARD, e = e_L.
-    The tails at b and right of it read below 1/2 and are summed on the
-    lower side; a tail that binom_tail returns as one minus its complement,
-    at a or left of it, exceeds 1/2 - TAIL_REL_ERROR, since its lower window
-    summed above 1/2 and both windows meet the measured contract, so it
-    reads far above delta + m whichever side is summed.  Above
-    1/2 + _SIDE_GUARD the mirror argument takes e = e_U, and within
-    _SIDE_GUARD of 1/2, where either side may be returned, e = max(e_L, e_U).
+    The Newton phase's edges take e = _window_error(n, delta), one bound of
+    the lower window [0, k] and of the complement [k + 1, n] at every x, so
+    it holds whichever side binom_tail returns.  For delta <= 1/2 a tail
+    returned as one minus its complement errs by at most e (1 - B) + u and
+    reads above 1/2 - TAIL_REL_ERROR, since its lower window summed above
+    1/2 or its complement below 1/2 - _SIDE_GUARD: far above delta + m
+    unless delta lies within _SIDE_GUARD of 1/2.  There 1 - B < delta +
+    2^-19, and as e >= 9 u the three errors e delta still cover two such
+    errors, the second-order terms and the rounding of delta + m.  Above
+    1/2 the mirror argument holds: a tail summed on the lower side reads at
+    most 1/2, far below delta - m unless delta lies within _SIDE_GUARD of
+    1/2, and there it errs by e B < e (1 - delta) + u.
 
     The two edges placed at the tangent's root r (below) may take the
     closed-form bound e_s of ``_edge_error`` at x_s = r (1 - 2^-20) where
@@ -685,7 +655,7 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
       rho(x) falls as x grows, so the bound at x_s holds at mid and at the
       edge, and the three-error count holds with e_s.  A tail returned as
       one minus its complement reads far above delta + m, as it does for
-      e = e_L.  Right of the root the terms may be subnormal, which
+      e.  Right of the root the terms may be subnormal, which
       ``_edge_error`` bounds far below e_s delta.
     * mid < x_s: log B is concave with log B(0) = 0, so its chord from 0 to
       a gives log B(mid) >= (mid / a) log B(a) > (x_s / a) log delta, since
@@ -728,7 +698,7 @@ def _decided_window(n: int, k: int, delta: float) -> tuple[float, float]:
     a, b = 0.0, 1.0
     if n > TAIL_ERROR_Z_MAX:
         return a, b
-    error = _window_error(delta, n, k)
+    error = _window_error(n, delta)
     margin = _window_margin(delta, error)
     log_delta = math.log(delta)
     slope = functools.partial(_tail_slope, n, k)
@@ -799,11 +769,11 @@ def _k0_crossing(n: int, delta: float) -> tuple[float, float, float, float] | No
     320-bit truncations of q_num^n, q_num = p_den - p_num exact, can move
     it, and the truncation to 64 bits, ``ldexp`` and the t0 == 0 floor are
     monotone.  Direct, for n >= 5 and delta >= 2 _DIRECT_SUM_MIN: with
-    ``pow`` within 1 ulp, as ``_window_sum_error`` assumes, the powers of
+    ``pow`` within 1 ulp, as ``_window_error`` assumes, the powers of
     two adjacent values of fl(1 - x) lie a relative n u >= 5 u apart
     (u = 2^-53), beyond the 2 ulps <= 4 u the two may err; no tail above
-    delta is redone anchored, and one redone reads about _DIRECT_SUM_MIN
-    < delta.
+    delta is redone anchored, and one redone reads below delta (see
+    ``_window_error``).
 
     The search returns lo, hi = lo's successor with computed B(lo) > delta
     >= B(hi) where (n + 0.4) hi >= 0.7.  binom_tail's median estimate then
@@ -866,18 +836,19 @@ def solve_J(n: int, k: int, delta: float) -> float:
     """The unique x in [0, 1] with B_{n,k}(x) = delta, for n >= k + 1.
 
     B_{n,k} is continuous and strictly decreasing in x with B(0) = 1 and
-    B(1) = 0, so plain bisection always converges; it is run to floating-point
-    interval exhaustion (well under the iteration cap) and the residual is
-    verified afterwards, relative to max(delta, TAIL_ERROR_FLOOR).  A bisection test whose midpoint
-    lies outside ``_decided_window`` is skipped, since the tail's error
-    bound (the derived one of ``_window_sum_error`` or the measured
-    TAIL_REL_ERROR contract, whichever is smaller) already decides its
-    outcome; given those bounds, the result is bitwise the one of the full
-    bisection.  At k = 0 and delta <= _K0_DELTA_MAX, ``_k0_crossing``
-    finds the two adjacent floats on which that bisection ends from the
-    closed-form root 1 - delta^(1/n), in about two tail sums, and neither
-    the window nor the bisection runs.  Memoized on (n, k, delta); errors
-    are not cached.
+    B(1) = 0, so plain bisection always converges; it is run to
+    floating-point interval exhaustion (well under the iteration cap) and
+    the residual is verified afterwards, relative to max(delta,
+    TAIL_ERROR_FLOOR).  A bisection test whose midpoint lies outside
+    ``_decided_window`` is skipped, since the tail's error bound
+    (``_window_error``: the direct kernel's derived one or the measured
+    TAIL_REL_ERROR contract, tightened at the last two edges by
+    ``_edge_error``) already decides its outcome; given those bounds, the
+    result is bitwise the one of the full bisection.  At k = 0 and delta <=
+    _K0_DELTA_MAX, ``_k0_crossing`` finds the two adjacent floats on which
+    that bisection ends from the closed-form root 1 - delta^(1/n), in about
+    two tail sums, and neither the window nor the bisection runs.  Memoized
+    on (n, k, delta); errors are not cached.
     """
     if k < 0 or n < k + 1:
         raise ValueError(f"need n >= k + 1 >= 1, got n = {n}, k = {k}")

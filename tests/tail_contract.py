@@ -4,10 +4,12 @@ Where the tail itself is summed the bound is relative, TAIL_REL_ERROR times
 the tail (times TAIL_ERROR_FLOOR below the floor); where the tail is one
 minus its summed complement it is TAIL_REL_ERROR times the complement plus
 the rounding of the subtraction, 2**-53.  ``contract_error`` takes a smaller
-relative error too: ``solve_J``'s window uses the derived bound of the
-summed window, ``certificates._window_sum_error``, where that is below
-TAIL_REL_ERROR, and test_tail_bound measures it.  ``binom_tail`` returns the summed
-tail when it is at most 1/2 and one minus the summed complement otherwise.
+relative error too: ``solve_J``'s window uses the direct kernel's derived
+bound, ``certificates._window_error``, for z <= 100 and delta at least
+twice the least direct sum, and the anchored kernel meets its own derived
+bound, ``anchored_sum_error``; test_tail_bound measures both.
+``binom_tail`` returns the summed tail when it is at most 1/2 and one minus
+the summed complement otherwise.
 It sums first the window that a median estimate says is the smaller, and
 returns a complement summed first only below 1/2 - 2**-20; both window sums
 meet the relative bound (test_tail_side), so the tail would then have read
@@ -33,6 +35,27 @@ def contract_error(tail: float, exact, error: float = TAIL_REL_ERROR) -> float:
     return error * float(1 - exact) + 2.0**-53
 
 
+def anchored_sum_error(z: int, lo: int, hi: int) -> float:
+    """The anchored kernel's error over [lo, hi], derived from the operations
+    it performs: (2 (hi - lo) + 3) u + (z + 1) 1e-22, u = 2^-53.  The anchor
+    is rounded once to a double (its big-integer truncations add under
+    2^-62), each ratio step rounds a quotient and a product, ``math.fsum``
+    rounds once, and at most z + 1 dropped terms each lie below the cutoff
+    relative to the anchor.  Roundings that land on subnormal doubles add
+    at most (hi - lo + 1)^2 2^-1076, under 2^-5 u TAIL_ERROR_FLOOR wherever
+    the bound is below TAIL_REL_ERROR (hi - lo < 450)."""
+    return (2 * (hi - lo) + 3) * 2.0**-53 + (z + 1) * 1e-22
+
+
+def kernel_sum_error(z: int, lo: int, hi: int) -> float:
+    """The derived error of the kernel ``binom_tail`` sums [lo, hi] with:
+    ``anchored_sum_error`` above z = 100, and below it the larger of that
+    and the direct kernel's (z + 8) u, as a direct total under the least
+    direct sum is redone the anchored way."""
+    anchored = anchored_sum_error(z, lo, hi)
+    return anchored if z > certificates._DIRECT_Z_MAX else max((z + 8) * 2.0**-53, anchored)
+
+
 def contract_grid() -> list[tuple[int, int, float]]:
     """The (z, k, p) on which the contract is measured, up to TAIL_ERROR_Z_MAX.
 
@@ -56,7 +79,9 @@ def window_with_its_edge_error(n: int, k: int, delta: float):
     """(a, b, root, (e_s, keep_lo, keep_hi)): ``_decided_window``'s window,
     the tangent's root it passed to ``_edge_error``, and what that gave for
     the edges placed there: their error bound and the open range in which
-    they may be kept."""
+    they may be kept.  Where the Newton phase leaves no float between its
+    edges, as at a root beyond the largest float below 1, no tangent is
+    drawn: root is None, and every edge has the Newton phase's error."""
     recorded = []
     edge_error = certificates._edge_error
 
@@ -67,5 +92,7 @@ def window_with_its_edge_error(n: int, k: int, delta: float):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(certificates, "_edge_error", record)
         a, b = certificates._decided_window(n, k, delta)
+    if not recorded:
+        return a, b, None, (certificates._window_error(n, delta), 0.0, 1.0)
     (root, returned), = recorded
     return a, b, root, returned

@@ -1,16 +1,17 @@
 """The derived error bounds of the two window-sum kernels hold.
 
-``_decided_window`` sizes its margin from ``_window_sum_error``, the error
-of the window sums ``binom_tail`` makes, derived in advance from the
-operations each kernel performs (see its docstring), wherever that is below
-the measured TAIL_REL_ERROR, and its last two edges from ``_edge_error``,
-the anchored kernel's error bound on a window pinned at its end, from the
-log-concave shape of the terms.  Here every sum is compared with a 50-digit
-window oracle: the direct kernel (z <= _DIRECT_Z_MAX, with its anchored
-redo of tiny sums) against ``_window_sum_error``, the anchored kernel at
-every z against ``_anchored_sum_error``, and next to the solver's roots
-against ``_edge_error``.  The bounds are relative, and absolute, times
-TAIL_ERROR_FLOOR, below the floor.
+``_decided_window`` sizes its margin from ``_window_error``: the direct
+kernel's (z + 8) u, u = 2^-53, derived in advance from the operations it
+performs (see its docstring), for z <= _DIRECT_Z_MAX and delta >=
+2 _DIRECT_SUM_MIN, and the measured TAIL_REL_ERROR elsewhere.  Its last two
+edges may take ``_edge_error``, the anchored kernel's error bound on a
+window pinned at its end, from the log-concave shape of the terms.  Here
+every sum is compared with a 50-digit window oracle: the direct kernel
+(with its anchored redo of tiny sums) against (z + 8) u, the anchored
+kernel at every z against its own derived bound, on which the measured
+contract rests (``tail_contract.anchored_sum_error``), and next to the
+solver's roots against ``_edge_error``.  The bounds are relative, and
+absolute, times TAIL_ERROR_FLOOR, below the floor.
 """
 
 import csv
@@ -26,17 +27,34 @@ from qsverify import certificates
 from qsverify.certificates import (
     TAIL_ERROR_FLOOR,
     TAIL_REL_ERROR,
+    _DIRECT_SUM_MIN,
     _DIRECT_Z_MAX,
     _SHAPE_OFFSET,
     solve_J,
 )
 from rational_oracle import window_sum_highprec
-from tail_contract import contract_grid, window_with_its_edge_error
+from tail_contract import (
+    anchored_sum_error,
+    contract_grid,
+    kernel_sum_error,
+    window_with_its_edge_error,
+)
 
 CERT_SCALING_QUERIES = (
     Path(__file__).resolve().parents[1] / "bench" / "data" / "queries-cert-scaling.csv"
 )
 CP_ALPHA = 1.0 - 0.95
+U = 2.0**-53
+
+
+def _direct_bound(z: int, lo: int, hi: int, want) -> float:
+    """``_window_error``'s direct bound, (z + 8) u, for a window that sums
+    to at least 2 _DIRECT_SUM_MIN, whose direct total is never redone;
+    below that a total under _DIRECT_SUM_MIN is redone the anchored way,
+    and the larger of the two kernels' bounds holds."""
+    if want >= 2 * _DIRECT_SUM_MIN:
+        return certificates._window_error(z, float(want))
+    return kernel_sum_error(z, lo, hi)
 
 
 def _random_p(rng) -> float:
@@ -65,11 +83,11 @@ def _random_windows(seed: int, count: int, z_max: int):
 
 def _grid_windows():
     """Both windows at every contract-grid point up to z = 10^4, which holds
-    every point with a tail of 1e-30, 1e-100 or 1e-300, where the window's
-    bound is one the margin can use: below TAIL_REL_ERROR."""
+    every point with a tail of 1e-30, 1e-100 or 1e-300, where the anchored
+    bound is below TAIL_REL_ERROR (every direct window)."""
     for z, k, p in contract_grid():
         for lo, hi in ((0, k), (k + 1, z)):
-            if z <= 10**4 and certificates._window_sum_error(z, lo, hi) < TAIL_REL_ERROR:
+            if z <= 10**4 and anchored_sum_error(z, lo, hi) < TAIL_REL_ERROR:
                 yield z, lo, hi, p
 
 
@@ -108,25 +126,20 @@ def _x_s(delta: float, root: float) -> float:
     return dist(dist(root) - _SHAPE_OFFSET * dist(root))
 
 
-def _ratio(got: float, z: int, lo: int, hi: int, p: float, bound: float) -> float:
-    """|got - exact| over the derived bound, relative above the floor."""
-    want = window_sum_highprec(z, lo, hi, p)
+def _ratio(got: float, want, bound: float) -> float:
+    """|got - want| over the derived bound, relative above the floor."""
     return float(abs(mp.mpf(got) - want)) / (bound * max(float(want), TAIL_ERROR_FLOOR))
 
 
 def _worst(windows, kernel, bound) -> float:
-    """The largest ratio of a window's error to bound(z, lo, hi, p)."""
+    """The largest ratio of a window's error to bound(z, lo, hi, exact sum)."""
     worst = 0.0
     for z, lo, hi, p in windows:
-        ratio = _ratio(kernel(z, lo, hi, p), z, lo, hi, p, bound(z, lo, hi, p))
+        want = window_sum_highprec(z, lo, hi, p)
+        ratio = _ratio(kernel(z, lo, hi, p), want, bound(z, lo, hi, want))
         assert ratio <= 1.0, (z, lo, hi, p, ratio)
         worst = max(worst, ratio)
     return worst
-
-
-def _of_window(bound):
-    """A bound of (z, lo, hi) read as one of (z, lo, hi, p)."""
-    return lambda z, lo, hi, p: bound(z, lo, hi)
 
 
 def _direct(windows):
@@ -141,9 +154,7 @@ def _direct(windows):
     ],
 )
 def test_direct_window_sums_meet_their_derived_bound(windows):
-    worst = _worst(
-        windows(), certificates._direct_window_sum, _of_window(certificates._window_sum_error)
-    )
+    worst = _worst(windows(), certificates._direct_window_sum, _direct_bound)
     # The rounding of 1 - p makes the bound nearly tight at z = 100.
     assert worst > 0.25
 
@@ -157,9 +168,8 @@ def test_direct_window_sums_meet_their_derived_bound(windows):
     ],
 )
 def test_anchored_window_sums_meet_their_derived_bound(windows):
-    _worst(
-        windows(), certificates._anchored_window_sum, _of_window(certificates._anchored_sum_error)
-    )
+    _worst(windows(), certificates._anchored_window_sum,
+           lambda z, lo, hi, want: anchored_sum_error(z, lo, hi))
 
 
 def test_anchored_sums_next_to_the_roots_meet_their_edge_error():
@@ -169,13 +179,14 @@ def test_anchored_sums_next_to_the_roots_meet_their_edge_error():
     shaped = 0
     for n, k, delta in _pinned_solves():
         a, b, root, (error, keep_lo, keep_hi) = window_with_its_edge_error(n, k, delta)
-        shaped += error < certificates._window_error(delta, n, k)
+        shaped += error < certificates._window_error(n, delta)
         points = [_x_s(delta, root), root]
         points += [edge for edge in (a, b) if keep_lo < edge < keep_hi and 0.0 < edge < 1.0]
         lo, hi = _summed_window(n, k, delta)
         for p in points:
             got = certificates._anchored_window_sum(n, lo, hi, p)
-            assert _ratio(got, n, lo, hi, p, error) <= 1.0, (n, k, delta, p)
+            want = window_sum_highprec(n, lo, hi, p)
+            assert _ratio(got, want, error) <= 1.0, (n, k, delta, p)
     assert shaped > 400
 
 
@@ -186,47 +197,45 @@ def test_shape_bound_is_tighter_next_to_the_roots():
     solves = list(_pinned_solves())
     assert len(solves) > 500
     for n, k, delta in solves:
-        kernel = certificates._window_sum_error(n, *_summed_window(n, k, delta))
+        lo, hi = _summed_window(n, k, delta)
+        kernel = anchored_sum_error(n, lo, hi)
         shape, *_ = certificates._edge_error(n, k, delta, solve_J(n, k, delta), kernel)
         assert shape <= kernel
-        lo, hi = _summed_window(n, k, delta)
         if hi - lo >= 2:
             assert shape < kernel, (n, k, delta)
 
 
-def test_window_sum_error_is_the_bound_of_the_kernel_in_use():
-    u = 2.0**-53
-    assert certificates._window_sum_error(100, 0, 0) == 108 * u
-    for z, lo, hi in ((100, 0, 99), (101, 0, 0)):
-        assert certificates._window_sum_error(z, lo, hi) == certificates._anchored_sum_error(z, lo, hi)
-    assert certificates._anchored_sum_error(10**5, 0, 3) == 9 * u + (10**5 + 1) * 1e-22
+def test_window_error_is_one_bound_per_kernel():
+    # (n + 8) u for a direct window at delta >= 2 _DIRECT_SUM_MIN, on either
+    # side binom_tail returns: below 1/2, within 2^-20 of it and above it.
+    # Below that delta a tail sum may be redone anchored, and above
+    # _DIRECT_Z_MAX every sum is: the measured TAIL_REL_ERROR there.
+    least = 2.0 * _DIRECT_SUM_MIN
+    for n in (1, 12, 80, 100):
+        for delta in (least, 0.05, 0.5 - 2.0**-21, 0.5, 0.5 + 2.0**-21, 0.9, 1.0):
+            assert certificates._window_error(n, delta) == (n + 8) * U, (n, delta)
+        for delta in (math.nextafter(least, 0.0), 1e-300, 5e-324):
+            assert certificates._window_error(n, delta) == TAIL_REL_ERROR, (n, delta)
+    for n in (101, 5000, 10**7):
+        for delta in (5e-324, 1e-300, least, 0.05, 0.5, 0.9):
+            assert certificates._window_error(n, delta) == TAIL_REL_ERROR, (n, delta)
 
 
 def test_window_margin_takes_the_side_binom_tail_returns():
-    # The Newton phase: below 1/2 the lower window's bound, above it the
-    # complement's, and near 1/2 the larger of both; TAIL_REL_ERROR caps each
-    # where it is tighter.  The margin is three of those errors at delta.
-    n, k = 5000, 3
-    lower = certificates._window_sum_error(n, 0, k)
-    upper = min(TAIL_REL_ERROR, certificates._window_sum_error(n, k + 1, n))
-    assert lower < upper == TAIL_REL_ERROR
-    assert certificates._window_error(0.05, n, k) == lower
-    assert certificates._window_error(0.5, n, k) == upper
-    assert certificates._window_error(0.9, n, k) == upper
-    assert certificates._window_error(1e-310, n, k) == lower
+    # Three errors at delta: relative to delta (to TAIL_ERROR_FLOOR below it)
+    # where the lower window is returned, and to 1 - delta plus the u of one
+    # minus the complement above 1/2.
     margin = certificates._window_margin
-    assert margin(0.05, lower) == 3.0 * lower * 0.05
-    assert margin(0.5, upper) == 3.0 * upper * 0.5
-    assert margin(0.9, upper) == 3.0 * (upper * (1.0 - 0.9) + 2.0**-53)
-    assert margin(1e-310, lower) == 3.0 * lower * TAIL_ERROR_FLOOR
-    n, k = 80, 75  # direct sums; the complement's bound is the smaller one here
-    assert certificates._window_error(0.9, n, k) == 88 * 2.0**-53
-    assert margin(0.9, 88 * 2.0**-53) == 3.0 * (88 * 2.0**-53 * (1.0 - 0.9) + 2.0**-53)
+    for error in ((80 + 8) * U, TAIL_REL_ERROR):
+        assert margin(0.05, error) == 3.0 * error * 0.05
+        assert margin(0.5, error) == 3.0 * error * 0.5
+        assert margin(0.9, error) == 3.0 * (error * (1.0 - 0.9) + U)
+        assert margin(1e-310, error) == 3.0 * error * TAIL_ERROR_FLOOR
 
 
 def _edge_error(n: int, k: int, delta: float, root: float):
     """(e_s, keep_lo, keep_hi): ``_edge_error`` at the Newton phase's error."""
-    newton = certificates._window_error(delta, n, k)
+    newton = certificates._window_error(n, delta)
     return certificates._edge_error(n, k, delta, root, newton)
 
 
@@ -244,7 +253,7 @@ def test_edge_error_takes_the_shape_of_the_side_binom_tail_returns():
         x = Fraction(x_s) if delta < 0.5 else 1 - Fraction(x_s)  # in lower-window terms
         rho = math.nextafter(float(j * (1 - x) / ((n - j + 1) * x)), math.inf)
         shape = (2.0 * rho / (1.0 - rho) + 4.0) * 2.0**-53 + (n + 1) * 1e-22
-        newton = certificates._window_error(delta, n, k)
+        newton = certificates._window_error(n, delta)
         error, keep_lo, keep_hi = _edge_error(n, k, delta, root)
         kept = lambda x: keep_lo < x < keep_hi
         assert rho < 1.0 and error == shape < newton
@@ -259,7 +268,7 @@ def test_shape_bound_falls_back_to_the_kernel_bound():
     n, k = 5000, 30
     tie = 0.5 / (1.0 - _SHAPE_OFFSET)
     assert _x_s(0.05, tie) == 0.5
-    assert _edge_error(199, 99, 0.05, tie)[0] < certificates._window_error(0.05, 199, 99)
+    assert _edge_error(199, 99, 0.05, tie)[0] < certificates._window_error(199, 0.05)
     # Elsewhere the Newton phase's error, and (0, 1) keeps every edge: direct sums,
     # delta below 2^-900, within _SIDE_GUARD of 1/2 or of 1, an anchor that
     # would move (a root whose mode lies below k), a tie at the mode, and
@@ -277,5 +286,5 @@ def test_shape_bound_falls_back_to_the_kernel_bound():
         (199, 100, 0.05, tie),
     ]
     for n, k, delta, root in cases:
-        newton = certificates._window_error(delta, n, k)
+        newton = certificates._window_error(n, delta)
         assert _edge_error(n, k, delta, root) == (newton, 0.0, 1.0), (n, k, delta)

@@ -141,13 +141,6 @@ MUTANTS = (
         "_window_margin at 1/6 of its proof",
     ),
     Mutant(
-        "anchored-sum-error-half", CERTIFICATES,
-        "    return (2 * (hi - lo) + 3) * _UNIT_ROUNDOFF + (z + 1) * _TERM_CUTOFF",
-        "    return ((2 * (hi - lo) + 3) * _UNIT_ROUNDOFF + (z + 1) * _TERM_CUTOFF) / 2",
-        WINDOW_TESTS,
-        "_anchored_sum_error at 1/2 of its proof",
-    ),
-    Mutant(
         "zhat-tie-tol", CERTIFICATES,
         "ZHAT_TIE_TOL = 1e-14",
         "ZHAT_TIE_TOL = 1e-10",
@@ -183,10 +176,19 @@ MUTANTS = (
     ),
     Mutant(
         "direct-sum-error-half", CERTIFICATES,
-        "    return max((z + 8) * _UNIT_ROUNDOFF, anchored)",
-        "    return max((z + 8) * _UNIT_ROUNDOFF / 2, anchored)",
+        "        return (n + 8) * _UNIT_ROUNDOFF",
+        "        return (n + 8) * _UNIT_ROUNDOFF / 2",
         ("tests/test_tail_bound.py",),
         "the direct kernel's bound at 1/2 of its proof",
+    ),
+    Mutant(
+        "direct-bound-below-its-band", CERTIFICATES,
+        "    if n <= _DIRECT_Z_MAX and delta >= 2.0 * _DIRECT_SUM_MIN:",
+        "    if n <= _DIRECT_Z_MAX:",
+        ("tests/test_tail_bound.py",),
+        "the direct kernel's bound below delta = 2 _DIRECT_SUM_MIN, where a tail "
+        "near delta may be redone anchored: no root moves, so it is killed only "
+        "by the test of the rule",
     ),
     Mutant(
         "ceiling-zero", CERTIFICATES,
